@@ -47,26 +47,21 @@ from .points import (
     CensusReport,
     census_weighted_surface,
     chart_simple_count,
-    classify_two_var,
     is_special,
     admissible_supports,
     max_stratum_dimension,
-    multilinearize,
     pi_degree,
     point_scheme_dim_product,
     two_var_fermat_count,
 )
 from .qalgebra import (
     AlgebraSpec,
-    GradedAut,
     SkewPoly,
     center_lattice,
     chart_parameters,
     fermat,
     is_central,
-    is_normal,
     multiply,
-    nakayama,
     reorder_scalar,
     second_chart_scalar,
     validate_spec,
@@ -87,7 +82,6 @@ __all__ = [
     "Certificate",
     "CongruenceSystem",
     "CycInt",
-    "GradedAut",
     "HilbertSeries",
     "HypothesisViolation",
     "INFINITE",
@@ -110,23 +104,19 @@ __all__ = [
     "certify_weighted",
     "chart_parameters",
     "chart_simple_count",
-    "classify_two_var",
     "diagonal",
     "enumerate_cy_weights",
     "fermat",
     "hermite_normal_form",
     "image_size",
     "is_central",
-    "is_normal",
     "is_special",
     "kernel_lattice",
     "lattice_contains",
     "load",
     "loads",
     "max_stratum_dimension",
-    "multilinearize",
     "multiply",
-    "nakayama",
     "pi_degree",
     "point_scheme_dim_product",
     "quasi_veronese_table",

@@ -1,92 +1,21 @@
-"""Hot numeric kernels with a numba fast path and a numpy fallback.
+"""Hot numeric kernels, vectorized in numpy.
 
 Two operations dominate the runtime of the larger computations: counting
 the image of an exponent matrix acting on (Z/N)^m, and row reduction of
-integer matrices modulo a word-sized prime.  Both are implemented twice,
-once as numba-jitted loops and once vectorized in numpy.  The environment
-variable QCY_KERNELS selects the backend: "numba", "numpy", or "auto"
-(default; numba when importable).  Results are identical either way and
-the test suite runs both.
+integer matrices modulo a word-sized prime.  The test suite checks both
+against pure-Python oracles.
 
 All mod-p arithmetic assumes p < 2**31 so that products fit in int64.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def backend() -> str:
-    """Active backend name, re-read from the environment on every call."""
-    flag = os.environ.get("QCY_KERNELS", "auto").lower()
-    if flag not in ("auto", "numba", "numpy"):
-        raise ValueError(f"QCY_KERNELS must be auto, numba or numpy, not {flag!r}")
-    if flag == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("QCY_KERNELS=numba but numba is not importable")
-    if flag == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    return flag
-
-
-# -- image counting ---------------------------------------------------------
-
-
-@njit(cache=True)
-def _image_count_numba(h, n_mod):  # pragma: no cover - exercised via dispatch
-    n, m = h.shape
-    total = 1
-    for _ in range(m):
-        total *= n_mod
-    codes = np.empty(total, dtype=np.int64)
-    digits = np.empty(m, dtype=np.int64)
-    for idx in range(total):
-        rem = idx
-        for j in range(m):
-            digits[j] = rem % n_mod
-            rem //= n_mod
-        code = 0
-        for i in range(n):
-            acc = 0
-            for j in range(m):
-                acc += h[i, j] * digits[j]
-            code = code * n_mod + acc % n_mod
-        codes[idx] = code
-    codes.sort()
-    count = 1
-    for k in range(1, total):
-        if codes[k] != codes[k - 1]:
-            count += 1
-    return count
-
-
-def _image_count_numpy(h: np.ndarray, n_mod: int) -> int:
-    n, m = h.shape
-    total = n_mod**m
-    idx = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, m), dtype=np.int64)
-    scale = 1
-    for j in range(m):
-        digits[:, j] = (idx // scale) % n_mod
-        scale *= n_mod
-    images = (digits @ h.T) % n_mod
-    weights = n_mod ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    codes = images @ weights
-    return int(np.unique(codes).size)
+    """Name of the kernel implementation, recorded in benchmark provenance."""
+    return "numpy"
 
 
 def image_count(mat, modulus: int) -> int:
@@ -100,57 +29,30 @@ def image_count(mat, modulus: int) -> int:
         return 1
     if h.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if backend() == "numba":
-        return int(_image_count_numba(h, modulus))
-    return _image_count_numpy(h, modulus)
+    n, m = h.shape
+    total = modulus**m
+    idx = np.arange(total, dtype=np.int64)
+    digits = np.empty((total, m), dtype=np.int64)
+    scale = 1
+    for j in range(m):
+        digits[:, j] = (idx // scale) % modulus
+        scale *= modulus
+    images = (digits @ h.T) % modulus
+    weights = modulus ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = images @ weights
+    return int(np.unique(codes).size)
 
 
-# -- rank modulo a prime ----------------------------------------------------
-
-
-@njit(cache=True)
-def _modinv(a, p):  # pragma: no cover - exercised via dispatch
-    t, newt = 0, 1
-    r, newr = p, a % p
-    while newr != 0:
-        q = r // newr
-        t, newt = newt, t - q * newt
-        r, newr = newr, r - q * newr
-    return t % p
-
-
-@njit(cache=True)
-def _modp_rank_numba(a, p):  # pragma: no cover - exercised via dispatch
+def modp_rank(mat, p: int) -> int:
+    """Rank of an integer matrix over F_p (p an odd prime below 2**31)."""
+    if not 1 < p < 2**31:
+        raise ValueError("prime must fit comfortably in int64 arithmetic")
+    a = np.array(mat, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
     n, m = a.shape
-    row = 0
-    for col in range(m):
-        if row == n:
-            break
-        piv = -1
-        for i in range(row, n):
-            if a[i, col] != 0:
-                piv = i
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            for j in range(col, m):
-                tmp = a[row, j]
-                a[row, j] = a[piv, j]
-                a[piv, j] = tmp
-        inv = _modinv(a[row, col], p)
-        for j in range(col, m):
-            a[row, j] = a[row, j] * inv % p
-        for i in range(row + 1, n):
-            f = a[i, col]
-            if f != 0:
-                for j in range(col, m):
-                    a[i, j] = (a[i, j] - f * a[row, j]) % p
-        row += 1
-    return row
-
-def _modp_rank_numpy(a: np.ndarray, p: int) -> int:
-    n, m = a.shape
+    if n == 0 or m == 0:
+        return 0
     row = 0
     for col in range(m):
         if row == n:
@@ -171,24 +73,3 @@ def _modp_rank_numpy(a: np.ndarray, p: int) -> int:
             ) % p
         row += 1
     return row
-
-
-def modp_rank(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (p an odd prime below 2**31)."""
-    if not 1 < p < 2**31:
-        raise ValueError("prime must fit comfortably in int64 arithmetic")
-    a = np.array(mat, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    if backend() == "numba":
-        return int(_modp_rank_numba(a, p))
-    return _modp_rank_numpy(a, p)
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs so timed runs measure work."""
-    if backend() == "numba":
-        _image_count_numba(np.zeros((1, 1), dtype=np.int64), 2)
-        _modp_rank_numba(np.ones((1, 1), dtype=np.int64), 3)

@@ -143,8 +143,7 @@ def cmd_point_scheme(args) -> dict:
         g_shape = "mixed" if man.criterion == "mixed" else "fermat"
         result = {
             "g_shape": g_shape,
-            "dimension": point_scheme_dim_product(
-                specs[0], specs[1], "fermat", g_shape),
+            "dimension": point_scheme_dim_product(specs[0], specs[1], g_shape),
         }
     return {
         "command": "point-scheme",
@@ -161,17 +160,15 @@ def cmd_pi_degree(args) -> dict:
         chart = chart_parameters(spec, args.chart)
         kept = list(chart.kept)
         spec = chart.spec
-    from .cyclo import image_size
-
-    size = image_size([list(r) for r in spec.exponents], spec.order)
+    degree = pi_degree(spec)
     return {
         "command": "pi-degree",
         "input": {"path": args.input, "digest": man.digest},
         "result": {
             "chart": args.chart,
             "kept": kept,
-            "image_size": size,
-            "pi_degree": pi_degree(spec),
+            "image_size": degree * degree,
+            "pi_degree": degree,
         },
     }
 
@@ -249,7 +246,9 @@ def cmd_search_q(args) -> dict:
     entries = []
     for spec in specs:
         cert = certify_weighted(spec)
-        assert cert.verdict is Verdict.CY
+        if cert.verdict is not Verdict.CY:
+            raise InternalDefect(
+                f"search kept a spec that certifies {cert.verdict.value}")
         census_total = None
         if spec.nvars == 4 and spec.weights[0] == spec.weights[1] == 1:
             census_total = _tagged(census_weighted_surface(spec).total)
@@ -349,6 +348,20 @@ def render(doc: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcy",
@@ -383,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert series and quotient stream")
     common(p)
-    p.add_argument("--max-degree", type=int, default=12, metavar="K")
+    p.add_argument("--max-degree", type=_nonnegative_int, default=12, metavar="K")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("enumerate-weights", help="admissible weight systems")
@@ -394,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-q", help="Calabi-Yau parameter matrices")
     common(p)
-    p.add_argument("--order", type=int, default=None, metavar="N",
+    p.add_argument("--order", type=_positive_int, default=None, metavar="N",
                    help="root order (defaults to the manifest order)")
     p.set_defaults(func=cmd_search_q)
 

@@ -296,16 +296,22 @@ def solve_root_system(pairs) -> RootScalar | None:
 # Integer matrix normal forms.
 
 
-def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
-    """Diagonal of the Smith form of `mat`, with the right transform V.
+def smith_normal_form(mat, modulus: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonal of a Smith form of `mat` modulo N, with the right transform V.
 
-    Returns (diag, V) where diag has min(rows, cols) nonnegative entries in
-    a divisibility chain and V is unimodular with U * mat * V diagonal for
-    some unimodular U (not tracked).
+    Returns (diag, V) where diag has min(rows, cols) entries in [0, N) and
+    V is unimodular with U * mat * V = diag(diag) (mod N) for some
+    unimodular U (not tracked).  Entries are reduced mod N during the
+    elimination, which keeps them below N: adding N to an entry changes
+    neither mat . Z^m + N Z^n nor {e : mat . e = 0 (mod N)}, and callers
+    read only gcd(N, d_i) and V.  The diagonal need not form a
+    divisibility chain.
     """
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
     n = len(mat)
     m = len(mat[0]) if n else 0
-    a = [list(map(int, row)) for row in mat]
+    a = [[int(x) % modulus for x in row] for row in mat]
     if n and any(len(row) != m for row in a):
         raise ValueError("ragged matrix")
     v = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -318,60 +324,41 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
 
     def add_col(src, dst, k):
         for row in a:
-            row[dst] += k * row[src]
+            row[dst] = (row[dst] + k * row[src]) % modulus
         for row in v:
             row[dst] += k * row[src]
 
-    def diagonalize_from(start):
-        t = start
-        while t < min(n, m):
-            best = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            a[t], a[best[0]] = a[best[0]], a[t]
-            swap_cols(t, best[1])
-            while True:
-                again = False
-                for i in range(t + 1, n):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        if a[i][t]:
-                            a[t], a[i] = a[i], a[t]
-                            again = True
-                for j in range(t + 1, m):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        add_col(t, j, -q)
-                        if a[t][j]:
-                            swap_cols(t, j)
-                            again = True
-                if not again:
-                    break
-            t += 1
-        return t
-
-    diagonalize_from(0)
-    # enforce the divisibility chain d_i | d_{i+1}
-    while True:
-        bad = None
-        for i in range(min(n, m) - 1):
-            if a[i][i] and a[i + 1][i + 1] % a[i][i]:
-                bad = i
-                break
-            if a[i][i] == 0 and a[i + 1][i + 1]:
-                bad = i
-                break
-        if bad is None:
+    for t in range(min(n, m)):
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if a[i][j] and (best is None or a[i][j] < a[best[0]][best[1]]):
+                    best = (i, j)
+        if best is None:
             break
-        add_col(bad + 1, bad, 1)
-        diagonalize_from(bad)
-    diag = [abs(a[i][i]) for i in range(min(n, m))]
-    return diag, v
+        a[t], a[best[0]] = a[best[0]], a[t]
+        swap_cols(t, best[1])
+        # Euclid on row and column t: each swap lowers the pivot, which
+        # stays in [1, N), so the loop ends.
+        while True:
+            again = False
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [(x - q * y) % modulus for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        again = True
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        again = True
+            if not again:
+                break
+    return [a[i][i] for i in range(min(n, m))], v
 
 
 def hermite_normal_form(rows) -> list[list[int]]:
@@ -435,14 +422,11 @@ def lattice_contains(basis: list[list[int]], vec) -> bool:
 def kernel_lattice(mat, modulus: int) -> list[list[int]]:
     """Basis (HNF rows) of {e in Z^m : mat . e = 0 (mod modulus)}.
 
-    Via the Smith form U * mat * V = diag(d): writing e = V y, the condition
+    Via the Smith form U * mat * V = diag(d) (mod N): writing e = V y, the condition
     becomes d_i y_i = 0 (mod N), so y_i runs over (N / gcd(N, d_i)) Z.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    diag, v = smith_normal_form(mat)
+    m = len(mat[0]) if mat else 0
+    diag, v = smith_normal_form(mat, modulus)
     diag = diag + [0] * (m - len(diag))
     gens = []
     for i in range(m):
@@ -458,11 +442,9 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
     enumeration recounts it when N^m is small.  Under "auto" both run where
     feasible and must agree.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
     n = len(mat)
     m = len(mat[0]) if n else 0
-    diag, _ = smith_normal_form(mat)
+    diag, _ = smith_normal_form(mat, modulus)
     by_snf = 1
     for d in diag:
         by_snf *= modulus // gcd(modulus, d)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
 
-from .cyclo import CycInt, image_size
+from .cyclo import image_size
 from .errors import HypothesisViolation, InternalDefect
-from .qalgebra import AlgebraSpec, SkewPoly, chart_parameters, validate_spec
+from .qalgebra import AlgebraSpec, chart_parameters, validate_spec
 
 
 class _InfiniteType:
@@ -37,106 +37,6 @@ class _InfiniteType:
 
 
 INFINITE = _InfiniteType()
-
-
-# -- multilinearization -----------------------------------------------------
-
-
-class MultilinearPoly:
-    """Multidegree-(1,..,1) polynomial in slot variables y_{r,i}.
-
-    A word (i_0, ..., i_{d-1}) stands for y_{0,i_0} * ... * y_{d-1,i_d-1};
-    the slot variables commute, so the word tuple is the canonical key.
-    """
-
-    __slots__ = ("order", "nslots", "terms")
-
-    def __init__(self, order: int, nslots: int, terms):
-        clean = {}
-        for word, coeff in dict(terms).items():
-            word = tuple(int(i) for i in word)
-            if len(word) != nslots or any(i < 0 for i in word):
-                raise ValueError(f"bad word {word} for {nslots} slots")
-            if isinstance(coeff, int):
-                coeff = CycInt.from_int(order, coeff)
-            if not coeff.is_zero():
-                clean[word] = coeff
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nslots", nslots)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultilinearPoly is immutable")
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        if self.order != other.order or self.nslots != other.nslots:
-            raise ValueError("mixed multilinear contexts")
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc[w] + c if w in acc else c
-        return MultilinearPoly(self.order, self.nslots, acc)
-
-    def concat(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        """Product with `other` occupying the slots after self's."""
-        if self.order != other.order:
-            raise ValueError("mixed orders")
-        acc = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                acc[w1 + w2] = c1 * c2
-        return MultilinearPoly(self.order, self.nslots + other.nslots, acc)
-
-    def evaluate_constant(self, values) -> CycInt:
-        """Value on the constant slot sequence y_{r,i} = values[i]."""
-        values = list(values)
-        acc = CycInt.zero(self.order)
-        for word, coeff in self.terms.items():
-            term = coeff
-            for i in word:
-                term = term * values[i]
-            acc = acc + term
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultilinearPoly):
-            return NotImplemented
-        return (self.order == other.order and self.nslots == other.nslots
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.order, self.nslots, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"MultilinearPoly(slots={self.nslots}, terms={self.terms!r})"
-
-
-def word_of_monomial(exps) -> tuple[int, ...]:
-    """Normal-ordered word of an exponent vector: i repeated e_i times."""
-    out = []
-    for i, e in enumerate(exps):
-        out.extend([i] * e)
-    return tuple(out)
-
-
-def multilinearize_word(order: int, word) -> MultilinearPoly:
-    word = tuple(word)
-    return MultilinearPoly(order, len(word), {word: 1})
-
-
-def multilinearize(p: SkewPoly) -> MultilinearPoly:
-    """Replace each normal-ordered monomial by its slot product.
-
-    Needs an unweighted-homogeneous input so all terms fill the same
-    number of slots.
-    """
-    if p.is_zero():
-        return MultilinearPoly(p.order, 0, {})
-    degs = {sum(e) for e in p.terms}
-    if len(degs) != 1:
-        raise ValueError("multilinearization needs a homogeneous polynomial")
-    d = degs.pop()
-    return MultilinearPoly(
-        p.order, d, {word_of_monomial(e): c for e, c in p.terms.items()})
 
 
 # -- torus strata -----------------------------------------------------------
@@ -208,31 +108,24 @@ def max_stratum_dimension(spec: AlgebraSpec) -> int | None:
 
 
 def point_scheme_dim_product(
-    spec_a: AlgebraSpec,
-    spec_b: AlgebraSpec,
-    f_shape: str | None = "fermat",
-    g_shape: str | None = "fermat",
+    spec_a: AlgebraSpec, spec_b: AlgebraSpec, g_shape: str = "fermat"
 ) -> int | None:
     """Dimension of the point scheme of a two-sided Fermat intersection.
 
     Strata are products of admissible torus strata; each equation whose
     restriction keeps one term empties the stratum, with two or more it
-    cuts one dimension.  f lives on side A; g is "fermat" (side B pure
-    powers), "mixed" (terms x_l y_l pairing the first min(#A, #B)
-    indices), or None.  Returns the maximum dimension, or None when every
-    stratum dies.
+    cuts one dimension.  f is the Fermat element of side A; g is "fermat"
+    (side B pure powers) or "mixed" (terms x_l y_l pairing the first
+    min(#A, #B) indices).  Returns the maximum dimension, or None when
+    every stratum dies.
     """
-    equations = []
-    if f_shape == "fermat":
-        equations.append([({i}, frozenset()) for i in range(spec_a.nvars)])
-    elif f_shape is not None:
-        raise ValueError(f"unknown f shape {f_shape!r}")
+    equations = [[({i}, frozenset()) for i in range(spec_a.nvars)]]
     if g_shape == "fermat":
         equations.append([(frozenset(), {j}) for j in range(spec_b.nvars)])
     elif g_shape == "mixed":
         shared = min(spec_a.nvars, spec_b.nvars)
         equations.append([({l}, {l}) for l in range(shared)])
-    elif g_shape is not None:
+    else:
         raise ValueError(f"unknown g shape {g_shape!r}")
     best = None
     for s in admissible_supports(spec_a):
@@ -311,22 +204,6 @@ def chart_simple_count(chart_spec: AlgebraSpec, exponents) -> ChartCount:
         items += [ChartItem(p, INFINITE) for p in trivial]
         return ChartCount(INFINITE, tuple(items), trivial)
     return ChartCount(sum(exponents), tuple(items), ())
-
-
-@dataclass(frozen=True)
-class TwoVarClassification:
-    """Shift-class counts of graded simples over weighted k[x,y], deg (a, b)."""
-
-    axis_x_shifts: int  # modules killing x: one family per shift mod b
-    axis_y_shifts: int  # modules killing y: one family per shift mod a
-    family_shifts: int  # binomial quotients: shifts mod gcd(a, b)
-
-
-def classify_two_var(a: int, b: int) -> TwoVarClassification:
-    if a < 1 or b < 1:
-        raise ValueError("weights must be positive")
-    return TwoVarClassification(
-        axis_x_shifts=b, axis_y_shifts=a, family_shifts=gcd(a, b))
 
 
 @dataclass(frozen=True)

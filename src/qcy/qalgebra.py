@@ -10,7 +10,7 @@ times a monomial and all identities here are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .cyclo import CycInt, RootScalar, kernel_lattice, lattice_contains
 from .errors import HypothesisViolation, InternalDefect
@@ -76,14 +76,6 @@ class AlgebraSpec:
             tuple(self.weights[i] for i in idx),
             self.order,
             tuple(tuple(self.exponents[i][j] for j in idx) for i in idx),
-        )
-
-    def transpose(self) -> "AlgebraSpec":
-        n = self.nvars
-        return AlgebraSpec(
-            self.weights,
-            self.order,
-            tuple(tuple(self.exponents[j][i] for j in range(n)) for i in range(n)),
         )
 
 
@@ -278,90 +270,6 @@ def is_central(p: SkewPoly, spec: AlgebraSpec) -> bool:
 
 
 @dataclass(frozen=True)
-class GradedAut:
-    """Diagonal graded automorphism x_i -> zeta_order^scalars[i] x_i."""
-
-    order: int
-    scalars: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "scalars", tuple(s % self.order for s in self.scalars))
-
-    @classmethod
-    def identity(cls, order: int, nvars: int) -> "GradedAut":
-        return cls(order, (0,) * nvars)
-
-    def scalar(self, i: int) -> RootScalar:
-        return RootScalar(self.order, self.scalars[i])
-
-    def is_identity(self) -> bool:
-        return not any(self.scalars)
-
-    def compose(self, other: "GradedAut") -> "GradedAut":
-        n = lcm(self.order, other.order)
-        a, b = n // self.order, n // other.order
-        return GradedAut(
-            n, tuple(a * s + b * t for s, t in zip(self.scalars, other.scalars)))
-
-    def inverse(self) -> "GradedAut":
-        return GradedAut(self.order, tuple(-s for s in self.scalars))
-
-    def apply(self, p: SkewPoly) -> SkewPoly:
-        if p.order != self.order:
-            raise ValueError("mixed orders")
-        out = {}
-        for exps, c in p.terms.items():
-            e = sum(s * k for s, k in zip(self.scalars, exps))
-            out[exps] = c * CycInt.from_root(RootScalar(self.order, e), self.order)
-        return SkewPoly(p.order, p.nvars, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedAut):
-            return NotImplemented
-        n = lcm(self.order, other.order)
-        a, b = n // self.order, n // other.order
-        return all((a * s - b * t) % n == 0
-                   for s, t in zip(self.scalars, other.scalars))
-
-    def __hash__(self):
-        return hash(tuple(RootScalar(self.order, s).pair() for s in self.scalars))
-
-
-def is_normal(p: SkewPoly, spec: AlgebraSpec) -> GradedAut | None:
-    """The diagonal twist nu with p x_k = nu(x_k) p, if one exists.
-
-    nu(x_k) = lambda_k x_k with lambda_k a root of unity of order dividing
-    N; each lambda_k is found by matching p x_k against x_k p termwise.
-    """
-    if p.is_zero():
-        return GradedAut.identity(spec.order, spec.nvars)
-    scalars = []
-    for k in range(spec.nvars):
-        xk = SkewPoly.gen(spec.order, spec.nvars, k)
-        left = multiply(p, xk, spec)
-        right = multiply(xk, p, spec)
-        if set(left.terms) != set(right.terms):
-            return None
-        found = None
-        for e in range(spec.order):
-            lam = CycInt.from_root(RootScalar(spec.order, e), spec.order)
-            if all(left.terms[m] == right.terms[m] * lam for m in left.terms):
-                found = e
-                break
-        if found is None:
-            return None
-        scalars.append(found)
-    return GradedAut(spec.order, tuple(scalars))
-
-
-def nakayama(spec: AlgebraSpec) -> GradedAut:
-    """x_i -> (prod_j q_ij) x_i, the row products of the parameter matrix."""
-    return GradedAut(
-        spec.order, tuple(sum(row) for row in spec.exponents))
-
-
-@dataclass(frozen=True)
 class ChartParams:
     """Parameter matrix of the localized degree-0 chart at one generator.
 
@@ -377,9 +285,13 @@ class ChartParams:
 def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
     """Chart scalars q'_jk = q_ij^{a_k} q_jk q_ki^{a_j} after inverting x_i.
 
-    Requires weight 1 at the inverted index (so degree-0 chart generators
-    exist); everything else is exponent arithmetic on the bicharacter.
+    Requires a generator index in range and weight 1 there (so degree-0
+    chart generators exist); everything else is exponent arithmetic on the
+    bicharacter.
     """
+    if not 0 <= inverted < spec.nvars:
+        raise ValueError(
+            f"chart index {inverted} out of range for {spec.nvars} generators")
     if spec.weights[inverted] != 1:
         raise ValueError(
             f"chart requires weight 1 at index {inverted}, "

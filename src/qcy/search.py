@@ -187,12 +187,11 @@ class SweepRow:
     census: CensusReport
 
 
-def sweep_census(weight_systems, order: int | None = None) -> list[SweepRow]:
+def sweep_census(weight_systems) -> list[SweepRow]:
     """Census of every canonical CY spec over the given weight systems.
 
     Only surface-shaped systems (four weights starting 1, 1) are swept;
-    others are skipped.  With order None each system uses its natural
-    root order N = d.
+    others are skipped.  Each system uses its natural root order N = d.
     """
     rows = []
     for entry in weight_systems:
@@ -200,7 +199,6 @@ def sweep_census(weight_systems, order: int | None = None) -> list[SweepRow]:
         w = ws.weights
         if len(w) != 4 or w[0] != 1 or w[1] != 1:
             continue
-        n = order if order is not None else ws.total_degree
-        for spec in search_q_params(w, n):
+        for spec in search_q_params(w, ws.total_degree):
             rows.append(SweepRow(w, spec, census_weighted_surface(spec)))
     return rows

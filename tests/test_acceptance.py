@@ -2,15 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All results are exact integers or exact roots of unity; tolerance
-zero throughout.  Three criteria carry wall-clock budgets, measured after
-a jit warmup.
+zero throughout.  Three criteria carry wall-clock budgets.
 """
 
 import random
 import time
 from contextlib import contextmanager
 
-from qcy import _kernels
 from qcy.cyclo import (
     RootScalar,
     hermite_normal_form,
@@ -41,8 +39,6 @@ import test_cyclo
 import test_points
 import test_qalgebra
 from helpers import SPEC3, SPEC4, antisymmetric
-
-_kernels.warmup()
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 """Command line behavior: frozen reports, determinism, and exit codes."""
 
+import dataclasses
 import io
 import json
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from qcy import cli
 from qcy.cli import main
+from qcy.cycert import Verdict
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path("tests/golden")
@@ -148,3 +151,46 @@ def test_hilbert_max_degree_flag():
     doc = json.loads(out)
     assert doc["result"]["coefficients"] == [1, 2, 5, 8, 14]
     assert doc["result"]["quotient"]["coefficients"] == [1, 2, 5, 8, 14]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi-degree", "--chart", "7"],
+    ["center", "--chart", "9"],
+    ["pi-degree", "--chart", "-1"],
+], ids=["pi-degree-7", "center-9", "pi-degree-negative"])
+def test_chart_index_out_of_range_exits_2(argv, tmp_path):
+    man = tmp_path / "unit.man"
+    man.write_text(
+        "schema 1\norder 3\nweights 1 1 1\n"
+        "row 0 2 1\nrow 1 0 2\nrow 2 1 0\n")
+    code, out, err = run_cli(argv + ["--input", str(man)])
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--input", "tests/golden/manifests/weighted.man",
+     "--max-degree", "-1"],
+    ["search-q", "--input", "tests/golden/manifests/cube.man", "--order", "0"],
+    ["search-q", "--input", "tests/golden/manifests/cube.man", "--order", "-3"],
+], ids=["max-degree-negative", "order-zero", "order-negative"])
+def test_numeric_argument_out_of_range_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+def test_search_q_invariant_failure_exits_4(monkeypatch):
+    """A kept spec that does not re-certify as CY is a defect, also under -O."""
+    real = cli.certify_weighted
+
+    def refuse(spec):
+        return dataclasses.replace(real(spec), verdict=Verdict.NOT_CY)
+
+    monkeypatch.setattr(cli, "certify_weighted", refuse)
+    code, out, err = run_cli(
+        ["search-q", "--input", "tests/golden/manifests/cube.man"])
+    assert code == 4
+    assert out == ""
+    assert "internal defect" in err

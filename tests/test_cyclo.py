@@ -5,6 +5,7 @@ congruence solver against exhaustive search over the full period.
 """
 
 import math
+import signal
 from fractions import Fraction
 from itertools import product
 
@@ -199,17 +200,56 @@ def random_matrix(rng, n, m, lo=-6, hi=6):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
-def test_smith_normal_form_divisibility_chain(rng):
+def test_smith_normal_form_mod_n_contract(rng):
+    """Diagonal in [0, N), V unimodular, and the image and kernel read off
+    them match enumeration."""
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
+        modulus = rng.randint(2, 6)
         mat = random_matrix(rng, n, m)
-        diag, v = smith_normal_form(mat)
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if b != 0:
-                assert a != 0 and b % a == 0
-        # V is unimodular
+        diag, v = smith_normal_form(mat, modulus)
+        assert len(diag) == min(n, m)
+        assert all(0 <= d < modulus for d in diag)
         assert abs(_det(v)) == 1
+        steps = [modulus // math.gcd(modulus, d) for d in diag]
+        assert math.prod(steps) == len(image_brute(mat, modulus))
+        # e = V y is a kernel vector iff each y_i is a multiple of its step
+        steps += [1] * (m - len(diag))
+        kernel = {
+            tuple(sum(v[r][i] * y[i] for i in range(m)) % modulus
+                  for r in range(m))
+            for y in product(*(range(0, modulus, c) for c in steps))}
+        assert kernel == kernel_brute(mat, modulus)
+
+
+# The 19th 8x8 matrix with entries in [0, 5) drawn from random.Random(0).
+# Elimination without reduction mod N let its entries grow without bound.
+BLOW_UP_8X8_MOD_5 = [
+    [1, 4, 1, 0, 3, 4, 0, 4], [3, 1, 4, 4, 0, 2, 2, 3],
+    [0, 0, 3, 0, 2, 2, 1, 3], [1, 4, 2, 1, 3, 2, 2, 3],
+    [3, 0, 2, 4, 2, 4, 3, 0], [4, 4, 4, 2, 0, 3, 3, 0],
+    [3, 2, 3, 0, 0, 2, 0, 2], [4, 2, 1, 4, 4, 2, 3, 2],
+]
+
+
+def _within(seconds, fn):
+    """fn(), or TimeoutError once `seconds` of wall-clock time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_smith_normal_form_finishes_on_former_blow_up():
+    _within(2, lambda: smith_normal_form(BLOW_UP_8X8_MOD_5, 5))
+    # 5^8 vectors lie under ENUMERATION_BOUND, so both routes run and agree
+    assert image_size(BLOW_UP_8X8_MOD_5, 5) == 5 ** 7
 
 
 def _det(mat):

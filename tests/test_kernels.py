@@ -1,14 +1,10 @@
-"""Backend agreement: the jit kernels and the numpy fallbacks must match."""
+"""The numpy kernels against pure-Python oracles."""
 
-import os
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcy import _kernels
-from qcy.cyclo import image_size
 
 
 def rank_oracle(mat, p):
@@ -42,34 +38,13 @@ def image_oracle(mat, modulus):
         for v in product(range(modulus), repeat=m)})
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("QCY_KERNELS", "numpy")
-    assert _kernels.backend() == "numpy"
-    monkeypatch.setenv("QCY_KERNELS", "auto")
-    assert _kernels.backend() in ("numba", "numpy")
-    monkeypatch.setenv("QCY_KERNELS", "nonsense")
-    with pytest.raises(ValueError):
-        _kernels.backend()
-
-
-@pytest.mark.skipif(not _kernels._HAVE_NUMBA, reason="numba not installed")
-def test_forced_numba_available(monkeypatch):
-    monkeypatch.setenv("QCY_KERNELS", "numba")
-    assert _kernels.backend() == "numba"
-
-
 @given(st.integers(2, 5), st.integers(1, 4), st.data())
 @settings(max_examples=200, deadline=None)
 def test_image_count_backends_agree(modulus, n, data):
     mat = [[data.draw(st.integers(0, modulus - 1)) for _ in range(n)]
            for _ in range(n)]
     expected = image_oracle(mat, modulus)
-    got_numpy = _kernels._image_count_numpy(np.array(mat, dtype=np.int64), modulus)
-    assert got_numpy == expected
-    if _kernels._HAVE_NUMBA:
-        got_numba = _kernels._image_count_numba(
-            np.array(mat, dtype=np.int64), modulus)
-        assert got_numba == expected
+    assert _kernels.image_count(mat, modulus) == expected
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
@@ -78,11 +53,7 @@ def test_rank_backends_agree(n, m, data):
     p = data.draw(st.sampled_from((3, 7, 97, 2 ** 31 - 1)))
     mat = [[data.draw(st.integers(0, min(p - 1, 50))) for _ in range(m)]
            for _ in range(n)]
-    expected = rank_oracle(mat, p)
-    arr = np.array(mat, dtype=np.int64)
-    assert _kernels._modp_rank_numpy(arr.copy(), p) == expected
-    if _kernels._HAVE_NUMBA:
-        assert _kernels._modp_rank_numba(arr.copy(), p) == expected
+    assert _kernels.modp_rank(mat, p) == rank_oracle(mat, p)
 
 
 def test_modp_rank_validates_modulus():
@@ -95,16 +66,3 @@ def test_modp_rank_validates_modulus():
 def test_image_count_empty_dimensions():
     assert _kernels.image_count([], 5) == 1
     assert _kernels.image_count([[]], 5) == 1
-
-
-def test_image_size_honors_forced_backend(monkeypatch):
-    mat = [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
-    monkeypatch.setenv("QCY_KERNELS", "numpy")
-    assert image_size(mat, 3, method="enumerate") == 9
-    monkeypatch.setenv("QCY_KERNELS", "auto")
-    assert image_size(mat, 3, method="enumerate") == 9
-
-
-def test_warmup_is_idempotent():
-    _kernels.warmup()
-    _kernels.warmup()

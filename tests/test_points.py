@@ -14,74 +14,16 @@ from qcy.points import (
     admissible_supports,
     census_weighted_surface,
     chart_simple_count,
-    classify_two_var,
     is_special,
     max_stratum_dimension,
-    multilinearize,
-    multilinearize_word,
     pi_degree,
     point_scheme_dim_product,
     stratum_dimension,
     two_var_fermat_count,
-    word_of_monomial,
 )
-from qcy.qalgebra import AlgebraSpec, SkewPoly, fermat, multiply
+from qcy.qalgebra import AlgebraSpec
 
 from helpers import SPEC3, SPEC4, antisymmetric
-
-
-# -- multilinearization -----------------------------------------------------
-
-
-def test_word_of_monomial():
-    assert word_of_monomial((2, 0, 1)) == (0, 0, 2)
-    assert word_of_monomial((0, 0, 0)) == ()
-
-
-def test_multilinearize_keeps_coefficients():
-    spec = AlgebraSpec.unweighted(2, antisymmetric(2, (1,)))
-    x0 = SkewPoly.gen(2, 2, 0)
-    x1 = SkewPoly.gen(2, 2, 1)
-    p = multiply(x0 + x1, x0 - x1, spec)
-    m = multilinearize(p)
-    assert m.nslots == 2
-    values = {(0, 0): 1, (0, 1): -2, (1, 1): -1}
-    for word, c in values.items():
-        assert m.terms[word].evaluate_mod(1, 101) % 101 == c % 101
-
-
-def test_multilinearize_rejects_inhomogeneous():
-    p = SkewPoly.gen(3, 2, 0) + SkewPoly.monomial(3, (1, 1))
-    with pytest.raises(ValueError):
-        multilinearize(p)
-
-
-def test_concat_joins_slot_windows():
-    a = multilinearize_word(3, (0, 1))
-    b = multilinearize_word(3, (2,))
-    joined = a.concat(b)
-    assert joined.nslots == 3
-    assert set(joined.terms) == {(0, 1, 2)}
-
-
-def test_multilinear_window_factorization():
-    """Degree d + e words split as degree-d windows times degree-e windows."""
-    spec = SPEC3
-    x = [SkewPoly.gen(3, 3, i) for i in range(3)]
-    p = multiply(x[0], x[1], spec)  # degree 2
-    r = x[2]
-    joined = multilinearize(p).concat(multilinearize(r))
-    direct = multilinearize(multiply(p, r, spec))
-    assert joined == direct
-
-
-def test_evaluate_constant_sums_terms():
-    # same point (1, 1, 0) in every slot
-    m = multilinearize_word(3, (0, 1)) + multilinearize_word(3, (1, 0))
-    value = m.evaluate_constant((1, 1, 0))
-    assert value.evaluate_mod(1, 101) == 2
-    zero = m.evaluate_constant((1, 0, 1))
-    assert zero.is_zero()
 
 
 # -- special parameters and torus strata ------------------------------------
@@ -178,16 +120,12 @@ def test_product_dimension_commutative_specialization():
 
 
 def test_product_dimension_mixed_equation():
-    assert point_scheme_dim_product(SEGRE_A, SEGRE_B, "fermat", "mixed") == 1
-
-
-def test_product_dimension_no_equations():
-    assert point_scheme_dim_product(SEGRE_A, SEGRE_B, None, None) == 3
+    assert point_scheme_dim_product(SEGRE_A, SEGRE_B, "mixed") == 1
 
 
 def test_product_dimension_rejects_unknown_shape():
     with pytest.raises(ValueError):
-        point_scheme_dim_product(SEGRE_A, SEGRE_B, "cubic", None)
+        point_scheme_dim_product(SEGRE_A, SEGRE_B, "cubic")
 
 
 # -- PI degree --------------------------------------------------------------
@@ -209,13 +147,6 @@ def test_pi_degree_of_quantum_plane():
 
 
 # -- two-variable quotients -------------------------------------------------
-
-
-def test_classify_two_var_shift_classes():
-    cls = classify_two_var(2, 2)
-    assert (cls.axis_x_shifts, cls.axis_y_shifts, cls.family_shifts) == (2, 2, 2)
-    cls = classify_two_var(1, 3)
-    assert (cls.axis_x_shifts, cls.axis_y_shifts, cls.family_shifts) == (3, 1, 1)
 
 
 def test_two_var_fermat_counts():

@@ -1,4 +1,4 @@
-"""Skew polynomial arithmetic, normality, charts, and the center lattice."""
+"""Skew polynomial arithmetic, charts, and the center lattice."""
 
 from math import comb, gcd, lcm
 
@@ -6,27 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy.cyclo import RootScalar
 from qcy.errors import HypothesisViolation
 from qcy.qalgebra import (
     AlgebraSpec,
-    GradedAut,
     SkewPoly,
     center_lattice,
     chart_parameters,
     fermat,
     is_central,
-    is_normal,
     monomials_of_degree,
     monomials_of_degree_at_most,
     multiply,
-    nakayama,
     reorder_scalar,
     second_chart_scalar,
     validate_spec,
 )
 
-from helpers import CHART3, E4, SPEC3, SPEC4, antisymmetric
+from helpers import CHART3, SPEC3, SPEC4, antisymmetric
 
 
 # -- validation -------------------------------------------------------------
@@ -67,12 +63,10 @@ def test_fermat_exponents():
         bad.fermat_exponents()
 
 
-def test_subspec_and_transpose():
+def test_subspec_restricts_generators():
     sub = SPEC4.subspec((1, 2, 3))
     assert sub.weights == (1, 2, 2)
     assert sub.exponents == ((0, 2, 0), (1, 0, 0), (0, 0, 0))
-    assert SPEC4.transpose().exponents == tuple(
-        tuple(E4[j][i] for j in range(4)) for i in range(4))
 
 
 # -- normal ordering --------------------------------------------------------
@@ -203,53 +197,6 @@ def test_fermat_is_central_under_hypotheses(spec):
     report = validate_spec(spec, fermat_hypotheses=True)
     assert report.ok
     assert is_central(fermat(spec), spec)
-
-
-# -- normality and the diagonal automorphism --------------------------------
-
-
-def test_is_normal_follows_left_multiplication_contract():
-    # p x_k = nu(x_k) p: for p = x_3 in the running example,
-    # x_3 x_0 = q_30 x_0 x_3 gives nu(x_0) = q_30 = zeta_3.
-    p = SkewPoly.gen(3, 4, 3)
-    nu = is_normal(p, SPEC4)
-    assert nu is not None
-    assert nu.scalar(0).pair() == (3, 1)
-    assert nu.scalar(1).is_one()
-    assert nu.scalar(2).is_one()
-    assert nu.scalar(3).is_one()
-
-
-def test_is_normal_rejects_non_normal_element():
-    spec = AlgebraSpec.unweighted(3, antisymmetric(3, (1,)))
-    p = SkewPoly.gen(3, 2, 0) + SkewPoly.gen(3, 2, 1)
-    assert is_normal(p, spec) is None
-
-
-def test_nakayama_is_row_products():
-    nu = nakayama(SPEC4)
-    # row sums of E4 are (2, 2, 1, 1)
-    assert [nu.scalar(i).pair() for i in range(4)] == [
-        (3, 2), (3, 2), (3, 1), (3, 1)]
-
-
-def test_nakayama_of_transpose_inverts():
-    for spec in (SPEC4, SPEC3):
-        nu = nakayama(spec)
-        nut = nakayama(spec.transpose())
-        assert nu.compose(nut).is_identity()
-
-
-def test_graded_aut_group_operations():
-    a = GradedAut(3, (1, 2))
-    b = GradedAut(2, (1, 0))
-    ab = a.compose(b)
-    assert ab.scalar(0).pair() == (6, 5)
-    assert ab.scalar(1).pair() == (3, 2)
-    assert a.compose(a.inverse()).is_identity()
-    p = SkewPoly.monomial(3, (1, 0))
-    assert a.apply(p) == p.scaled(RootScalar(3, 1))
-    assert a.apply(SkewPoly.monomial(3, (1, 1))) == SkewPoly.monomial(3, (1, 1))
 
 
 # -- charts -----------------------------------------------------------------

@@ -150,7 +150,7 @@ def test_search_canonicalization_is_permutation_stable(perm):
 
 
 def test_sweep_census_totals():
-    rows = sweep_census([(1, 1, 1, 3)], order=None)
+    rows = sweep_census([(1, 1, 1, 3)])
     assert rows
     for row in rows:
         assert row.weights == (1, 1, 1, 3)
