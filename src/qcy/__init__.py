@@ -7,7 +7,6 @@ independent computations runs both and compares.
 """
 
 from .cyclo import (
-    CongruenceSystem,
     CycInt,
     RootScalar,
     hermite_normal_form,
@@ -80,7 +79,6 @@ __all__ = [
     "AlgebraSpec",
     "CensusReport",
     "Certificate",
-    "CongruenceSystem",
     "CycInt",
     "HilbertSeries",
     "HypothesisViolation",

@@ -13,17 +13,22 @@ Three situations, one exact decision each:
   prod_i q_ij for every column j.
 
 Verdicts are three-valued; violated hypotheses are reported, never fixed
-up silently.  Every positive certificate carries a witness that
-verify_certificate recomputes from scratch.
+up silently.  Each criterion states its hypotheses in one list (a Fermat
+side needs at least two generators, since k[x]/(x^h) has empty Proj), and
+verify_certificate recomputes that same list.  Every positive certificate
+carries a witness that verify_certificate recomputes from scratch.  A
+weighted refusal costs one pass of the column solver, whose detail names
+the shortest unsolvable prefix of columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 
-from .cyclo import CongruenceSystem, RootScalar, solve_root_system
-from .qalgebra import AlgebraSpec, ValidationReport, Violation, validate_spec
+from .cyclo import RootScalar, solve_root_system
+from .qalgebra import AlgebraSpec, Violation, validate_spec
 
 
 class Verdict(Enum):
@@ -59,6 +64,11 @@ def _column_products(spec: AlgebraSpec) -> list[RootScalar]:
     ]
 
 
+def _column_pairs(spec: AlgebraSpec) -> list[tuple[int, RootScalar]]:
+    """(a_j, prod_i q_ij) per column: the system c^{a_j} = prod_i q_ij."""
+    return list(zip(spec.weights, _column_products(spec)))
+
+
 def _weight_one_violations(spec: AlgebraSpec, side: str) -> list[Violation]:
     return [
         Violation("unit-weights", (i,), f"side {side} weight {a} at index {i} is not 1")
@@ -67,28 +77,73 @@ def _weight_one_violations(spec: AlgebraSpec, side: str) -> list[Violation]:
     ]
 
 
-def _tag_side(report: ValidationReport, side: str) -> list[Violation]:
+def _tag_side(spec: AlgebraSpec, side: str) -> list[Violation]:
     return [
         Violation(v.kind, v.where, f"side {side}: {v.detail}")
-        for v in report.violations
+        for v in validate_spec(spec, fermat_hypotheses=True).violations
     ]
+
+
+def _generator_count_violations(spec: AlgebraSpec, side: str | None = None) -> list[Violation]:
+    """A one-generator Fermat quotient k[x]/(x^h) has empty Proj."""
+    if spec.nvars >= 2:
+        return []
+    owner = "the algebra" if side is None else f"side {side}"
+    return [Violation(
+        "generator-count", (spec.nvars,),
+        f"{owner} has {spec.nvars} generator; a Fermat quotient needs at least 2")]
+
+
+def _segre_violations(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> tuple[Violation, ...]:
+    bad = _weight_one_violations(spec_a, "A") + _weight_one_violations(spec_b, "B")
+    bad += _tag_side(spec_a, "A") + _tag_side(spec_b, "B")
+    bad += _generator_count_violations(spec_a, "A") + _generator_count_violations(spec_b, "B")
+    return tuple(bad)
+
+
+def _mixed_violations(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> tuple[Violation, ...]:
+    bad = _weight_one_violations(spec_a, "A") + _weight_one_violations(spec_b, "B")
+    for i in range(spec_a.nvars):
+        for j in range(spec_a.nvars):
+            if spec_a.exponents[i][j]:
+                bad.append(Violation(
+                    "commutative-side", (i, j),
+                    f"side A must be commutative but q_{i}{j} is not 1"))
+    bad += _tag_side(spec_b, "B")
+    if spec_a.nvars not in (spec_b.nvars, spec_b.nvars + 1):
+        bad.append(Violation(
+            "shape", (spec_a.nvars, spec_b.nvars),
+            f"side A has {spec_a.nvars} generators, side B has {spec_b.nvars}; "
+            "need #A = #B or #A = #B + 1"))
+    bad += _generator_count_violations(spec_b, "B")
+    return tuple(bad)
+
+
+def _weighted_violations(spec: AlgebraSpec) -> tuple[Violation, ...]:
+    bad = validate_spec(spec, fermat_hypotheses=True).violations
+    return bad + tuple(_generator_count_violations(spec))
+
+
+_VIOLATIONS = {
+    "segre": _segre_violations,
+    "mixed": _mixed_violations,
+    "weighted": _weighted_violations,
+}
 
 
 def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
     """Segre product of two weight-1 quantum rings modulo both Fermat elements.
 
-    Hypotheses per side: unit weights, unit diagonal, antisymmetry, and
-    q_ij^{n+1} = 1 where n+1 is that side's generator count.  CY iff both
-    sides have constant column products; the dimension is then
-    (#A - 1) + (#B - 1) - 2.
+    Hypotheses per side: at least two generators, unit weights, unit
+    diagonal, antisymmetry, and q_ij^{n+1} = 1 where n+1 is that side's
+    generator count.  CY iff both sides have constant column products; the
+    dimension is then (#A - 1) + (#B - 1) - 2.
     """
-    bad = _weight_one_violations(spec_a, "A") + _weight_one_violations(spec_b, "B")
-    bad += _tag_side(validate_spec(spec_a, fermat_hypotheses=True), "A")
-    bad += _tag_side(validate_spec(spec_b, fermat_hypotheses=True), "B")
+    bad = _segre_violations(spec_a, spec_b)
     specs = (spec_a, spec_b)
     if bad:
         return Certificate("segre", Verdict.HYPOTHESES_VIOLATED, specs, None,
-                           None, tuple(bad), "hypotheses violated")
+                           None, bad, "hypotheses violated")
     witnesses = []
     for side, spec in (("A", spec_a), ("B", spec_b)):
         products = _column_products(spec)
@@ -112,23 +167,11 @@ def certify_mixed(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
     #A = #B.  CY iff B's column products are constant; the dimension is
     2 #B - 3 for the taller shape and 2 #B - 4 for the square one.
     """
-    bad = _weight_one_violations(spec_a, "A") + _weight_one_violations(spec_b, "B")
-    for i in range(spec_a.nvars):
-        for j in range(spec_a.nvars):
-            if spec_a.exponents[i][j]:
-                bad.append(Violation(
-                    "commutative-side", (i, j),
-                    f"side A must be commutative but q_{i}{j} is not 1"))
-    bad += _tag_side(validate_spec(spec_b, fermat_hypotheses=True), "B")
-    if spec_a.nvars not in (spec_b.nvars, spec_b.nvars + 1):
-        bad.append(Violation(
-            "shape", (spec_a.nvars, spec_b.nvars),
-            f"side A has {spec_a.nvars} generators, side B has {spec_b.nvars}; "
-            "need #A = #B or #A = #B + 1"))
+    bad = _mixed_violations(spec_a, spec_b)
     specs = (spec_a, spec_b)
     if bad:
         return Certificate("mixed", Verdict.HYPOTHESES_VIOLATED, specs, None,
-                           None, tuple(bad), "hypotheses violated")
+                           None, bad, "hypotheses violated")
     products = _column_products(spec_b)
     for j, p in enumerate(products):
         if p != products[0]:
@@ -146,46 +189,41 @@ def certify_mixed(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
 def certify_weighted(spec: AlgebraSpec) -> Certificate:
     """One quantum weighted ring modulo its Fermat element.
 
-    Hypotheses: unit diagonal, antisymmetry, a_i | d, and
-    q_ij^{h_i} = q_ij^{h_j} = 1.  CY iff the column-product system
-    c^{a_j} = prod_i q_ij has a root-of-unity solution; the witness is the
-    reduced c and the dimension is #generators - 2.
+    Hypotheses: at least two generators, unit diagonal, antisymmetry,
+    a_i | d, and q_ij^{h_i} = q_ij^{h_j} = 1.  CY iff the column-product
+    system c^{a_j} = prod_i q_ij has a root-of-unity solution; the witness
+    is the reduced c and the dimension is #generators - 2.
     """
-    report = validate_spec(spec, fermat_hypotheses=True)
-    if not report.ok:
+    bad = _weighted_violations(spec)
+    if bad:
         return Certificate("weighted", Verdict.HYPOTHESES_VIOLATED, (spec,),
-                           None, None, report.violations, "hypotheses violated")
-    products = _column_products(spec)
-    pairs = list(zip(spec.weights, products))
-    c = solve_root_system(pairs)
+                           None, None, bad, "hypotheses violated")
+    c, j = solve_root_system(_column_pairs(spec))
     if c is None:
         return Certificate("weighted", Verdict.NOT_CY, (spec,), None, None, (),
-                           _conflict_detail(pairs))
+                           f"no root of unity c exists; columns 0..{j} are "
+                           "jointly unsolvable")
     return Certificate("weighted", Verdict.CY, (spec,), (c,),
                        spec.nvars - 2, (),
                        "c^{a_j} matches every column product")
 
 
-def _conflict_detail(pairs) -> str:
-    """Index of the shortest unsolvable prefix of the column system."""
-    for j in range(1, len(pairs) + 1):
-        if solve_root_system(pairs[:j]) is None:
-            return (f"no root of unity c exists; columns 0..{j - 1} are "
-                    "jointly unsolvable")
-    return "no root of unity c exists"
-
-
 def verify_certificate(cert: Certificate) -> bool:
     """Recheck a certificate against its specs from scratch.
 
-    CY: the stored witness must satisfy the defining property.  not_CY /
-    hypotheses_violated: the refutation is recomputed.
+    The criterion's hypothesis list is recomputed and must equal the stored
+    violations, nonempty exactly for hypotheses_violated.  CY: the stored
+    witness must satisfy the defining property.  not_CY: the refutation is
+    recomputed.
     """
-    if cert.verdict is Verdict.HYPOTHESES_VIOLATED:
-        return bool(cert.violations) and not _revalidate(cert).ok
+    found = _VIOLATIONS[cert.kind](*cert.specs)
+    violated = cert.verdict is Verdict.HYPOTHESES_VIOLATED
+    if found != cert.violations or bool(found) != violated:
+        return False
+    if violated:
+        return True
     if cert.kind == "weighted":
-        spec = cert.specs[0]
-        pairs = list(zip(spec.weights, _column_products(spec)))
+        pairs = _column_pairs(cert.specs[0])
         if cert.verdict is Verdict.NOT_CY:
             return _exhaustive_unsolvable(pairs)
         (c,) = cert.witness
@@ -200,34 +238,9 @@ def verify_certificate(cert: Certificate) -> bool:
         for s, w in zip(sides, cert.witness))
 
 
-def _revalidate(cert: Certificate) -> ValidationReport:
-    if cert.kind == "weighted":
-        return validate_spec(cert.specs[0], fermat_hypotheses=True)
-    reports = []
-    for spec in cert.specs:
-        reports.append(validate_spec(spec, fermat_hypotheses=True))
-        reports.append(ValidationReport(
-            ok=not _weight_one_violations(spec, "?"),
-            violations=tuple(_weight_one_violations(spec, "?"))))
-    if cert.kind == "mixed":
-        a = cert.specs[0]
-        comm_ok = not any(any(row) for row in a.exponents)
-        reports.append(ValidationReport(comm_ok, ()))
-        shape_ok = a.nvars in (cert.specs[1].nvars, cert.specs[1].nvars + 1)
-        reports.append(ValidationReport(shape_ok, ()))
-    ok = all(r.ok for r in reports)
-    return ValidationReport(ok, tuple(v for r in reports for v in r.violations))
-
-
 def _exhaustive_unsolvable(pairs) -> bool:
     """Confirm no c exists by brute force over the single sufficient modulus."""
-    from math import lcm
-
-    n = lcm(*[p.order for _, p in pairs])
-    m = n * lcm(*[a for a, _ in pairs])
-    system = CongruenceSystem(
-        modulus=m,
-        coeffs=tuple(a for a, _ in pairs),
-        rhs=tuple(p.rescale(m).exponent for _, p in pairs),
-    )
-    return not any(system.is_solution(x) for x in range(m))
+    m = lcm(*[p.order for _, p in pairs]) * lcm(*[a for a, _ in pairs])
+    targets = [(a, p.rescale(m).exponent) for a, p in pairs]
+    return not any(all((a * x - t) % m == 0 for a, t in targets)
+                   for x in range(m))

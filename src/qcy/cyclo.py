@@ -10,7 +10,6 @@ matrices modulo N) backs the PI-degree and center computations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -231,65 +230,40 @@ class CycInt:
         return f"CycInt({self.order}, {self.coeffs})"
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """Simultaneous congruences coeffs[j] * x = rhs[j] (mod modulus)."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-    def solve(self) -> int | None:
-        """Least nonnegative solution, or None when the system is inconsistent."""
-        residue, period = 0, 1
-        for a, t in zip(self.coeffs, self.rhs):
-            a %= self.modulus
-            t %= self.modulus
-            g = gcd(a, self.modulus)
-            if t % g:
-                return None
-            m = self.modulus // g
-            x0 = (t // g) * pow(a // g, -1, m) % m if m > 1 else 0
-            # merge x = residue (mod period) with x = x0 (mod m)
-            d = gcd(period, m)
-            if (x0 - residue) % d:
-                return None
-            step = period // d
-            k = ((x0 - residue) // d) * pow(step % (m // d), -1, m // d) % (m // d) if m // d > 1 else 0
-            residue += period * k
-            period = lcm(period, m)
-            residue %= period
-        return residue
-
-    def is_solution(self, x: int) -> bool:
-        return all((a * x - t) % self.modulus == 0
-                   for a, t in zip(self.coeffs, self.rhs))
-
-
-def solve_root_system(pairs) -> RootScalar | None:
+def solve_root_system(pairs) -> tuple[RootScalar | None, int]:
     """A root of unity c with c**a_j equal to the given root, for every pair.
 
     `pairs` is a sequence of (a_j, RootScalar).  A single search modulus
     suffices: any solution has order dividing M = N * lcm(a_j) where N is
     the lcm of the target orders, so the problem is a congruence system
-    modulo M.  Returns the reduced witness, or None.
+    a_j x = t_j (mod M), merged column by column.  Returns (c, len(pairs))
+    with the reduced witness c, or (None, j) when pairs[:j] has a common
+    solution and pairs[:j+1] has none: every prefix's own sufficient
+    modulus divides M, so the first failing merge marks the shortest
+    unsolvable prefix.
     """
     pairs = list(pairs)
-    if not pairs:
-        return RootScalar(1, 0)
     if any(a < 1 for a, _ in pairs):
         raise ValueError("exponents a_j must be positive")
-    n = lcm(*[p.order for _, p in pairs])
-    m = n * lcm(*[a for a, _ in pairs])
-    system = CongruenceSystem(
-        modulus=m,
-        coeffs=tuple(a for a, _ in pairs),
-        rhs=tuple(p.rescale(m).exponent for _, p in pairs),
-    )
-    x = system.solve()
-    if x is None:
-        return None
-    return RootScalar(m, x).reduced()
+    m = lcm(*[p.order for _, p in pairs]) * lcm(*[a for a, _ in pairs])
+    residue, period = 0, 1
+    for j, (a, p) in enumerate(pairs):
+        t = p.rescale(m).exponent
+        g = gcd(a, m)
+        if t % g:
+            return None, j
+        mj = m // g
+        x0 = (t // g) * pow(a // g, -1, mj) % mj if mj > 1 else 0
+        # merge x = residue (mod period) with x = x0 (mod mj)
+        d = gcd(period, mj)
+        if (x0 - residue) % d:
+            return None, j
+        step = mj // d
+        k = ((x0 - residue) // d) * pow(period // d, -1, step) % step if step > 1 else 0
+        residue += period * k
+        period = lcm(period, mj)
+        residue %= period
+    return RootScalar(m, residue).reduced(), len(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,33 @@ def test_hypothesis_violation_exits_3(tmp_path):
     assert "error" in err
 
 
+ONE_GENERATOR = "schema 1\norder 3\nweights 1\nrow 0\n"
+
+
+def test_certify_refuses_one_generator_fermat_sides(tmp_path):
+    weighted = tmp_path / "one.man"
+    weighted.write_text(ONE_GENERATOR)
+    segre = tmp_path / "segre_one.man"
+    segre.write_text(
+        "schema 1\ncriterion segre\n\nalgebra A\norder 2\nweights 1\nrow 0\n"
+        "\nalgebra B\norder 2\nweights 1\nrow 0\n")
+    for man, count in ((weighted, 1), (segre, 2)):
+        code, out, err = run_cli(["certify", "--input", str(man)])
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["verdict"] == "hypotheses_violated"
+        assert result["expected_dimension"] is None
+        assert [v["kind"] for v in result["violations"]] == ["generator-count"] * count
+
+
+def test_search_q_finds_nothing_for_one_generator(tmp_path):
+    man = tmp_path / "one.man"
+    man.write_text(ONE_GENERATOR)
+    code, out, _ = run_cli(["search-q", "--input", str(man)])
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 0
+
+
 def test_certify_count_mismatch_exits_2():
     code, _, err = run_cli(
         ["search-q", "--input", "tests/golden/manifests/segre.man"])

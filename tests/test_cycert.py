@@ -1,5 +1,7 @@
 """Three-valued Calabi-Yau certification with verifiable evidence."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +99,7 @@ def test_segre_requires_unit_weights():
                            exponents=antisymmetric(2, (0,)))
     cert = certify_segre(weighted, SEGRE_B)
     assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
+    assert verify_certificate(cert)
 
 
 # -- mixed ------------------------------------------------------------------
@@ -126,6 +129,7 @@ def test_mixed_rejects_noncommutative_first_side():
     cert = certify_mixed(QUANT3, QUANT3)
     assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
     assert any(v.kind == "commutative-side" for v in cert.violations)
+    assert verify_certificate(cert)
 
 
 def test_mixed_rejects_bad_shapes():
@@ -134,6 +138,7 @@ def test_mixed_rejects_bad_shapes():
     cert = certify_mixed(comm5, QUANT3)
     assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
     assert any(v.kind == "shape" for v in cert.violations)
+    assert verify_certificate(cert)
 
 
 def test_mixed_nonconstant_quantum_columns():
@@ -142,6 +147,93 @@ def test_mixed_nonconstant_quantum_columns():
     cert = certify_mixed(COMM4, b)
     assert cert.verdict is Verdict.NOT_CY
     assert verify_certificate(cert)
+
+
+# -- generator counts -------------------------------------------------------
+
+ONE_GEN = AlgebraSpec.unweighted(3, ((0,),))
+COMM2 = AlgebraSpec.unweighted(3, ((0, 0), (0, 0)))
+
+
+def generator_count_wheres(cert):
+    return [v.where for v in cert.violations if v.kind == "generator-count"]
+
+
+def test_weighted_refuses_one_generator():
+    # k[x]/(x^h) has empty Proj: no Calabi-Yau scheme of dimension -1
+    cert = certify_weighted(ONE_GEN)
+    assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
+    assert generator_count_wheres(cert) == [(1,)]
+    assert cert.expected_dimension is None
+    assert verify_certificate(cert)
+
+
+def test_weighted_two_generators_certify():
+    cert = certify_weighted(AlgebraSpec(weights=(1, 1), order=1,
+                                        exponents=((0, 0), (0, 0))))
+    assert cert.verdict is Verdict.CY
+    assert cert.expected_dimension == 0
+
+
+def test_segre_refuses_one_generator_sides():
+    cert = certify_segre(ONE_GEN, ONE_GEN)
+    assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
+    assert generator_count_wheres(cert) == [(1,), (1,)]
+    assert [v.detail[:6] for v in cert.violations] == ["side A", "side B"]
+    assert verify_certificate(cert)
+
+
+def test_mixed_refuses_one_generator_quantum_side():
+    cert = certify_mixed(COMM2, ONE_GEN)
+    assert cert.verdict is Verdict.HYPOTHESES_VIOLATED
+    assert generator_count_wheres(cert) == [(1,)]
+    assert verify_certificate(cert)
+
+
+# -- forged certificates ----------------------------------------------------
+
+# criterion -> (certify, specs certifying CY, specs violating >= 2 hypotheses)
+FORGERY_CASES = {
+    "weighted": (certify_weighted, (SPEC4,), (AlgebraSpec(
+        weights=(1, 1, 3), order=2, exponents=((1, 0, 0), (0, 0, 0), (0, 0, 0))),)),
+    "segre": (certify_segre, (SEGRE_A, SEGRE_B), (AlgebraSpec(
+        weights=(1, 2), order=2, exponents=((0, 0), (0, 0))), SEGRE_B)),
+    "mixed": (certify_mixed, (COMM4, QUANT3), (QUANT3, QUANT3)),
+}
+
+
+@pytest.fixture(params=sorted(FORGERY_CASES))
+def certified(request):
+    certify, clean, violating = FORGERY_CASES[request.param]
+    cy, bad = certify(*clean), certify(*violating)
+    assert cy.verdict is Verdict.CY and verify_certificate(cy)
+    assert bad.verdict is Verdict.HYPOTHESES_VIOLATED and verify_certificate(bad)
+    assert len(bad.violations) >= 2
+    return cy, bad
+
+
+def test_forged_witness_fails_verification(certified):
+    cy, _ = certified
+    wrong = tuple(w * RootScalar(5, 1) for w in cy.witness)
+    assert not verify_certificate(dataclasses.replace(cy, witness=wrong))
+
+
+def test_forged_not_cy_fails_verification(certified):
+    cy, _ = certified
+    forged = dataclasses.replace(cy, verdict=Verdict.NOT_CY, witness=None,
+                                 expected_dimension=None)
+    assert not verify_certificate(forged)
+
+
+def test_forged_violation_on_clean_specs_fails_verification(certified):
+    cy, bad = certified
+    assert not verify_certificate(dataclasses.replace(bad, specs=cy.specs))
+
+
+def test_dropped_violation_fails_verification(certified):
+    _, bad = certified
+    assert not verify_certificate(
+        dataclasses.replace(bad, violations=bad.violations[1:]))
 
 
 # -- properties -------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact root-of-unity arithmetic and integer lattice routines.
 
 The lattice routines are checked against brute-force set oracles, and the
-congruence solver against exhaustive search over the full period.
+root-of-unity solver against exhaustive search over its sufficient modulus.
 """
 
 import math
@@ -10,11 +10,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcy.cyclo import (
-    CongruenceSystem,
     CycField,
     CycInt,
     RootScalar,
@@ -126,40 +125,22 @@ def test_cycint_evaluate_mod():
     assert three.evaluate_mod(5, 13) == 3
 
 
-# -- congruences ------------------------------------------------------------
-
-
-def brute_solutions(system):
-    return [x for x in range(system.modulus)
-            if all((a * x - b) % system.modulus == 0
-                   for a, b in zip(system.coeffs, system.rhs))]
-
-
-@given(st.integers(1, 40), st.lists(
-    st.tuples(st.integers(0, 39), st.integers(0, 39)), min_size=0, max_size=4))
-@settings(max_examples=500)
-def test_congruence_solver_against_brute_force(modulus, pairs):
-    coeffs = tuple(a % modulus for a, _ in pairs)
-    rhs = tuple(b % modulus for _, b in pairs)
-    system = CongruenceSystem(modulus, coeffs, rhs)
-    sols = brute_solutions(system)
-    got = system.solve()
-    if got is None:
-        assert sols == []
-    else:
-        assert got in sols
-        assert system.is_solution(got)
+# -- root systems -----------------------------------------------------------
 
 
 def test_solve_root_system_known_values():
     # c^1 = zeta_3, c^2 = zeta_3^2 has c = zeta_3
-    r = solve_root_system([(1, RootScalar(3, 1)), (2, RootScalar(3, 2))])
-    assert r is not None and r.pair() == (3, 1)
-    # c^1 = zeta_3 and c^1 = zeta_3^2 is contradictory
+    r, j = solve_root_system([(1, RootScalar(3, 1)), (2, RootScalar(3, 2))])
+    assert r is not None and r.pair() == (3, 1) and j == 2
+    # c^1 = zeta_3 and c^1 = zeta_3^2 is contradictory from column 1 on
     assert solve_root_system(
-        [(1, RootScalar(3, 1)), (1, RootScalar(3, 2))]) is None
+        [(1, RootScalar(3, 1)), (1, RootScalar(3, 2))]) == (None, 1)
+    # c^2 = -1 is solved only by the primitive fourth roots
+    r, _ = solve_root_system([(2, RootScalar(2, 1))])
+    assert r.pair() in ((4, 1), (4, 3))
     # empty system: the trivial root
-    assert solve_root_system([]).is_one()
+    r, j = solve_root_system([])
+    assert r.is_one() and j == 0
 
 
 def test_solve_root_system_rejects_bad_exponents():
@@ -177,20 +158,34 @@ def root_systems(draw):
 
 
 @given(root_systems())
+@example([(2, RootScalar(2, 1))])
 @settings(max_examples=1000, deadline=None)
 def test_solve_root_system_roundtrip_and_refutation(pairs):
-    root = solve_root_system(pairs)
-    period = math.lcm(*(r.order for _, r in pairs),
-                      *(a for a, _ in pairs))
-    if root is not None:
+    root, j = solve_root_system(pairs)
+    # every solution, of every prefix, has order dividing
+    # M = N * lcm(a_j), so x in range(M) covers all candidates c = zeta_M^x
+    m = (math.lcm(*(r.order for _, r in pairs))
+         * math.lcm(*(a for a, _ in pairs)))
+    assert m <= 720
+    targets = [(a, r.rescale(m).exponent) for a, r in pairs]
+
+    def solved_prefix(x):
+        count = 0
+        for a, t in targets:
+            if (a * x - t) % m:
+                break
+            count += 1
+        return count
+
+    # pairs[:j] is solvable and pairs[:j+1] is not
+    longest = max(solved_prefix(x) for x in range(m))
+    assert j == longest
+    if root is None:
+        assert j < len(pairs)
+    else:
+        assert j == len(pairs)
         for a, rhs in pairs:
             assert (root ** a) == rhs
-    else:
-        # exhaustive refutation over one full period of candidate orders
-        assert period <= 10 ** 4
-        for k in range(period):
-            c = RootScalar(period, k)
-            assert any((c ** a) != rhs for a, rhs in pairs)
 
 
 # -- Smith and Hermite forms ------------------------------------------------
