@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import manifest as manifest_mod
-from .cycert import certify_mixed, certify_segre, certify_weighted
+from .cycert import certify_mixed, certify_segre, certify_weighted, verify_certificate
 from .errors import HypothesisViolation, InternalDefect, ManifestError
 from .hilbert import quotient_by_regular, series_qpoly
 from .points import (
@@ -30,8 +30,7 @@ from .points import (
     point_scheme_dim_product,
 )
 from .qalgebra import center_lattice, chart_parameters, second_chart_scalar
-from .search import enumerate_cy_weights, search_q_params
-from .cycert import Verdict
+from .search import _search_certificates, enumerate_cy_weights
 
 
 def _pair(scalar) -> list[int]:
@@ -86,6 +85,10 @@ def cmd_certify(args) -> dict:
         cert = certify_segre(specs[0], specs[1])
     else:
         cert = certify_mixed(specs[0], specs[1])
+    if not verify_certificate(cert):
+        raise InternalDefect(
+            f"{criterion} certificate with verdict {cert.verdict.value} "
+            "fails re-verification")
     return {
         "command": "certify",
         "criterion": criterion,
@@ -242,13 +245,9 @@ def cmd_search_q(args) -> dict:
         raise ValueError("search takes a manifest with one algebra")
     alg = man.algebras[0]
     order = args.order if args.order is not None else alg.order
-    specs = search_q_params(alg.weights, order)
     entries = []
-    for spec in specs:
-        cert = certify_weighted(spec)
-        if cert.verdict is not Verdict.CY:
-            raise InternalDefect(
-                f"search kept a spec that certifies {cert.verdict.value}")
+    for cert in _search_certificates(alg.weights, order):
+        spec = cert.specs[0]
         census_total = None
         if spec.nvars == 4 and spec.weights[0] == spec.weights[1] == 1:
             census_total = _tagged(census_weighted_surface(spec).total)

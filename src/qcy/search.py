@@ -1,21 +1,37 @@
 """Enumeration of admissible weight systems and parameter sweeps.
 
 Weight systems are sorted tuples with gcd 1 whose entries all divide the
-total degree.  For a fixed system, search_q_params walks every exponent
-matrix satisfying the Fermat hypotheses at a given root order, keeps the
-Calabi-Yau ones, and canonicalizes under weight-preserving generator
-permutations so each isomorphism class appears once.
+total degree.  For a fixed system and root order, search_q_params lists
+one Calabi-Yau exponent matrix per class under weight-preserving generator
+permutations.  The CY condition is linear in the exponents, so the CY
+matrices are the points of a lattice (Hermite form of a kernel mod M,
+Cohen GTM 138 section 2.4), enumerated directly and in increasing order;
+their count is known before the walk, and a search of more than
+SEARCH_BOUND of them is refused up front.  The walk marks each orbit when
+it meets its least member, which becomes the class representative
+(isomorph-free generation, McKay 1998), and certify_weighted checks every
+representative as a second route.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations, product
-from math import gcd, lcm
+from itertools import permutations
+from math import gcd, lcm, prod
+from operator import mul
 
-from .cycert import Verdict, certify_weighted
+from .cycert import Certificate, Verdict, certify_weighted
+from .cyclo import hermite_normal_form, kernel_lattice
+from .errors import InternalDefect
 from .points import CensusReport, census_weighted_surface
 from .qalgebra import AlgebraSpec
+
+# Most Calabi-Yau exponent matrices one search may enumerate.  With few
+# weight-preserving permutations nearly every matrix is its own class and
+# costs one certificate and one spec (about 0.1 ms and 1 KB each), so this
+# keeps the largest accepted search within seconds and tens of MB.
+SEARCH_BOUND = 10**5
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
 # here as the comparison yardstick for the enumeration.  Two entries fail
@@ -128,22 +144,73 @@ def _weight_preserving_perms(weights):
     ]
 
 
-def _canonical_key(exponents, perms):
-    n = len(exponents)
-    return min(
-        tuple(exponents[p[i]][p[j]] for i in range(n) for j in range(n))
-        for p in perms
-    )
+def _cy_lattice(weights, order):
+    """The Calabi-Yau exponent matrices as a lattice modulo a box.
+
+    Entry e_p of pair p = (i, j), i < j, is stride_p * k_p with k_p mod
+    box_p = N / stride_p.  With c = zeta_M^x, M = N * lcm(a_j), the CY
+    condition reads (M/N) * sum_p B_jp stride_p k_p - a_j x = 0 (mod M),
+    B the signed incidence matrix (column j gains e_ij for i < j and loses
+    e_ji for i > j).  Returns (pairs, strides, boxes, basis), where basis is
+    the upper-triangular Hermite form of the k-projection of that kernel
+    together with the box lattice (+) box_p Z.
+    """
+    n = len(weights)
+    d = sum(weights)
+    h = [d // a for a in weights]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    strides = [lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
+               for i, j in pairs]
+    boxes = [order // s for s in strides]
+    m = order * lcm(*weights)
+    rows = [
+        [(m // order) * s * ((j == col) - (i == col))
+         for (i, j), s in zip(pairs, strides)] + [-weights[col]]
+        for col in range(n)
+    ]
+    gens = [[v % b for v, b in zip(r[:-1], boxes)] for r in kernel_lattice(rows, m)]
+    gens += [[b * (p == q) for q in range(len(boxes))] for p, b in enumerate(boxes)]
+    return pairs, strides, boxes, hermite_normal_form(gens)
 
 
-def search_q_params(weights, order: int) -> list[AlgebraSpec]:
-    """Calabi-Yau exponent matrices for the given weights at root order N.
+def _lattice_points(boxes, basis, place) -> list[int]:
+    """Every point of the lattice modulo the box, in increasing order.
 
-    Candidates are antisymmetric with unit diagonal; entry (i, j) must
-    satisfy q_ij^{h_i} = q_ij^{h_j} = 1, which confines the exponent to
-    multiples of a stride computed per pair.  Survivors of the weighted
-    certification are canonicalized under weight-preserving permutations
-    and returned in a deterministic order.
+    A point k is encoded as the mixed-radix number sum_p k_p * place_p
+    (digit k_p < box_p, first pair most significant), so the order is the
+    lexicographic order of the exponent matrices.  Row p of the triangular
+    basis has pivot diag_p | box_p: once k_0 .. k_{p-1} are fixed, k_p runs
+    over one residue class mod diag_p, and adding the multiple of row p
+    that reaches it leaves the earlier digits alone.  Where diag_p = box_p
+    that multiple is 0, so only the other rows branch.
+    """
+    free = [p for p, box in enumerate(boxes) if basis[p][p] < box]
+    out: list[int] = []
+
+    def walk(t, acc):
+        if t == len(free):
+            out.append(sum(map(mul, acc, place)))
+            return
+        p = free[t]
+        diag, row = basis[p][p], basis[p]
+        for v in range(acc[p] % diag, boxes[p], diag):
+            c = (v - acc[p]) // diag
+            walk(t + 1, [(a + c * r) % b for a, r, b in zip(acc, row, boxes)])
+
+    walk(0, [0] * len(boxes))
+    return out
+
+
+def _search_certificates(weights, order: int) -> list[Certificate]:
+    """One CY certificate per class of CY exponent matrices, sorted.
+
+    Enumerates the CY matrices directly as lattice points (see _cy_lattice),
+    walks them in increasing order and marks the orbit of each unseen one
+    under the weight-preserving permutations, so the first member met is
+    the least of its orbit and becomes the class representative.  An orbit
+    leaving the set, or a representative that does not certify CY, raises
+    InternalDefect.  A search of more than SEARCH_BOUND CY matrices is
+    refused before enumeration.
     """
     ws = weight_system(weights)
     weights = ws.weights
@@ -151,33 +218,65 @@ def search_q_params(weights, order: int) -> list[AlgebraSpec]:
         raise ValueError(
             f"every weight must divide the total degree, got {weights}")
     n = len(weights)
-    d = ws.total_degree
-    h = [d // a for a in weights]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    strides = []
-    for i, j in pairs:
-        step = lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
-        strides.append([step * k for k in range(order // step)])
-    perms = _weight_preserving_perms(weights)
-    seen = set()
+    if n < 2:
+        # k[x]/(x^h) has empty Proj: certify_weighted refuses every spec.
+        return []
+    pairs, strides, boxes, basis = _cy_lattice(weights, order)
+    size = prod(box // basis[p][p] for p, box in enumerate(boxes))
+    if size > SEARCH_BOUND:
+        raise ValueError(
+            f"search of weights {weights} at order {order} has {size} "
+            f"Calabi-Yau exponent matrices, above SEARCH_BOUND = {SEARCH_BOUND}")
+    place = [1] * len(boxes)
+    for p in range(len(boxes) - 2, -1, -1):
+        place[p] = place[p + 1] * boxes[p + 1]
+    points = _lattice_points(boxes, basis, place)
+    # A weight-preserving permutation g sends e_(i,j) to e_(g i, g j), which
+    # is +-e of one pair of the same stride: a signed permutation of k.
+    where = {pair: q for q, pair in enumerate(pairs)}
+    actions = [
+        [(where[g[i], g[j]], 1) if g[i] < g[j] else (where[g[j], g[i]], -1)
+         for i, j in pairs]
+        for g in _weight_preserving_perms(weights)
+    ]
+    seen = bytearray(len(points))
     out = []
-    for choice in product(*strides):
+    for pos, index in enumerate(points):
+        if seen[pos]:
+            continue
+        k = [index // w % b for w, b in zip(place, boxes)]
+        for act in actions:
+            image = sum((sign * k[src]) % b * w
+                        for (src, sign), b, w in zip(act, boxes, place))
+            at = bisect_left(points, image)
+            if at == len(points) or points[at] != image:
+                raise InternalDefect(
+                    f"CY matrices of {weights} at order {order} are not "
+                    "closed under weight-preserving permutations")
+            seen[at] = 1
         exps = [[0] * n for _ in range(n)]
-        for (i, j), e in zip(pairs, choice):
-            exps[i][j] = e
-            exps[j][i] = (-e) % order
-        spec = AlgebraSpec(weights, order, tuple(tuple(r) for r in exps))
-        cert = certify_weighted(spec)
+        for (i, j), s, kp in zip(pairs, strides, k):
+            exps[i][j] = s * kp
+            exps[j][i] = -s * kp % order
+        cert = certify_weighted(
+            AlgebraSpec(weights, order, tuple(tuple(r) for r in exps)))
         if cert.verdict is not Verdict.CY:
-            continue
-        key = _canonical_key(spec.exponents, perms)
-        if key in seen:
-            continue
-        seen.add(key)
-        canonical = [[key[i * n + j] for j in range(n)] for i in range(n)]
-        out.append(AlgebraSpec(weights, order, tuple(tuple(r) for r in canonical)))
-    out.sort(key=lambda s: s.exponents)
+            raise InternalDefect(
+                f"search kept a spec that certifies {cert.verdict.value}")
+        out.append(cert)
     return out
+
+
+def search_q_params(weights, order: int) -> list[AlgebraSpec]:
+    """Calabi-Yau exponent matrices for the given weights at root order N.
+
+    Candidates are antisymmetric with unit diagonal; entry (i, j) must
+    satisfy q_ij^{h_i} = q_ij^{h_j} = 1, which confines the exponent to
+    multiples of a stride computed per pair.  One representative per class
+    under weight-preserving permutations (the least in lexicographic order)
+    is returned, in increasing order.
+    """
+    return [cert.specs[0] for cert in _search_certificates(weights, order)]
 
 
 @dataclass(frozen=True)

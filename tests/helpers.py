@@ -1,4 +1,6 @@
-"""Shared fixtures: the running example and small spec builders."""
+"""Shared fixtures: the running example, small spec builders, a time guard."""
+
+import signal
 
 from qcy.qalgebra import AlgebraSpec
 
@@ -26,3 +28,17 @@ def antisymmetric(order, entries):
             mat[i][j] = e
             mat[j][i] = (-e) % order
     return tuple(tuple(r) for r in mat)
+
+
+def within(seconds, fn):
+    """fn(), or TimeoutError once `seconds` of wall-clock time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

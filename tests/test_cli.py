@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from qcy import cli
+from qcy import cli, search
 from qcy.cli import main
 from qcy.cycert import Verdict
+
+from helpers import within
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path("tests/golden")
@@ -210,14 +212,35 @@ def test_numeric_argument_out_of_range_exits_2(argv):
 
 def test_search_q_invariant_failure_exits_4(monkeypatch):
     """A kept spec that does not re-certify as CY is a defect, also under -O."""
-    real = cli.certify_weighted
+    real = search.certify_weighted
 
     def refuse(spec):
         return dataclasses.replace(real(spec), verdict=Verdict.NOT_CY)
 
-    monkeypatch.setattr(cli, "certify_weighted", refuse)
+    monkeypatch.setattr(search, "certify_weighted", refuse)
     code, out, err = run_cli(
         ["search-q", "--input", "tests/golden/manifests/cube.man"])
+    assert code == 4
+    assert out == ""
+    assert "internal defect" in err
+
+
+def test_search_q_above_the_bound_exits_2(tmp_path):
+    """Six unit weights at order 6: 6^15 candidates, refused up front."""
+    man = tmp_path / "six.man"
+    man.write_text("schema 1\norder 6\nweights 1 1 1 1 1 1\n")
+    code, out, err = within(5, lambda: run_cli(["search-q", "--input", str(man)]))
+    assert code == 2
+    assert out == ""
+    assert f"SEARCH_BOUND = {search.SEARCH_BOUND}" in err
+    assert "362797056" in err
+    assert "Traceback" not in err
+
+
+def test_certify_failing_verification_exits_4(monkeypatch):
+    monkeypatch.setattr(cli, "verify_certificate", lambda cert: False)
+    code, out, err = run_cli(
+        ["certify", "--input", "tests/golden/manifests/weighted.man"])
     assert code == 4
     assert out == ""
     assert "internal defect" in err

@@ -1,6 +1,7 @@
 """Three-valued Calabi-Yau certification with verifiable evidence."""
 
 import dataclasses
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qcy.cyclo import RootScalar
 from qcy.cycert import (
     Verdict,
+    _pairwise_unsolvable,
     certify_mixed,
     certify_segre,
     certify_weighted,
@@ -16,7 +18,7 @@ from qcy.cycert import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import E4, SPEC4, antisymmetric
+from helpers import E4, SPEC4, antisymmetric, within
 
 # Reference Segre data: the 4x4 sign matrix with -1 on the lower-right
 # triangle pairs, and a fully commutative 3-variable partner.
@@ -53,6 +55,29 @@ def test_weighted_rejects_contradictory_column_products():
     assert cert.verdict is Verdict.NOT_CY
     assert cert.witness is None
     assert verify_certificate(cert)
+
+
+def test_not_cy_verification_at_a_large_order_is_fast():
+    # q_01 = i at order N = 4e6: columns 0 and 1 need c = -i and c = i
+    order = 4_000_000
+    spec = AlgebraSpec(weights=(1, 1, 2), order=order,
+                       exponents=antisymmetric(order, (order // 4, 0, 0)))
+    cert = certify_weighted(spec)
+    assert cert.verdict is Verdict.NOT_CY
+    assert within(2, lambda: verify_certificate(cert))
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(0, 5)),
+                min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_pairwise_refutation_matches_brute_force(columns):
+    """No c with c^{a_j} = zeta_{N_j}^{e_j} iff no x mod M = lcm(N_j) lcm(a_j) works."""
+    pairs = [(a, RootScalar(n, e)) for a, n, e in columns]
+    m = lcm(*[n for _, n, _ in columns]) * lcm(*[a for a, _, _ in columns])
+    targets = [(a, p.rescale(m).exponent) for a, p in pairs]
+    unsolvable = not any(all((a * x - t) % m == 0 for a, t in targets)
+                         for x in range(m))
+    assert _pairwise_unsolvable(pairs) == unsolvable
 
 
 def test_weighted_flags_hypothesis_failures():

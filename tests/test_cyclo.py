@@ -5,7 +5,6 @@ root-of-unity solver against exhaustive search over its sufficient modulus.
 """
 
 import math
-import signal
 from fractions import Fraction
 from itertools import product
 
@@ -26,6 +25,8 @@ from qcy.cyclo import (
     solve_root_system,
 )
 from qcy.errors import OrderMismatchError
+
+from helpers import within
 
 
 # -- RootScalar -------------------------------------------------------------
@@ -227,22 +228,8 @@ BLOW_UP_8X8_MOD_5 = [
 ]
 
 
-def _within(seconds, fn):
-    """fn(), or TimeoutError once `seconds` of wall-clock time have passed."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        return fn()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_smith_normal_form_finishes_on_former_blow_up():
-    _within(2, lambda: smith_normal_form(BLOW_UP_8X8_MOD_5, 5))
+    within(2, lambda: smith_normal_form(BLOW_UP_8X8_MOD_5, 5))
     # 5^8 vectors lie under ENUMERATION_BOUND, so both routes run and agree
     assert image_size(BLOW_UP_8X8_MOD_5, 5) == 5 ** 7
 

@@ -1,6 +1,9 @@
 """Weight-system enumeration and exponent-matrix sweeps."""
 
 import random
+from functools import lru_cache
+from itertools import combinations_with_replacement, permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from qcy.cycert import Verdict, certify_weighted
 from qcy.points import INFINITE
 from qcy.search import (
     REFERENCE_SURFACE_WEIGHTS,
+    SEARCH_BOUND,
     enumerate_cy_weights,
     search_q_params,
     sweep_census,
@@ -17,7 +21,7 @@ from qcy.search import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import E4
+from helpers import E4, within
 
 
 # -- weight systems ---------------------------------------------------------
@@ -125,6 +129,12 @@ def test_search_respects_entry_order_hypotheses():
             assert (2 * e) % 6 == 0
 
 
+def _relabel(exponents, perm):
+    n = len(perm)
+    return tuple(tuple(exponents[perm[i]][perm[j]] for j in range(n))
+                 for i in range(n))
+
+
 @given(st.permutations(range(4)))
 @settings(max_examples=50, deadline=None)
 def test_search_canonicalization_is_permutation_stable(perm):
@@ -133,17 +143,127 @@ def test_search_canonicalization_is_permutation_stable(perm):
     keys = {s.exponents for s in specs}
     rng = random.Random(7)
     for spec in rng.sample(specs, min(10, len(specs))):
-        permuted = tuple(
-            tuple(spec.exponents[perm[i]][perm[j]] for j in range(4))
-            for i in range(4))
-        pspec = AlgebraSpec(spec.weights, spec.order, permuted)
+        pspec = AlgebraSpec(spec.weights, spec.order, _relabel(spec.exponents, perm))
         cert = certify_weighted(pspec)
         assert cert.verdict is Verdict.CY
-        from qcy.search import _canonical_key, _weight_preserving_perms
-        key = _canonical_key(pspec.exponents, _weight_preserving_perms((1, 1, 1, 1)))
-        n = 4
-        canon = tuple(tuple(key[i * n + j] for j in range(n)) for i in range(n))
+        canon = min(_relabel(pspec.exponents, p) for p in permutations(range(4)))
         assert canon in keys
+
+
+# -- the brute-force oracle -------------------------------------------------
+
+
+def _weight_preserving(weights):
+    n = len(weights)
+    return [p for p in permutations(range(n))
+            if all(weights[p[i]] == weights[i] for i in range(n))]
+
+
+def _stride_product(weights, order):
+    """Per pair (i, j), i < j, the exponents with q^{h_i} = q^{h_j} = 1."""
+    d = sum(weights)
+    h = [d // a for a in weights]
+    n = len(weights)
+    strides = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            step = lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
+            strides.append([step * k for k in range(order // step)])
+    return strides
+
+
+@lru_cache(maxsize=None)
+def _brute_force_cy(weights, order):
+    """Every CY exponent matrix: one certificate per stride-product candidate."""
+    n = len(weights)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = []
+    for choice in product(*_stride_product(weights, order)):
+        exps = [[0] * n for _ in range(n)]
+        for (i, j), e in zip(pairs, choice):
+            exps[i][j] = e
+            exps[j][i] = (-e) % order
+        spec = AlgebraSpec(weights, order, tuple(tuple(r) for r in exps))
+        if certify_weighted(spec).verdict is Verdict.CY:
+            found.append(spec.exponents)
+    return tuple(found)
+
+
+def _brute_force_search(weights, order):
+    """The search by brute force: the least relabelling of each CY matrix."""
+    weights = tuple(sorted(weights))
+    perms = _weight_preserving(weights)
+    classes = {min(_relabel(e, p) for p in perms)
+               for e in _brute_force_cy(weights, order)}
+    return [AlgebraSpec(weights, order, e) for e in sorted(classes)]
+
+
+def _candidates(weights, order):
+    count = 1
+    for entries in _stride_product(weights, order):
+        count *= len(entries)
+    return count
+
+
+CRITERION_2_SYSTEMS = [(1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6)]
+
+
+@pytest.mark.parametrize("weights, order", [
+    *((w, sum(w)) for w in CRITERION_2_SYSTEMS),
+    ((1, 1, 1, 1, 2), 3),
+    ((1,), 3),
+], ids=str)
+def test_search_matches_brute_force(weights, order):
+    assert search_q_params(weights, order) == _brute_force_search(weights, order)
+
+
+# (weights, order) with entries up to 6 and between 16 and 3000 candidates
+SMALL_CASES = [
+    (w, order)
+    for n in range(2, 7) for w in combinations_with_replacement(range(1, 7), n)
+    if all(sum(w) % a == 0 for a in w)
+    for order in range(1, 13) if 16 <= _candidates(w, order) <= 3000
+]
+
+
+@given(st.sampled_from(SMALL_CASES))
+@settings(max_examples=40, deadline=None)
+def test_search_matches_brute_force_on_small_systems(case):
+    weights, order = case
+    assert search_q_params(weights, order) == _brute_force_search(weights, order)
+
+
+@pytest.mark.parametrize("weights, order, classes", [
+    *((w, sum(w), None) for w in CRITERION_2_SYSTEMS),
+    ((1, 1, 1, 1, 2), 3, 126),
+], ids=str)
+def test_class_count_obeys_burnside(weights, order, classes):
+    """Orbits = the average number of CY matrices a relabelling fixes."""
+    cy = _brute_force_cy(weights, order)
+    perms = _weight_preserving(weights)
+    fixed = sum(_relabel(e, p) == e for p in perms for e in cy)
+    assert fixed % len(perms) == 0
+    count = len(search_q_params(weights, order))
+    assert count == fixed // len(perms)
+    assert classes is None or count == classes
+
+
+def test_five_variable_search_within_a_minute():
+    weights = (1, 1, 1, 1, 1)
+    specs = within(60, lambda: search_q_params(weights, 5))
+    assert len(specs) == 755
+    perms = list(permutations(range(5)))
+    # the classes partition the 5^7 CY matrices
+    assert sum(len({_relabel(s.exponents, p) for p in perms}) for s in specs) == 78125
+    for spec in specs:
+        assert certify_weighted(spec).verdict is Verdict.CY
+
+
+def test_search_above_the_bound_is_refused_before_enumeration():
+    with pytest.raises(ValueError) as exc:
+        within(5, lambda: search_q_params((1,) * 6, 6))
+    assert f"SEARCH_BOUND = {SEARCH_BOUND}" in str(exc.value)
+    assert "362797056" in str(exc.value)
 
 
 # -- census sweep -----------------------------------------------------------
