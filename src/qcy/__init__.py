@@ -32,13 +32,10 @@ from .errors import (
 )
 from .hilbert import (
     HilbertSeries,
-    bigraded_series,
     brute_force_dims,
-    diagonal,
-    quasi_veronese_table,
     quotient_by_regular,
+    segre_coefficients,
     series_qpoly,
-    veronese,
 )
 from .manifest import Manifest, ManifestAlgebra, load, loads
 from .points import (
@@ -93,7 +90,6 @@ __all__ = [
     "SkewPoly",
     "Verdict",
     "admissible_supports",
-    "bigraded_series",
     "brute_force_dims",
     "census_weighted_surface",
     "center_lattice",
@@ -102,7 +98,6 @@ __all__ = [
     "certify_weighted",
     "chart_parameters",
     "chart_simple_count",
-    "diagonal",
     "enumerate_cy_weights",
     "fermat",
     "hermite_normal_form",
@@ -117,17 +112,16 @@ __all__ = [
     "multiply",
     "pi_degree",
     "point_scheme_dim_product",
-    "quasi_veronese_table",
     "quotient_by_regular",
     "reorder_scalar",
     "search_q_params",
     "second_chart_scalar",
+    "segre_coefficients",
     "series_qpoly",
     "smith_normal_form",
     "solve_root_system",
     "sweep_census",
     "two_var_fermat_count",
     "validate_spec",
-    "veronese",
     "weight_system",
 ]

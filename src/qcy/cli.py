@@ -19,7 +19,7 @@ import sys
 from . import manifest as manifest_mod
 from .cycert import certify_mixed, certify_segre, certify_weighted, verify_certificate
 from .errors import HypothesisViolation, InternalDefect, ManifestError
-from .hilbert import quotient_by_regular, series_qpoly
+from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
     INFINITE,
     admissible_supports,
@@ -185,34 +185,59 @@ def _series_doc(series) -> dict:
     }
 
 
-def cmd_hilbert(args) -> dict:
-    man = _load(args)
-    spec = _single_spec(man)
-    k = args.max_degree
+def _hilbert_side(spec, k: int):
+    """One algebra's series document, and its Fermat quotient (or None).
+
+    The quotient needs every weight to divide the total degree d, so that
+    the Fermat element sum x_i^(d/a_i) exists.
+    """
     base = series_qpoly(spec.weights)
+    d = spec.total_degree
     quotient = None
-    try:
-        h = spec.fermat_exponents()
-    except HypothesisViolation:
-        h = None
-    if h is not None:
-        q = quotient_by_regular(base, spec.total_degree)
-        quotient = {
-            "degree": spec.total_degree,
-            "series": _series_doc(q),
-            "coefficients": list(q.prefix(k)),
+    doc_quotient = None
+    if all(d % a == 0 for a in spec.weights):
+        quotient = quotient_by_regular(base, d)
+        doc_quotient = {
+            "degree": d,
+            "series": _series_doc(quotient),
+            "coefficients": list(quotient.prefix(k)),
+        }
+    doc = {
+        "weights": list(spec.weights),
+        "order": spec.order,
+        "series": _series_doc(base),
+        "coefficients": list(base.prefix(k)),
+        "quotient": doc_quotient,
+    }
+    return doc, quotient
+
+
+def cmd_hilbert(args) -> dict:
+    """Series of one algebra, or of both sides and their Segre product.
+
+    With two algebras, segre_of_quotients lists the dimensions of
+    (A/f) o (B/g), the products of the two quotient prefixes; it is null
+    when either side has no Fermat quotient.
+    """
+    man = _load(args)
+    k = args.max_degree
+    sides = [_hilbert_side(a.spec(), k) for a in man.algebras]
+    if len(sides) == 1:
+        result = dict(sides[0][0], max_degree=k)
+    else:
+        (doc_a, q_a), (doc_b, q_b) = sides
+        segre = None
+        if q_a is not None and q_b is not None:
+            segre = list(segre_coefficients(q_a, q_b, k))
+        result = {
+            "max_degree": k,
+            "algebras": [doc_a, doc_b],
+            "segre_of_quotients": segre,
         }
     return {
         "command": "hilbert",
         "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "weights": list(spec.weights),
-            "order": spec.order,
-            "max_degree": k,
-            "series": _series_doc(base),
-            "coefficients": list(base.prefix(k)),
-            "quotient": quotient,
-        },
+        "result": result,
     }
 
 
@@ -393,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pass to a localized chart first")
     p.set_defaults(func=cmd_pi_degree)
 
-    p = sub.add_parser("hilbert", help="Hilbert series and quotient stream")
+    p = sub.add_parser("hilbert", help="Hilbert series, Fermat quotients, Segre product")
     common(p)
     p.add_argument("--max-degree", type=_nonnegative_int, default=12, metavar="K")
     p.set_defaults(func=cmd_hilbert)

@@ -81,7 +81,7 @@ def _weight_one_violations(spec: AlgebraSpec, side: str) -> list[Violation]:
 def _tag_side(spec: AlgebraSpec, side: str) -> list[Violation]:
     return [
         Violation(v.kind, v.where, f"side {side}: {v.detail}")
-        for v in validate_spec(spec, fermat_hypotheses=True).violations
+        for v in validate_spec(spec)
     ]
 
 
@@ -121,7 +121,7 @@ def _mixed_violations(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> tuple[Violati
 
 
 def _weighted_violations(spec: AlgebraSpec) -> tuple[Violation, ...]:
-    bad = validate_spec(spec, fermat_hypotheses=True).violations
+    bad = validate_spec(spec)
     return bad + tuple(_generator_count_violations(spec))
 
 

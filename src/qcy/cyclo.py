@@ -103,7 +103,8 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     """Exact division of integer polynomials (remainder must vanish)."""
     num = num[:]
     dd = len(den) - 1
-    assert den[dd] == 1, "divisor must be monic"
+    if den[dd] != 1:
+        raise InternalDefect(f"divisor {den} is not monic")
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -111,7 +112,8 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
             out[i - dd] = c
             for j, b in enumerate(den):
                 num[i - dd + j] -= c * b
-    assert not any(num), "division was not exact"
+    if any(num):
+        raise InternalDefect(f"division by {den} left the remainder {num}")
     return out
 
 

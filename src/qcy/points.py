@@ -74,20 +74,18 @@ def admissible_supports(spec: AlgebraSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def stratum_dimension(support, exponents, require_equation: bool) -> int | None:
-    """Projective dimension of the torus stratum on `support`.
+def stratum_dimension(support, exponents) -> int | None:
+    """Projective dimension of the torus stratum on `support`, cut by Fermat.
 
-    Without the equation the stratum is the torus, dimension |S| - 1.
-    The restricted Fermat equation keeps the terms of the support: a
-    single surviving term empties the stratum (None); two or more cut
-    the dimension by exactly one.
+    The torus on the support has dimension |S| - 1.  The restricted
+    Fermat equation keeps the terms of the support: a single surviving
+    term empties the stratum (None); two or more cut the dimension by
+    exactly one.
     """
     support = tuple(support)
     if not support:
         raise ValueError("support must be nonempty")
     dim = len(support) - 1
-    if not require_equation:
-        return dim
     terms = sum(1 for i in support if exponents[i] >= 1)
     if terms == 1:
         return None
@@ -101,7 +99,7 @@ def max_stratum_dimension(spec: AlgebraSpec) -> int | None:
     h = spec.fermat_exponents()
     best = None
     for s in admissible_supports(spec):
-        dim = stratum_dimension(s, h, True)
+        dim = stratum_dimension(s, h)
         if dim is not None and (best is None or dim > best):
             best = dim
     return best
@@ -256,11 +254,11 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     x_1, and the closed stratum x_0 = x_1 = 0 handled by the two-variable
     count.  The total is Infinite as soon as one chart is.
     """
-    report = validate_spec(spec, fermat_hypotheses=True)
-    if not report.ok:
+    bad = validate_spec(spec)
+    if bad:
         raise HypothesisViolation(
             "census needs a spec satisfying the Fermat hypotheses: "
-            + "; ".join(v.detail for v in report.violations))
+            + "; ".join(v.detail for v in bad))
     if spec.nvars != 4 or spec.weights[0] != 1 or spec.weights[1] != 1:
         raise ValueError(
             f"census covers weights (1, 1, a, b), got {spec.weights}")

@@ -86,18 +86,12 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+def validate_spec(spec: AlgebraSpec) -> tuple[Violation, ...]:
+    """Every violated hypothesis: unit diagonal, antisymmetry, Fermat orders.
 
-
-def validate_spec(spec: AlgebraSpec, fermat_hypotheses: bool = False) -> ValidationReport:
-    """Check unit diagonal and antisymmetry; optionally the Fermat hypotheses.
-
-    With fermat_hypotheses, weights must divide the total degree and each
-    q_ij must satisfy q_ij^{h_i} = q_ij^{h_j} = 1.  All findings are
-    collected, none raised.
+    The Fermat hypotheses: weights divide the total degree and each q_ij
+    satisfies q_ij^{h_i} = q_ij^{h_j} = 1.  All findings are collected,
+    none raised; an empty tuple means the spec satisfies them all.
     """
     n = spec.order
     bad: list[Violation] = []
@@ -109,27 +103,26 @@ def validate_spec(spec: AlgebraSpec, fermat_hypotheses: bool = False) -> Validat
             if (spec.exponents[i][j] + spec.exponents[j][i]) % n:
                 bad.append(Violation(
                     "antisymmetry", (i, j), f"q_{i}{j} * q_{j}{i} is not 1"))
-    if fermat_hypotheses:
-        d = spec.total_degree
-        divisible = True
-        for i, a in enumerate(spec.weights):
-            if d % a:
-                divisible = False
-                bad.append(Violation(
-                    "weight-divisibility", (i,),
-                    f"weight {a} does not divide the total degree {d}"))
-        if divisible:
-            h = [d // a for a in spec.weights]
-            for i in range(spec.nvars):
-                for j in range(spec.nvars):
-                    if i == j:
-                        continue
-                    e = spec.exponents[i][j]
-                    if (e * h[i]) % n or (e * h[j]) % n:
-                        bad.append(Violation(
-                            "entry-order", (i, j),
-                            f"q_{i}{j} fails q^h_i = q^h_j = 1 for h = ({h[i]}, {h[j]})"))
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    d = spec.total_degree
+    divisible = True
+    for i, a in enumerate(spec.weights):
+        if d % a:
+            divisible = False
+            bad.append(Violation(
+                "weight-divisibility", (i,),
+                f"weight {a} does not divide the total degree {d}"))
+    if divisible:
+        h = [d // a for a in spec.weights]
+        for i in range(spec.nvars):
+            for j in range(spec.nvars):
+                if i == j:
+                    continue
+                e = spec.exponents[i][j]
+                if (e * h[i]) % n or (e * h[j]) % n:
+                    bad.append(Violation(
+                        "entry-order", (i, j),
+                        f"q_{i}{j} fails q^h_i = q^h_j = 1 for h = ({h[i]}, {h[j]})"))
+    return tuple(bad)
 
 
 class SkewPoly:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import permutations
-from math import gcd, lcm, prod
+from itertools import combinations_with_replacement, permutations
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .cycert import Certificate, Verdict, certify_weighted
@@ -32,6 +32,12 @@ from .qalgebra import AlgebraSpec
 # costs one certificate and one spec (about 0.1 ms and 1 KB each), so this
 # keeps the largest accepted search within seconds and tens of MB.
 SEARCH_BOUND = 10**5
+
+# Most weights one enumerate_cy_weights call may visit: C(bound + n - 1, n)
+# sorted tuples of n weights each, at about 7 us per tuple for four to
+# seven variables.  (6, 25) visits 593,775 tuples (3.6 M weights) in about
+# 4 s; (7, 25), 2,629,575 tuples in about 19 s, is refused.
+WEIGHT_ENUMERATION_BOUND = 4 * 10**6
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
 # here as the comparison yardstick for the enumeration.  Two entries fail
@@ -100,19 +106,20 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     """
     if n_vars < 2 or bound < 1:
         raise ValueError("need at least two variables and a positive bound")
-    found: list[WeightSystem] = []
-
-    def rec(prefix, lo):
-        if len(prefix) == n_vars:
-            ws = weight_system(prefix)
-            if ws.admissible:
-                found.append(ws)
-            return
-        for a in range(lo, bound + 1):
-            rec(prefix + (a,), a)
-
-    rec((), 1)
-    found.sort(key=lambda ws: ws.weights)
+    # The walk visits C(bound + n - 1, n) tuples of n weights.  With
+    # k = min(n, bound - 1) that count is at least C(2k, k), past any
+    # accepted size from k = 17 on, where math.comb itself may take minutes.
+    k = min(n_vars, bound - 1)
+    if k > 16 or comb(bound + n_vars - 1, k) * n_vars > WEIGHT_ENUMERATION_BOUND:
+        raise ValueError(
+            f"{n_vars} weights up to {bound} make C({bound + n_vars - 1}, {n_vars}) "
+            f"sorted tuples of {n_vars} weights, above "
+            f"WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
+    found = [
+        ws for ws in map(weight_system,
+                         combinations_with_replacement(range(1, bound + 1), n_vars))
+        if ws.admissible
+    ]
     reference = []
     extras = []
     if n_vars == 4:

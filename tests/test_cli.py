@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcy import cli, search
+from qcy import cli, hilbert, search
 from qcy.cli import main
 from qcy.cycert import Verdict
 
@@ -43,6 +43,8 @@ CASES = [
      ["pi-degree", "--input", "tests/golden/manifests/weighted.man"]),
     ("hilbert_12.json",
      ["hilbert", "--input", "tests/golden/manifests/weighted.man"]),
+    ("hilbert_segre.json",
+     ["hilbert", "--input", "tests/golden/manifests/segre.man"]),
     ("center_chart0.json",
      ["center", "--input", "tests/golden/manifests/weighted.man",
       "--chart", "0"]),
@@ -180,6 +182,55 @@ def test_hilbert_max_degree_flag():
     doc = json.loads(out)
     assert doc["result"]["coefficients"] == [1, 2, 5, 8, 14]
     assert doc["result"]["quotient"]["coefficients"] == [1, 2, 5, 8, 14]
+
+
+def test_hilbert_segre_product_of_quotients():
+    code, out, _ = run_cli(
+        ["hilbert", "--input", "tests/golden/manifests/segre.man",
+         "--max-degree", "8"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert sorted(result) == ["algebras", "max_degree", "segre_of_quotients"]
+    assert result["segre_of_quotients"] == [
+        1, 12, 60, 180, 408, 780, 1332, 2100, 3120]
+    a, b = (side["quotient"]["coefficients"] for side in result["algebras"])
+    assert result["segre_of_quotients"] == [x * y for x, y in zip(a, b)]
+    assert "max_degree" not in result["algebras"][0]
+
+
+def test_hilbert_segre_is_null_without_a_fermat_quotient(tmp_path):
+    man = tmp_path / "nofermat.man"
+    man.write_text(
+        "schema 1\n\nalgebra A\norder 2\nweights 1 1\nrow 0 0\nrow 0 0\n"
+        "\nalgebra B\norder 2\nweights 1 1 3\n"
+        "row 0 0 0\nrow 0 0 0\nrow 0 0 0\n")
+    code, out, _ = run_cli(["hilbert", "--input", str(man), "--max-degree", "3"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["segre_of_quotients"] is None
+    assert result["algebras"][0]["quotient"]["coefficients"] == [1, 2, 2, 2]
+    assert result["algebras"][1]["quotient"] is None
+    assert result["algebras"][1]["coefficients"] == [1, 2, 3, 5]
+
+
+def test_hilbert_above_the_degree_bound_exits_2():
+    code, out, err = within(5, lambda: run_cli(
+        ["hilbert", "--input", "tests/golden/manifests/weighted.man",
+         "--max-degree", "10000000"]))
+    assert code == 2
+    assert out == ""
+    assert f"DEGREE_BOUND = {hilbert.DEGREE_BOUND}" in err
+    assert "10000000" in err
+    assert "Traceback" not in err
+
+
+def test_enumerate_weights_above_the_bound_exits_2():
+    code, out, err = within(5, lambda: run_cli(
+        ["enumerate-weights", "--vars", "7", "--bound", "25"]))
+    assert code == 2
+    assert out == ""
+    assert f"WEIGHT_ENUMERATION_BOUND = {search.WEIGHT_ENUMERATION_BOUND}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from qcy.cyclo import (
     CycField,
     CycInt,
     RootScalar,
+    _polydiv_exact,
     cyclotomic_poly,
     hermite_normal_form,
     image_size,
@@ -24,7 +25,7 @@ from qcy.cyclo import (
     smith_normal_form,
     solve_root_system,
 )
-from qcy.errors import OrderMismatchError
+from qcy.errors import InternalDefect, OrderMismatchError
 
 from helpers import within
 
@@ -90,6 +91,15 @@ def test_cyclotomic_poly_small_orders():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_polynomial_division_defects_raise_also_under_optimization():
+    """Plain exceptions, not asserts, so `python -O` keeps both checks."""
+    assert _polydiv_exact([-1, 0, 0, 1], [-1, 1]) == [1, 1, 1]
+    with pytest.raises(InternalDefect, match="remainder"):
+        _polydiv_exact([1, 0, 1], [1, 1])
+    with pytest.raises(InternalDefect, match="not monic"):
+        _polydiv_exact([2, 2], [2, 2])
 
 
 def test_cyclotomic_poly_degree_is_totient():

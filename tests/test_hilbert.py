@@ -1,24 +1,24 @@
-"""Hilbert series streams against combinatorial and linear-algebra oracles."""
+"""Hilbert series prefixes against combinatorial and linear-algebra oracles."""
 
 from math import comb
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qcy.hilbert import (
+    DEGREE_BOUND,
     HilbertSeries,
-    bigraded_series,
     brute_force_dims,
-    diagonal,
-    quasi_veronese_table,
     quotient_by_regular,
+    segre_coefficients,
     series_qpoly,
-    veronese,
 )
+from qcy.manifest import load
 from qcy.qalgebra import AlgebraSpec, SkewPoly, fermat, monomials_of_degree
 
-from helpers import SPEC4, antisymmetric
+from helpers import SPEC4, antisymmetric, within
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
 
 
 # -- free series ------------------------------------------------------------
@@ -26,9 +26,9 @@ from helpers import SPEC4, antisymmetric
 
 def test_series_counts_weighted_monomials():
     for weights in ((1,), (1, 1, 1), (1, 1, 2, 2), (1, 2, 3, 6), (2, 3)):
-        series = series_qpoly(weights)
+        coefficients = series_qpoly(weights).prefix(14)
         for d in range(15):
-            assert series.coefficient(d) == len(monomials_of_degree(weights, d))
+            assert coefficients[d] == len(monomials_of_degree(weights, d))
 
 
 def test_unweighted_series_is_binomial():
@@ -39,140 +39,79 @@ def test_unweighted_series_is_binomial():
 def test_degree_six_coefficient_of_1236():
     # partitions of 6 into parts 1, 2, 3, 6 with labelled parts:
     # (6), (3,3), (3,2,1), (3,1,1,1), (2,2,2), (2,2,1,1), (2,1^4), (1^6)
-    series = series_qpoly((1, 2, 3, 6))
-    assert series.coefficient(6) == 8
-    assert series.coefficient(6) == len(monomials_of_degree((1, 2, 3, 6), 6))
+    coefficients = series_qpoly((1, 2, 3, 6)).prefix(6)
+    assert coefficients[6] == 8
+    assert coefficients[6] == len(monomials_of_degree((1, 2, 3, 6), 6))
 
 
-def test_negative_degrees_are_zero():
+def test_prefix_refuses_degrees_outside_the_bound():
     series = series_qpoly((1, 2))
-    assert series.coefficient(-1) == 0
-    assert series.coefficient(-5) == 0
+    assert series.prefix(0) == (1,)
+    for upto in (-1, -5, DEGREE_BOUND + 1, 10**7):
+        with pytest.raises(ValueError, match=f"DEGREE_BOUND = {DEGREE_BOUND}"):
+            within(1, lambda: series.prefix(upto))
 
 
-def test_series_requires_exactly_one_backing():
+def test_series_rejects_malformed_rational_form():
     with pytest.raises(ValueError):
-        HilbertSeries(1)
+        HilbertSeries({(0, 0): 1}, ((1,),))
     with pytest.raises(ValueError):
-        HilbertSeries(1, {(0,): 1}, ((1,),), generator=lambda upto: [0])
+        HilbertSeries({(-1,): 1}, ((1,),))
+    with pytest.raises(ValueError):
+        HilbertSeries({(0,): 1}, ((0,),))
 
 
 # -- quotients --------------------------------------------------------------
 
 
 def test_quotient_matches_inclusion_exclusion():
-    base = series_qpoly((1, 1, 2, 2))
-    q = quotient_by_regular(base, 6)
+    base = series_qpoly((1, 1, 2, 2)).prefix(19)
+    q = quotient_by_regular(series_qpoly((1, 1, 2, 2)), 6).prefix(19)
     for d in range(20):
-        assert q.coefficient(d) == base.coefficient(d) - base.coefficient(d - 6)
+        assert q[d] == base[d] - (base[d - 6] if d >= 6 else 0)
 
 
 def test_quotient_rejects_zero_degree():
     base = series_qpoly((1, 1))
     with pytest.raises(ValueError):
         quotient_by_regular(base, 0)
+    with pytest.raises(ValueError):
+        quotient_by_regular(base, (2,))
 
 
 def test_commutative_quintic_prefix():
     q = quotient_by_regular(series_qpoly((1, 1, 1, 1, 1)), 5)
     assert q.prefix(6) == (1, 5, 15, 35, 70, 125, 205)
-    assert q.coefficient(12) == comb(16, 4) - comb(11, 4)
+    assert q.prefix(12)[12] == comb(16, 4) - comb(11, 4)
 
 
-# -- bigraded series and the diagonal ---------------------------------------
+# -- Segre products ---------------------------------------------------------
 
 
-def test_bigraded_grid_is_product_of_binomials():
-    series = bigraded_series((1, 1, 1, 1), (1, 1, 1))
-    for i in range(6):
-        for j in range(6):
-            assert series.coefficient(i, j) == comb(i + 3, 3) * comb(j + 2, 2)
+def test_segre_coefficients_are_products_of_monomial_counts():
+    for wa, wb in (((1, 1, 1, 1), (1, 1, 1)), ((1, 2), (1, 1, 3)), ((2, 3), (1,))):
+        coefficients = segre_coefficients(series_qpoly(wa), series_qpoly(wb), 10)
+        for i in range(11):
+            assert coefficients[i] == (len(monomials_of_degree(wa, i))
+                                       * len(monomials_of_degree(wb, i)))
 
 
-def test_diagonal_of_free_bigraded():
-    diag = diagonal(bigraded_series((1, 1, 1, 1), (1, 1, 1)))
-    assert diag.coefficient(2) == comb(5, 3) * comb(4, 2) == 60
-    assert diag.prefix(4) == (1, 12, 60, 200, 525)
+def test_segre_of_free_rings():
+    a, b = series_qpoly((1, 1, 1, 1)), series_qpoly((1, 1, 1))
+    coefficients = segre_coefficients(a, b, 4)
+    assert coefficients[2] == comb(5, 3) * comb(4, 2) == 60
+    assert coefficients == (1, 12, 60, 200, 525)
 
 
-def test_bigraded_with_quotients():
-    # one relation of bidegree (4, 0) and one of (0, 3)
-    series = bigraded_series((1, 1, 1, 1), (1, 1, 1),
-                             quotients=((4, 0), (0, 3)))
-    free = bigraded_series((1, 1, 1, 1), (1, 1, 1))
-    for i in range(8):
-        for j in range(8):
-            expected = (free.coefficient(i, j) - free.coefficient(i - 4, j)
-                        - free.coefficient(i, j - 3)
-                        + free.coefficient(i - 4, j - 3))
-            assert series.coefficient(i, j) == expected
-
-
-def test_diagonal_rejects_single_grading():
-    with pytest.raises(ValueError):
-        diagonal(series_qpoly((1, 1)))
-
-
-# -- Veronese ---------------------------------------------------------------
-
-
-def test_veronese_selects_residue_class():
-    base = series_qpoly((1, 1, 2))
-    for r in (1, 2, 3, 4):
-        for offset in range(r):
-            v = veronese(base, r, offset)
-            assert v.has_rational_form
-            for i in range(12):
-                assert v.coefficient(i) == base.coefficient(offset + i * r)
-
-
-def test_veronese_of_stream_stays_stream():
-    stream = HilbertSeries(1, generator=lambda upto: list(range(upto + 1)))
-    v = veronese(stream, 3, 1)
-    assert not v.has_rational_form
-    assert v.prefix(4) == (1, 4, 7, 10, 13)
-
-
-def test_veronese_argument_validation():
-    base = series_qpoly((1, 1))
-    with pytest.raises(ValueError):
-        veronese(base, 0)
-    with pytest.raises(ValueError):
-        veronese(base, 3, 3)
-
-
-@given(
-    st.lists(st.integers(1, 4), min_size=1, max_size=4),
-    st.integers(1, 5),
-    st.data(),
-)
-@settings(max_examples=300, deadline=None)
-def test_veronese_against_direct_selection(weights, r, data):
-    offset = data.draw(st.integers(0, r - 1))
-    base = series_qpoly(weights)
-    quotient_deg = data.draw(st.integers(1, 8))
-    series = quotient_by_regular(base, quotient_deg)
-    v = veronese(series, r, offset)
-    for i in range(10):
-        assert v.coefficient(i) == series.coefficient(offset + i * r)
-
-
-def test_quasi_veronese_table_entries():
-    base = series_qpoly((1, 1))
-    table = quasi_veronese_table(base, 3)
-    for p in range(3):
-        for q in range(3):
-            for i in range(6):
-                expected = base.coefficient(3 * i + q - p)
-                assert table[p][q].coefficient(i) == expected
-
-
-def test_quasi_veronese_diagonal_is_veronese():
-    base = series_qpoly((1, 1, 2))
-    table = quasi_veronese_table(base, 2)
-    v = veronese(base, 2)
-    assert table[0][0].prefix(8) == v.prefix(8)
-    assert table[1][1].prefix(8) == v.prefix(8)
+@pytest.mark.parametrize("name", ["segre.man", "mixed.man"])
+def test_segre_of_quotients_matches_brute_force(name):
+    spec_a, spec_b = (alg.spec() for alg in load(str(GOLDEN / name)).algebras)
+    quotients = [quotient_by_regular(series_qpoly(s.weights), s.total_degree)
+                 for s in (spec_a, spec_b)]
+    dims_a = brute_force_dims(spec_a, fermat(spec_a), max_degree=8)
+    dims_b = brute_force_dims(spec_b, fermat(spec_b), max_degree=8)
+    assert list(segre_coefficients(*quotients, 8)) == [
+        x * y for x, y in zip(dims_a, dims_b)]
 
 
 # -- brute force dimensions -------------------------------------------------

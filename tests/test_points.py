@@ -83,12 +83,11 @@ def test_admissible_supports_are_downward_closed(spec):
 
 def test_stratum_dimensions():
     h = (6, 6, 3, 3)
-    assert stratum_dimension((0,), h, False) == 0
-    assert stratum_dimension((0,), h, True) is None
-    assert stratum_dimension((0, 1), h, True) == 0
-    assert stratum_dimension((0, 1, 2), h, True) == 1
+    assert stratum_dimension((0,), h) is None
+    assert stratum_dimension((0, 1), h) == 0
+    assert stratum_dimension((0, 1, 2), h) == 1
     with pytest.raises(ValueError):
-        stratum_dimension((), h, False)
+        stratum_dimension((), h)
 
 
 def test_max_stratum_dimension_of_running_example():

@@ -29,29 +29,26 @@ from helpers import CHART3, SPEC3, SPEC4, antisymmetric
 
 
 def test_validate_passes_running_example():
-    report = validate_spec(SPEC4, fermat_hypotheses=True)
-    assert report.ok and report.violations == ()
+    assert validate_spec(SPEC4) == ()
 
 
 def test_validate_flags_each_hypothesis():
     bad_diag = AlgebraSpec.unweighted(3, ((1, 0), (0, 0)))
-    kinds = {v.kind for v in validate_spec(bad_diag).violations}
+    kinds = {v.kind for v in validate_spec(bad_diag)}
     assert "diagonal" in kinds
 
     bad_anti = AlgebraSpec.unweighted(3, ((0, 1), (1, 0)))
-    kinds = {v.kind for v in validate_spec(bad_anti).violations}
+    kinds = {v.kind for v in validate_spec(bad_anti)}
     assert "antisymmetry" in kinds
 
     bad_weights = AlgebraSpec(weights=(1, 1, 3), order=2,
                               exponents=antisymmetric(2, (0, 0, 0)))
-    report = validate_spec(bad_weights, fermat_hypotheses=True)
-    kinds = {v.kind for v in report.violations}
+    kinds = {v.kind for v in validate_spec(bad_weights)}
     assert kinds == {"weight-divisibility"}
 
     # q_01 = zeta_4 with h = (2, 2) fails q^h = 1
     bad_entry = AlgebraSpec.unweighted(4, antisymmetric(4, (1,)))
-    report = validate_spec(bad_entry, fermat_hypotheses=True)
-    kinds = {v.kind for v in report.violations}
+    kinds = {v.kind for v in validate_spec(bad_entry)}
     assert kinds == {"entry-order"}
 
 
@@ -194,8 +191,7 @@ def validated_fermat_specs(draw):
 @given(validated_fermat_specs())
 @settings(max_examples=1000, deadline=None)
 def test_fermat_is_central_under_hypotheses(spec):
-    report = validate_spec(spec, fermat_hypotheses=True)
-    assert report.ok
+    assert validate_spec(spec) == ()
     assert is_central(fermat(spec), spec)
 
 

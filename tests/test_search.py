@@ -14,6 +14,7 @@ from qcy.points import INFINITE
 from qcy.search import (
     REFERENCE_SURFACE_WEIGHTS,
     SEARCH_BOUND,
+    WEIGHT_ENUMERATION_BOUND,
     enumerate_cy_weights,
     search_q_params,
     sweep_census,
@@ -83,6 +84,17 @@ def test_enumeration_validates_arguments():
         enumerate_cy_weights(1, 10)
     with pytest.raises(ValueError):
         enumerate_cy_weights(4, 0)
+
+
+@pytest.mark.parametrize("n_vars,bound", [
+    (7, 25), (4, 1000), (10**7, 1), (10**18, 10**18)])
+def test_enumeration_above_the_bound_is_refused_before_the_walk(n_vars, bound):
+    with pytest.raises(ValueError, match=f"BOUND = {WEIGHT_ENUMERATION_BOUND}"):
+        within(1, lambda: enumerate_cy_weights(n_vars, bound))
+
+
+def test_enumeration_with_unit_bound_needs_no_recursion():
+    assert [ws.weights for ws in enumerate_cy_weights(2000, 1).systems] == [(1,) * 2000]
 
 
 def test_surface_shaped_systems_are_stable_in_the_bound():
