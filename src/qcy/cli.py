@@ -29,7 +29,12 @@ from .points import (
     pi_degree,
     point_scheme_dim_product,
 )
-from .qalgebra import center_lattice, chart_parameters, second_chart_scalar
+from .qalgebra import (
+    alternating_violations,
+    center_lattice,
+    chart_parameters,
+    second_chart_scalar,
+)
 from .search import _search_certificates, enumerate_cy_weights
 
 
@@ -59,6 +64,20 @@ def _single_spec(man: manifest_mod.Manifest):
     if len(man.algebras) != 1:
         raise ValueError("this command takes a manifest with one algebra")
     return man.algebras[0].spec()
+
+
+def _alternating(spec):
+    """The spec, once its matrix has unit diagonal and is antisymmetric.
+
+    point-scheme, pi-degree and center assume both; a violation is the
+    input's, not a defect (exit 3, like the Fermat checks of census).
+    """
+    bad = alternating_violations(spec)
+    if bad:
+        raise HypothesisViolation(
+            "the q matrix needs a unit diagonal and antisymmetry: "
+            + "; ".join(v.detail for v in bad))
+    return spec
 
 
 def _violations(cert) -> list[dict]:
@@ -135,14 +154,14 @@ def cmd_census(args) -> dict:
 def cmd_point_scheme(args) -> dict:
     man = _load(args)
     if len(man.algebras) == 1:
-        spec = man.algebras[0].spec()
+        spec = _alternating(man.algebras[0].spec())
         result = {
             "special": is_special(spec),
             "admissible_supports": [list(s) for s in admissible_supports(spec)],
             "max_stratum_dimension": max_stratum_dimension(spec),
         }
     else:
-        specs = [a.spec() for a in man.algebras]
+        specs = [_alternating(a.spec()) for a in man.algebras]
         g_shape = "mixed" if man.criterion == "mixed" else "fermat"
         result = {
             "g_shape": g_shape,
@@ -157,7 +176,7 @@ def cmd_point_scheme(args) -> dict:
 
 def cmd_pi_degree(args) -> dict:
     man = _load(args)
-    spec = _single_spec(man)
+    spec = _alternating(_single_spec(man))
     kept = None
     if args.chart is not None:
         chart = chart_parameters(spec, args.chart)
@@ -295,7 +314,7 @@ def cmd_search_q(args) -> dict:
 
 def cmd_center(args) -> dict:
     man = _load(args)
-    spec = _single_spec(man)
+    spec = _alternating(_single_spec(man))
     chart_idx = args.chart if args.chart is not None else 0
     chart = chart_parameters(spec, chart_idx)
     lattice = center_lattice(chart.spec)

@@ -126,9 +126,10 @@ def point_scheme_dim_product(
     else:
         raise ValueError(f"unknown g shape {g_shape!r}")
     best = None
+    supports_b = admissible_supports(spec_b)
     for s in admissible_supports(spec_a):
         s_set = set(s)
-        for t in admissible_supports(spec_b):
+        for t in supports_b:
             t_set = set(t)
             dim = len(s) - 1 + len(t) - 1
             dead = False

@@ -86,13 +86,8 @@ class Violation:
     detail: str
 
 
-def validate_spec(spec: AlgebraSpec) -> tuple[Violation, ...]:
-    """Every violated hypothesis: unit diagonal, antisymmetry, Fermat orders.
-
-    The Fermat hypotheses: weights divide the total degree and each q_ij
-    satisfies q_ij^{h_i} = q_ij^{h_j} = 1.  All findings are collected,
-    none raised; an empty tuple means the spec satisfies them all.
-    """
+def alternating_violations(spec: AlgebraSpec) -> tuple[Violation, ...]:
+    """Every failure of unit diagonal (q_ii = 1) and antisymmetry (q_ij q_ji = 1)."""
     n = spec.order
     bad: list[Violation] = []
     for i in range(spec.nvars):
@@ -103,6 +98,18 @@ def validate_spec(spec: AlgebraSpec) -> tuple[Violation, ...]:
             if (spec.exponents[i][j] + spec.exponents[j][i]) % n:
                 bad.append(Violation(
                     "antisymmetry", (i, j), f"q_{i}{j} * q_{j}{i} is not 1"))
+    return tuple(bad)
+
+
+def validate_spec(spec: AlgebraSpec) -> tuple[Violation, ...]:
+    """Every violated hypothesis: unit diagonal, antisymmetry, Fermat orders.
+
+    The Fermat hypotheses: weights divide the total degree and each q_ij
+    satisfies q_ij^{h_i} = q_ij^{h_j} = 1.  All findings are collected,
+    none raised; an empty tuple means the spec satisfies them all.
+    """
+    n = spec.order
+    bad = list(alternating_violations(spec))
     d = spec.total_degree
     divisible = True
     for i, a in enumerate(spec.weights):
@@ -183,13 +190,6 @@ class SkewPoly:
     def __sub__(self, other: "SkewPoly") -> "SkewPoly":
         return self + (-other)
 
-    def scaled(self, factor) -> "SkewPoly":
-        """Multiply every coefficient by an int, RootScalar or CycInt."""
-        if isinstance(factor, RootScalar):
-            factor = CycInt.from_root(factor, self.order)
-        return SkewPoly(self.order, self.nvars,
-                        {e: c * factor for e, c in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -254,12 +254,19 @@ def fermat(spec: AlgebraSpec) -> SkewPoly:
     return SkewPoly(spec.order, spec.nvars, acc)
 
 
+def _monomial_is_central(exps, spec: AlgebraSpec) -> bool:
+    """x_k x^e = x^e x_k for every generator k, compared as reorder scalars."""
+    for k in range(spec.nvars):
+        unit = tuple(int(i == k) for i in range(spec.nvars))
+        if reorder_scalar(unit, exps, spec) != reorder_scalar(exps, unit, spec):
+            return False
+    return True
+
+
 def is_central(p: SkewPoly, spec: AlgebraSpec) -> bool:
-    return all(
-        multiply(SkewPoly.gen(spec.order, spec.nvars, k), p, spec)
-        == multiply(p, SkewPoly.gen(spec.order, spec.nvars, k), spec)
-        for k in range(spec.nvars)
-    )
+    """Monomial by monomial: x_k p and p x_k have terms at the same e + 1_k, and
+    Z[zeta_N] has no zero divisors, so no cyclotomic integer is multiplied."""
+    return all(_monomial_is_central(e, spec) for e in p.terms)
 
 
 @dataclass(frozen=True)
@@ -343,8 +350,8 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     """Central-monomial lattice {e : E . e = 0 mod N} of the matrix of spec.
 
     Assumes unit diagonal and antisymmetry (a validated spec or a chart
-    matrix).  The kernel computation is cross-checked against direct
-    centrality of every monomial of total degree at most 6.
+    matrix).  The kernel route is cross-checked by the reorder scalars of
+    every monomial of total degree at most 6: exponent arithmetic, O(1) in N.
     """
     n = spec.order
     e = spec.exponents
@@ -365,10 +372,8 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         pure_powers=tuple(pure),
         mixed_generator=mixed,
     )
-    probe = AlgebraSpec.unweighted(n, e)
     for exps in monomials_of_degree_at_most((1,) * m, 6):
-        direct = is_central(SkewPoly.monomial(n, exps), probe)
-        if direct != result.contains(exps):
+        if _monomial_is_central(exps, spec) != result.contains(exps):
             raise InternalDefect(
                 f"lattice and direct centrality disagree at {exps}")
     return result

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcy import cli, hilbert, search
+from qcy import cli, cyclo, hilbert, search
 from qcy.cli import main
 from qcy.cycert import Verdict
 
@@ -74,6 +74,18 @@ def test_output_matches_frozen_report(name, argv):
     assert err == ""
     expected = (GOLDEN / "expected" / name).read_text()
     assert out == expected
+
+
+def test_reports_build_no_cyclotomic_integer(monkeypatch):
+    """Every golden invocation runs on exponent arithmetic alone."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a CycInt")
+
+    monkeypatch.setattr(cyclo.CycInt, "__init__", refuse)
+    for name, argv in CASES:
+        code, out, err = run_cli(argv)
+        assert (name, code, err) == (name, 0, "")
+        assert out == (GOLDEN / "expected" / name).read_text(), name
 
 
 def test_reports_are_deterministic():
@@ -295,3 +307,52 @@ def test_certify_failing_verification_exits_4(monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal defect" in err
+
+
+NOT_ALTERNATING = {
+    "nonzero-diagonal": "schema 1\norder 7\nweights 1\nrow 1\n",
+    "not-antisymmetric": (
+        "schema 1\norder 7\nweights 1 1 1\n"
+        "row 0 1 0\nrow 1 0 0\nrow 0 0 0\n"),
+    "second-block": (
+        "schema 1\ncriterion segre\n\nalgebra A\norder 2\nweights 1 1\n"
+        "row 0 0\nrow 0 0\n\nalgebra B\norder 3\nweights 1 1\n"
+        "row 0 1\nrow 1 0\n"),
+}
+
+
+@pytest.mark.parametrize("command,name", [
+    ("point-scheme", "nonzero-diagonal"),
+    ("pi-degree", "nonzero-diagonal"),
+    ("center", "nonzero-diagonal"),
+    ("point-scheme", "not-antisymmetric"),
+    ("pi-degree", "not-antisymmetric"),
+    ("center", "not-antisymmetric"),
+    ("point-scheme", "second-block"),
+])
+def test_matrix_without_unit_diagonal_or_antisymmetry_exits_3(command, name, tmp_path):
+    """The input breaks an assumption of the command: exit 3, not 4 or an answer."""
+    man = tmp_path / "bad.man"
+    man.write_text(NOT_ALTERNATING[name])
+    code, out, err = within(5, lambda: run_cli([command, "--input", str(man)]))
+    assert code == 3
+    assert out == ""
+    assert "unit diagonal and antisymmetry" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["center"], "pure_powers", [10**9 + 7] * 3),
+    (["center", "--chart", "2"], "pure_powers", [10**9 + 7, 10**9 + 7, 1]),
+    (["pi-degree"], "pi_degree", 10**9 + 7),
+], ids=["center", "center-chart-2", "pi-degree"])
+def test_root_order_near_a_billion_is_answered_at_once(argv, key, value, tmp_path):
+    """No cost grows with the root order: only exponents mod N are handled."""
+    n = 10**9 + 7
+    man = tmp_path / "big.man"
+    man.write_text(
+        f"schema 1\norder {n}\nweights 1 1 1 1\n"
+        f"row 0 1 0 0\nrow {n - 1} 0 0 0\nrow 0 0 0 0\nrow 0 0 0 0\n")
+    code, out, err = within(5, lambda: run_cli(argv + ["--input", str(man)]))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"][key] == value

@@ -96,7 +96,7 @@ def test_every_invocation_ends_in_a_named_exit(text, data):
             fh.write(text)
         argv = data.draw(invocations(path))
         code, out, err = within(30, lambda: _run(argv))
-    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     structured = argv[-2:] != ["--format", "human"]
     assert _parses(out) == (structured and code == 0), (argv, code, out[:200])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcy.cyclo import CycInt
 from qcy.errors import HypothesisViolation
 from qcy.qalgebra import (
     AlgebraSpec,
@@ -193,6 +194,38 @@ def validated_fermat_specs(draw):
 def test_fermat_is_central_under_hypotheses(spec):
     assert validate_spec(spec) == ()
     assert is_central(fermat(spec), spec)
+
+
+@st.composite
+def any_matrix_and_poly(draw):
+    """Any exponent matrix, order <= 12, and up to four CycInt-weighted terms.
+
+    Each term's exponents are multiples of either 1 or the order, so both
+    central and non-central polynomials are drawn for every matrix.
+    """
+    order = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, order - 1)
+    spec = AlgebraSpec.unweighted(
+        order, [[draw(entry) for _ in range(n)] for _ in range(n)])
+    vec = st.sampled_from((1, order)).flatmap(
+        lambda step: st.tuples(*[st.integers(0, 3).map(lambda k: k * step)] * n))
+    deg = len(CycInt.zero(order).coeffs)
+    coeff = st.lists(st.integers(-2, 2), min_size=deg, max_size=deg).map(
+        lambda c: CycInt(order, c))
+    terms = draw(st.dictionaries(vec, coeff, min_size=1, max_size=4))
+    return spec, SkewPoly(order, n, terms)
+
+
+@given(any_matrix_and_poly())
+@settings(max_examples=500, deadline=None)
+def test_is_central_agrees_with_products_by_every_generator(data):
+    spec, p = data
+    by_products = all(
+        multiply(SkewPoly.gen(spec.order, spec.nvars, k), p, spec)
+        == multiply(p, SkewPoly.gen(spec.order, spec.nvars, k), spec)
+        for k in range(spec.nvars))
+    assert is_central(p, spec) == by_products
 
 
 # -- charts -----------------------------------------------------------------
