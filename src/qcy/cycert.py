@@ -29,6 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .cyclo import RootScalar, solve_root_system
+from .hilbert import pole_order_at_one, quotient_by_regular, series_qpoly
 from .qalgebra import AlgebraSpec, Violation, validate_spec
 
 
@@ -125,10 +126,34 @@ def _weighted_violations(spec: AlgebraSpec) -> tuple[Violation, ...]:
     return bad + tuple(_generator_count_violations(spec))
 
 
+def _segre_dimension(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> int:
+    return spec_a.nvars + spec_b.nvars - 4
+
+
+def _mixed_dimension(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> int:
+    if spec_a.nvars == spec_b.nvars + 1:
+        return 2 * spec_b.nvars - 3
+    return 2 * spec_b.nvars - 4
+
+
+def _weighted_dimension(spec: AlgebraSpec) -> int:
+    """Pole order at t = 1 of the Fermat quotient's series, minus 1."""
+    series = quotient_by_regular(series_qpoly(spec.weights), sum(spec.weights))
+    return pole_order_at_one(series) - 1
+
+
 _VIOLATIONS = {
     "segre": _segre_violations,
     "mixed": _mixed_violations,
     "weighted": _weighted_violations,
+}
+
+# The dimension verify_certificate demands of a CY certificate: the Hilbert
+# series for weighted, the criterion's own formula for segre and mixed.
+_DIMENSIONS = {
+    "segre": _segre_dimension,
+    "mixed": _mixed_dimension,
+    "weighted": _weighted_dimension,
 }
 
 
@@ -154,8 +179,8 @@ def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
                     "segre", Verdict.NOT_CY, specs, None, None, (),
                     f"side {side} column {j} product differs from column 0")
         witnesses.append(products[0].reduced())
-    dim = spec_a.nvars + spec_b.nvars - 4
-    return Certificate("segre", Verdict.CY, specs, tuple(witnesses), dim, (),
+    return Certificate("segre", Verdict.CY, specs, tuple(witnesses),
+                       _segre_dimension(spec_a, spec_b), (),
                        "column products constant on both sides")
 
 
@@ -179,12 +204,9 @@ def certify_mixed(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
             return Certificate(
                 "mixed", Verdict.NOT_CY, specs, None, None, (),
                 f"side B column {j} product differs from column 0")
-    if spec_a.nvars == spec_b.nvars + 1:
-        dim = 2 * spec_b.nvars - 3
-    else:
-        dim = 2 * spec_b.nvars - 4
-    return Certificate("mixed", Verdict.CY, specs, (products[0].reduced(),), dim,
-                       (), "column products constant on the quantum side")
+    return Certificate("mixed", Verdict.CY, specs, (products[0].reduced(),),
+                       _mixed_dimension(spec_a, spec_b), (),
+                       "column products constant on the quantum side")
 
 
 def certify_weighted(spec: AlgebraSpec) -> Certificate:
@@ -216,11 +238,20 @@ def verify_certificate(cert: Certificate) -> bool:
     violations, nonempty exactly for hypotheses_violated.  CY: the stored
     witness must satisfy the defining property.  not_CY: the refutation is
     recomputed (for the weighted case by a pairwise check of the column
-    congruences, independent of the solver that certified it).
+    congruences, independent of the solver that certified it).  The
+    expected dimension must be None unless the verdict is CY.  On a
+    weighted CY verdict it must equal the pole order at t = 1 of the
+    Fermat quotient's Hilbert series minus 1, a route independent of the
+    generator count certify_weighted uses; on segre and mixed it must
+    equal the criterion's formula, the same route as certify, not a
+    second one.
     """
     found = _VIOLATIONS[cert.kind](*cert.specs)
     violated = cert.verdict is Verdict.HYPOTHESES_VIOLATED
     if found != cert.violations or bool(found) != violated:
+        return False
+    cy = cert.verdict is Verdict.CY
+    if cert.expected_dimension != (_DIMENSIONS[cert.kind](*cert.specs) if cy else None):
         return False
     if violated:
         return True

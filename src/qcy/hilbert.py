@@ -16,6 +16,8 @@ exact elimination over Q(zeta_N) when the certificate is inconclusive.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import _kernels
 from .cyclo import CycField, CycInt
 from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree, multiply
@@ -87,6 +89,22 @@ def quotient_by_regular(series: HilbertSeries, degree: int) -> HilbertSeries:
     for (e,), c in series.numerator.items():
         num[(e + degree,)] = num.get((e + degree,), 0) - c
     return HilbertSeries(num, series.denominator)
+
+
+def pole_order_at_one(series: HilbertSeries) -> int:
+    """Order of the pole of the series at t = 1, read from the factored form.
+
+    Each denominator factor 1 - t^a has a simple zero at t = 1.  The
+    numerator's zero there has multiplicity the least k with a nonzero
+    Taylor coefficient sum_e c_e C(e, k) at t = 1, so the count needs no
+    dense expansion of the numerator.
+    """
+    if not series.numerator:
+        raise ValueError("the zero series has no pole order")
+    k = 0
+    while not sum(c * comb(e, k) for (e,), c in series.numerator.items()):
+        k += 1
+    return len(series.denominator) - k
 
 
 def segre_coefficients(a: HilbertSeries, b: HilbertSeries, upto: int) -> tuple[int, ...]:

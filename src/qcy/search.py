@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import comb, gcd, lcm, prod
 from operator import mul
 
@@ -33,10 +33,13 @@ from .qalgebra import AlgebraSpec
 # keeps the largest accepted search within seconds and tens of MB.
 SEARCH_BOUND = 10**5
 
-# Most weights one enumerate_cy_weights call may visit: C(bound + n - 1, n)
-# sorted tuples of n weights each, at about 7 us per tuple for four to
-# seven variables.  (6, 25) visits 593,775 tuples (3.6 M weights) in about
-# 4 s; (7, 25), 2,629,575 tuples in about 19 s, is refused.
+# Largest enumerate_cy_weights input, in weights: C(bound + n - 1, n)
+# sorted tuples of n weights each.  The walk visits only the divisor
+# multiplicities of each total degree, so the largest accepted inputs take
+# milliseconds up to twelve variables ((4, 68) 3 ms, (6, 25) 6 ms,
+# (12, 10) 27 ms) and about a second with thousands of small weights
+# ((60, 4) 0.14 s, (1999, 2) 0.7 s, (4 * 10^6, 1) 1.0 s, mostly spent
+# rechecking the long emitted tuples), on a 2 vCPU Xeon.
 WEIGHT_ENUMERATION_BOUND = 4 * 10**6
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
@@ -99,14 +102,19 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     """All admissible weight systems with entries up to `bound`.
 
     Emits sorted tuples with gcd 1 and every weight dividing the total
-    degree.  For four variables the result is compared entry by entry
-    against the reference surface list: reference entries failing the
-    divisibility requirement are flagged as discrepancies, and emitted
-    systems outside the reference list are returned as extras.
+    degree.  The walk (_divisor_multiplicity_walk) builds only such tuples:
+    per total degree d, one multiplicity for each divisor of d up to
+    `bound`, so it never visits the C(bound + n - 1, n) sorted tuples the
+    size check counts.  Each emitted tuple is rechecked by weight_system;
+    an inadmissible one is an InternalDefect.  For four variables the
+    result is compared entry by entry against the reference surface list:
+    reference entries failing the divisibility requirement are flagged as
+    discrepancies, and emitted systems outside the reference list are
+    returned as extras.
     """
     if n_vars < 2 or bound < 1:
         raise ValueError("need at least two variables and a positive bound")
-    # The walk visits C(bound + n - 1, n) tuples of n weights.  With
+    # The size counted is C(bound + n - 1, n) tuples of n weights.  With
     # k = min(n, bound - 1) that count is at least C(2k, k), past any
     # accepted size from k = 17 on, where math.comb itself may take minutes.
     k = min(n_vars, bound - 1)
@@ -115,11 +123,12 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
             f"{n_vars} weights up to {bound} make C({bound + n_vars - 1}, {n_vars}) "
             f"sorted tuples of {n_vars} weights, above "
             f"WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
-    found = [
-        ws for ws in map(weight_system,
-                         combinations_with_replacement(range(1, bound + 1), n_vars))
-        if ws.admissible
-    ]
+    found = []
+    for weights in _divisor_multiplicity_walk(n_vars, bound):
+        ws = weight_system(weights)
+        if not ws.admissible:
+            raise InternalDefect(f"weight walk emitted inadmissible {weights}")
+        found.append(ws)
     reference = []
     extras = []
     if n_vars == 4:
@@ -141,6 +150,49 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
         reference=tuple(reference),
         extras=tuple(extras),
     )
+
+
+def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]:
+    """Sorted n_vars-tuples up to `bound` with gcd 1 and entries dividing the sum.
+
+    Per total degree d in [n, n * bound] the divisors of d up to `bound`
+    come from one sieve; the walk chooses a multiplicity m_a per divisor,
+    largest first, with sum m_a = n and sum a * m_a = d.  After m copies of
+    a, the r weights left must sum to s within [r, r * next divisor], which
+    fixes the range of m exactly; the last divisor is 1 and its
+    multiplicity is forced.  An explicit stack keeps the depth, the number
+    of divisors, off the interpreter's call stack.  One sort at the end
+    puts the tuples in increasing order.
+    """
+    sieve: list[list[int]] = [[] for _ in range(n_vars * (bound - 1) + 1)]
+    for a in range(bound, 0, -1):
+        for d in range(-(-n_vars // a) * a, n_vars * bound + 1, a):
+            sieve[d - n_vars].append(a)
+    found = []
+    for d, divisors in enumerate(sieve, n_vars):
+        if d > n_vars * divisors[0]:
+            continue
+        last = len(divisors) - 1
+        stack = [(0, n_vars, d, 0, ())]
+        while stack:
+            i, r, s, g, parts = stack.pop()
+            if i == last:  # the r weights left are all 1
+                if r or g == 1:
+                    weights = [1] * r
+                    for a, m in reversed(parts):
+                        weights += [a] * m
+                    found.append(tuple(weights))
+                continue
+            a, nxt = divisors[i], divisors[i + 1]
+            # r - m <= s - a m <= (r - m) nxt, solved for m
+            m_lo = max(0, -((r * nxt - s) // (a - nxt)))
+            m_hi = min(r, (s - r) // (a - 1))
+            for m in range(m_lo, m_hi + 1):
+                stack.append((i + 1, r - m, s - a * m,
+                              gcd(g, a) if m else g,
+                              parts + ((a, m),) if m else parts))
+    found.sort()
+    return found
 
 
 def _weight_preserving_perms(weights):

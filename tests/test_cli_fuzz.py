@@ -52,9 +52,12 @@ def manifests(draw):
 def invocations(draw, path):
     command = draw(st.sampled_from(COMMANDS))
     argv = [command]
-    if command == "enumerate-weights":
+    if command == "enumerate-weights" and draw(st.booleans()):
         argv += ["--vars", str(draw(st.integers(-1, 5))),
                  "--bound", str(draw(st.sampled_from((-1, 0, 1, 4, 12, 20, 1000))))]
+    elif command == "enumerate-weights":  # many small weights
+        argv += ["--vars", str(draw(st.integers(-1, 2000))),
+                 "--bound", str(draw(st.integers(1, 3)))]
     else:
         argv += ["--input", path]
     if command in ("pi-degree", "center") and draw(st.booleans()):

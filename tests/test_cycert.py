@@ -261,6 +261,43 @@ def test_dropped_violation_fails_verification(certified):
         dataclasses.replace(bad, violations=bad.violations[1:]))
 
 
+def test_forged_dimension_fails_verification(certified):
+    cy, bad = certified
+    for dim in (cy.expected_dimension + 5, cy.expected_dimension - 1, None):
+        assert not verify_certificate(dataclasses.replace(cy, expected_dimension=dim))
+    assert not verify_certificate(
+        dataclasses.replace(bad, expected_dimension=cy.expected_dimension))
+
+
+# criterion -> (certify, specs certifying not_CY)
+NOT_CY_CASES = {
+    "weighted": (certify_weighted, (AlgebraSpec(
+        weights=(1, 1, 2, 2), order=3,
+        exponents=((0, 2, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))),)),
+    "segre": (certify_segre, (
+        AlgebraSpec.unweighted(2, antisymmetric(2, (1, 0, 0, 0, 0, 0))), SEGRE_B)),
+    "mixed": (certify_mixed, (COMM4, AlgebraSpec.unweighted(3, antisymmetric(3, (1, 0, 0))))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_CY_CASES))
+def test_not_cy_certificate_carrying_a_dimension_fails_verification(kind):
+    certify, specs = NOT_CY_CASES[kind]
+    cert = certify(*specs)
+    assert cert.verdict is Verdict.NOT_CY and verify_certificate(cert)
+    assert not verify_certificate(dataclasses.replace(cert, expected_dimension=2))
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (1, 1, 2, 2), (1, 6, 14, 21),
+                                     (1, 1, 1, 1, 2), (1,) * 7])
+def test_weighted_dimension_is_the_hilbert_pole_order_minus_one(weights):
+    spec = AlgebraSpec(weights=weights, order=1,
+                       exponents=tuple((0,) * len(weights) for _ in weights))
+    cert = certify_weighted(spec)
+    assert cert.expected_dimension == len(weights) - 2
+    assert verify_certificate(cert)
+
+
 # -- properties -------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from qcy.hilbert import (
     DEGREE_BOUND,
     HilbertSeries,
     brute_force_dims,
+    pole_order_at_one,
     quotient_by_regular,
     segre_coefficients,
     series_qpoly,
@@ -83,6 +84,21 @@ def test_commutative_quintic_prefix():
     q = quotient_by_regular(series_qpoly((1, 1, 1, 1, 1)), 5)
     assert q.prefix(6) == (1, 5, 15, 35, 70, 125, 205)
     assert q.prefix(12)[12] == comb(16, 4) - comb(11, 4)
+
+
+def test_pole_order_at_one_counts_factors_less_numerator_zeros():
+    assert pole_order_at_one(series_qpoly((1, 2, 3))) == 3
+    assert pole_order_at_one(quotient_by_regular(series_qpoly((1, 2, 3)), 6)) == 2
+    # numerator (1 - t)^2 (1 + t) = 1 - t - t^2 + t^3 against three factors
+    cubic = HilbertSeries({(0,): 1, (1,): -1, (2,): -1, (3,): 1}, ((1,), (2,), (5,)))
+    assert pole_order_at_one(cubic) == 1
+    with pytest.raises(ValueError):
+        pole_order_at_one(HilbertSeries({}, ((1,),)))
+
+
+def test_pole_order_at_one_needs_no_dense_numerator():
+    series = quotient_by_regular(series_qpoly((1, 10**9)), 10**9 + 1)
+    assert within(1, lambda: pole_order_at_one(series)) == 1
 
 
 # -- Segre products ---------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import random
 from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from qcy.search import (
     REFERENCE_SURFACE_WEIGHTS,
     SEARCH_BOUND,
     WEIGHT_ENUMERATION_BOUND,
+    EnumerationResult,
+    ReferenceEntry,
     enumerate_cy_weights,
     search_q_params,
     sweep_census,
@@ -105,6 +108,88 @@ def test_surface_shaped_systems_are_stable_in_the_bound():
               if ws.weights[:2] == (1, 1)}
     assert small == larger == {
         (1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6)}
+
+
+# -- the enumeration oracles ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _brute_force_admissible(n_vars, bound):
+    """Every sorted tuple of n_vars weights up to bound, kept when admissible."""
+    kept = []
+    for w in combinations_with_replacement(range(1, bound + 1), n_vars):
+        d = sum(w)
+        if all(d % a == 0 for a in w) and gcd(*w) == 1:
+            kept.append(w)
+    return tuple(kept)
+
+
+def _brute_force_weights(n_vars, bound, walked=None):
+    """The enumeration by brute force, from a walk up to `walked` >= bound.
+
+    The sorted tuples up to bound are those of the longer walk whose last
+    entry is at most bound, in the same order, so one walk per n_vars
+    serves every smaller bound.
+    """
+    kept = _brute_force_admissible(n_vars, walked or bound)
+    systems = tuple(weight_system(w) for w in kept if w[-1] <= bound)
+    emitted = {ws.weights for ws in systems}
+    reference, extras = (), ()
+    if n_vars == 4:
+        reference = tuple(
+            ReferenceEntry(ws.weights, ws.weights in emitted, ws.divides,
+                           not all(ws.divides))
+            for ws in map(weight_system, REFERENCE_SURFACE_WEIGHTS))
+        extras = tuple(sorted(emitted - set(REFERENCE_SURFACE_WEIGHTS)))
+    return EnumerationResult(n_vars, bound, systems, reference, extras)
+
+
+def _accepted(n_vars, bound):
+    k = min(n_vars, bound - 1)
+    return k <= 16 and comb(bound + n_vars - 1, k) * n_vars <= WEIGHT_ENUMERATION_BOUND
+
+
+@pytest.mark.parametrize("n_vars", range(2, 9))
+def test_enumeration_matches_brute_force_on_every_accepted_bound(n_vars):
+    bounds = [b for b in range(1, 31) if _accepted(n_vars, b)]
+    for bound in bounds:
+        expected = _brute_force_weights(n_vars, bound, walked=bounds[-1])
+        assert enumerate_cy_weights(n_vars, bound) == expected, bound
+
+
+@pytest.mark.parametrize("n_vars, bound", [(1999, 2), (2000, 1), (199, 3), (60, 4)])
+def test_many_small_weights_match_brute_force_within_seconds(n_vars, bound):
+    result = within(5, lambda: enumerate_cy_weights(n_vars, bound))
+    assert result == _brute_force_weights(n_vars, bound)
+
+
+def _unit_fraction_solutions(n, total=Fraction(1), least=1):
+    """Every h_1 <= ... <= h_n with sum 1/h_i = total, h_1 >= least."""
+    if n == 1:
+        unit = total.numerator == 1 and total.denominator >= least
+        return [(total.denominator,)] if unit else []
+    found = []
+    # 1/h_1 is the largest of n terms summing to total: total/n <= 1/h_1 < total
+    for h in range(max(least, int(1 / total) + 1), int(n / total) + 1):
+        found += [(h,) + rest
+                  for rest in _unit_fraction_solutions(n - 1, total - Fraction(1, h), h)]
+    return found
+
+
+def test_unit_fraction_counts_match_oeis_a002966():
+    assert [len(_unit_fraction_solutions(n)) for n in range(1, 5)] == [1, 1, 3, 14]
+
+
+@pytest.mark.parametrize("n_vars, bound", [(2, 1), (3, 3), (4, 21), (4, 25), (4, 68)])
+def test_systems_are_the_unit_fraction_decompositions_of_one(n_vars, bound):
+    """Weights a_i dividing d = sum a_i give sum 1/h_i = 1 with h_i = d / a_i;
+    conversely d = lcm(h) and a_i = d / h_i, whose gcd is 1."""
+    expected = set()
+    for h in _unit_fraction_solutions(n_vars):
+        d = lcm(*h)
+        expected.add(tuple(sorted(d // x for x in h)))
+    assert max(map(max, expected)) <= bound
+    assert {ws.weights for ws in enumerate_cy_weights(n_vars, bound).systems} == expected
 
 
 # -- parameter search -------------------------------------------------------
