@@ -205,21 +205,22 @@ def _series_doc(series) -> dict:
 
 
 def _hilbert_side(spec, k: int):
-    """One algebra's series document, and its Fermat quotient (or None).
+    """One algebra's series document, and its Fermat quotient's prefix (or None).
 
     The quotient needs every weight to divide the total degree d, so that
     the Fermat element sum x_i^(d/a_i) exists.
     """
     base = series_qpoly(spec.weights)
     d = spec.total_degree
-    quotient = None
+    prefix = None
     doc_quotient = None
     if all(d % a == 0 for a in spec.weights):
         quotient = quotient_by_regular(base, d)
+        prefix = quotient.prefix(k)
         doc_quotient = {
             "degree": d,
             "series": _series_doc(quotient),
-            "coefficients": list(quotient.prefix(k)),
+            "coefficients": list(prefix),
         }
     doc = {
         "weights": list(spec.weights),
@@ -228,7 +229,7 @@ def _hilbert_side(spec, k: int):
         "coefficients": list(base.prefix(k)),
         "quotient": doc_quotient,
     }
-    return doc, quotient
+    return doc, prefix
 
 
 def cmd_hilbert(args) -> dict:
@@ -247,7 +248,7 @@ def cmd_hilbert(args) -> dict:
         (doc_a, q_a), (doc_b, q_b) = sides
         segre = None
         if q_a is not None and q_b is not None:
-            segre = list(segre_coefficients(q_a, q_b, k))
+            segre = list(segre_coefficients(q_a, q_b))
         result = {
             "max_degree": k,
             "algebras": [doc_a, doc_b],

@@ -29,7 +29,13 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .cyclo import RootScalar, solve_root_system
-from .hilbert import pole_order_at_one, quotient_by_regular, series_qpoly
+from .hilbert import (
+    difference_degree,
+    pole_order_at_one,
+    quotient_by_regular,
+    segre_coefficients,
+    series_qpoly,
+)
 from .qalgebra import AlgebraSpec, Violation, validate_spec
 
 
@@ -127,7 +133,21 @@ def _weighted_violations(spec: AlgebraSpec) -> tuple[Violation, ...]:
 
 
 def _segre_dimension(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> int:
-    return spec_a.nvars + spec_b.nvars - 4
+    """Degree of the Hilbert polynomial of the two Fermat quotients' Segre
+    product, by finite differences.
+
+    With unit weights, a series N(t) / (1 - t)^n has a Hilbert function
+    equal to a polynomial of degree below n from degree deg N - n + 1 on.
+    So from the later of the two sides' starts, #A + #B values of the
+    product cover its polynomial, of degree at most #A + #B - 2.
+    """
+    quotients = [quotient_by_regular(series_qpoly(s.weights), s.total_degree)
+                 for s in (spec_a, spec_b)]
+    start = max(0, *(max(e for (e,) in q.numerator) - len(q.denominator) + 1
+                     for q in quotients))
+    upto = start + spec_a.nvars + spec_b.nvars
+    values = segre_coefficients(*(q.prefix(upto) for q in quotients))
+    return difference_degree(values[start:])
 
 
 def _mixed_dimension(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> int:
@@ -149,7 +169,7 @@ _VIOLATIONS = {
 }
 
 # The dimension verify_certificate demands of a CY certificate: the Hilbert
-# series for weighted, the criterion's own formula for segre and mixed.
+# series for weighted and segre, the criterion's own formula for mixed.
 _DIMENSIONS = {
     "segre": _segre_dimension,
     "mixed": _mixed_dimension,
@@ -180,7 +200,7 @@ def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
                     f"side {side} column {j} product differs from column 0")
         witnesses.append(products[0].reduced())
     return Certificate("segre", Verdict.CY, specs, tuple(witnesses),
-                       _segre_dimension(spec_a, spec_b), (),
+                       spec_a.nvars + spec_b.nvars - 4, (),
                        "column products constant on both sides")
 
 
@@ -241,10 +261,11 @@ def verify_certificate(cert: Certificate) -> bool:
     congruences, independent of the solver that certified it).  The
     expected dimension must be None unless the verdict is CY.  On a
     weighted CY verdict it must equal the pole order at t = 1 of the
-    Fermat quotient's Hilbert series minus 1, a route independent of the
-    generator count certify_weighted uses; on segre and mixed it must
-    equal the criterion's formula, the same route as certify, not a
-    second one.
+    Fermat quotient's Hilbert series minus 1, and on segre the degree of
+    the Hilbert polynomial of the Segre product of the two Fermat
+    quotients: routes independent of the generator counts certify uses.
+    On mixed it must equal the criterion's formula, the same route as
+    certify, not a second one.
     """
     found = _VIOLATIONS[cert.kind](*cert.specs)
     violated = cert.verdict is Verdict.HYPOTHESES_VIOLATED

@@ -16,6 +16,10 @@ from math import gcd, lcm
 
 from .errors import InternalDefect, OrderMismatchError
 
+# Largest domain N^m on which image_size runs the second route, the coset
+# closure in _kernels.image_count.  That route costs |image| * n <= N^m * n
+# in time and memory (a 10^6 image of 2-vectors takes about 0.05 s on a
+# 2 vCPU Xeon), and its codes need N^n <= 2**62.
 ENUMERATION_BOUND = 10**6
 
 
@@ -414,9 +418,11 @@ def kernel_lattice(mat, modulus: int) -> list[list[int]]:
 def image_size(mat, modulus: int, method: str = "auto") -> int:
     """Cardinality of {mat . e mod N : e in (Z/N)^m}.
 
-    Two routes: the Smith form gives prod_i N / gcd(N, d_i); direct
-    enumeration recounts it when N^m is small.  Under "auto" both run where
-    feasible and must agree.
+    Two routes: the Smith form gives prod_i N / gcd(N, d_i); the closure of
+    the column subgroup, coset by coset (_kernels.image_count), recounts it
+    at cost |image| * n when N^m <= ENUMERATION_BOUND and N^n <= 2**62.
+    Under "auto" both run where feasible and must agree; "enumerate" demands
+    the second route.
     """
     n = len(mat)
     m = len(mat[0]) if n else 0
@@ -435,7 +441,7 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
         by_enum = _kernels.image_count(mat, modulus)
         if by_enum != by_snf:
             raise InternalDefect(
-                f"image size mismatch: enumeration {by_enum}, Smith form {by_snf}")
+                f"image size mismatch: coset closure {by_enum}, Smith form {by_snf}")
         return by_enum
     return by_snf
 

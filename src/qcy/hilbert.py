@@ -107,9 +107,23 @@ def pole_order_at_one(series: HilbertSeries) -> int:
     return len(series.denominator) - k
 
 
-def segre_coefficients(a: HilbertSeries, b: HilbertSeries, upto: int) -> tuple[int, ...]:
-    """Dimensions 0..upto of the Segre product: dim A_i * dim B_i."""
-    return tuple(x * y for x, y in zip(a.prefix(upto), b.prefix(upto)))
+def segre_coefficients(a, b) -> tuple[int, ...]:
+    """Dimensions of the Segre product from two prefixes: dim A_i * dim B_i."""
+    return tuple(x * y for x, y in zip(a, b))
+
+
+def difference_degree(values) -> int:
+    """Degree of the polynomial taking `values` at consecutive integers.
+
+    The number of finite differences it takes to reach all zeros, minus 1
+    (-1 for all zeros).  Exact when there are more values than the degree.
+    """
+    values = list(values)
+    degree = -1
+    while any(values):
+        values = [y - x for x, y in zip(values, values[1:])]
+        degree += 1
+    return degree
 
 
 # -- brute force oracle -----------------------------------------------------

@@ -298,6 +298,18 @@ def test_weighted_dimension_is_the_hilbert_pole_order_minus_one(weights):
     assert verify_certificate(cert)
 
 
+@pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 7)])
+def test_segre_dimension_is_the_hilbert_polynomial_degree(sizes):
+    specs = [AlgebraSpec.unweighted(1, ((0,) * n,) * n) for n in sizes]
+    cert = certify_segre(*specs)
+    assert cert.expected_dimension == sum(sizes) - 4
+    assert verify_certificate(cert)
+    for dim in range(-1, sum(sizes)):
+        if dim != cert.expected_dimension:
+            assert not verify_certificate(
+                dataclasses.replace(cert, expected_dimension=dim))
+
+
 # -- properties -------------------------------------------------------------
 
 

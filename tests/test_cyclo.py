@@ -354,6 +354,17 @@ def test_image_size_routes_agree(rng):
         assert image_size(mat, modulus, method="auto") == a
 
 
+def test_image_count_scales_with_image_and_divisors_not_multiples():
+    # Each lies under ENUMERATION_BOUND, so both routes run.  A closure
+    # looping over the 999983 multiples of one column, or building the
+    # whole domain, runs past the limit.
+    identity = [[int(i == j) for j in range(19)] for i in range(19)]
+    sizes = within(2, lambda: [image_size([[1]], 999983),
+                               image_size([[1, 0], [0, 1]], 1000),
+                               image_size(identity, 2)])
+    assert sizes == [999983, 10 ** 6, 2 ** 19]
+
+
 def test_image_size_known_values():
     assert image_size([[0, 2, 1], [1, 0, 2], [2, 1, 0]], 3) == 9
     assert image_size([[0, 0], [0, 0]], 5) == 1

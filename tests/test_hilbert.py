@@ -9,6 +9,7 @@ from qcy.hilbert import (
     DEGREE_BOUND,
     HilbertSeries,
     brute_force_dims,
+    difference_degree,
     pole_order_at_one,
     quotient_by_regular,
     segre_coefficients,
@@ -106,7 +107,8 @@ def test_pole_order_at_one_needs_no_dense_numerator():
 
 def test_segre_coefficients_are_products_of_monomial_counts():
     for wa, wb in (((1, 1, 1, 1), (1, 1, 1)), ((1, 2), (1, 1, 3)), ((2, 3), (1,))):
-        coefficients = segre_coefficients(series_qpoly(wa), series_qpoly(wb), 10)
+        coefficients = segre_coefficients(series_qpoly(wa).prefix(10),
+                                          series_qpoly(wb).prefix(10))
         for i in range(11):
             assert coefficients[i] == (len(monomials_of_degree(wa, i))
                                        * len(monomials_of_degree(wb, i)))
@@ -114,9 +116,20 @@ def test_segre_coefficients_are_products_of_monomial_counts():
 
 def test_segre_of_free_rings():
     a, b = series_qpoly((1, 1, 1, 1)), series_qpoly((1, 1, 1))
-    coefficients = segre_coefficients(a, b, 4)
+    coefficients = segre_coefficients(a.prefix(4), b.prefix(4))
     assert coefficients[2] == comb(5, 3) * comb(4, 2) == 60
     assert coefficients == (1, 12, 60, 200, 525)
+
+
+def test_difference_degree_reads_polynomial_degrees():
+    assert difference_degree([0, 0, 0]) == -1
+    assert difference_degree([]) == -1
+    assert difference_degree([5, 5, 5]) == 0
+    for degree in range(6):
+        values = [2 * i ** degree - 5 for i in range(-2, degree + 2)]
+        assert difference_degree(values) == degree
+    # fewer values than the degree needs read low: that is the caller's bound
+    assert difference_degree([i ** 3 for i in range(3)]) == 2
 
 
 @pytest.mark.parametrize("name", ["segre.man", "mixed.man"])
@@ -126,7 +139,7 @@ def test_segre_of_quotients_matches_brute_force(name):
                  for s in (spec_a, spec_b)]
     dims_a = brute_force_dims(spec_a, fermat(spec_a), max_degree=8)
     dims_b = brute_force_dims(spec_b, fermat(spec_b), max_degree=8)
-    assert list(segre_coefficients(*quotients, 8)) == [
+    assert list(segre_coefficients(*(q.prefix(8) for q in quotients))) == [
         x * y for x, y in zip(dims_a, dims_b)]
 
 

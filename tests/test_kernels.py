@@ -38,19 +38,37 @@ def image_oracle(mat, modulus):
         for v in product(range(modulus), repeat=m)})
 
 
-@given(st.integers(2, 5), st.integers(1, 4), st.data())
+def kernel_oracle(mat, modulus):
+    """Number of e in (Z/N)^m with mat . e = 0 mod N."""
+    from itertools import product
+    m = len(mat[0])
+    return sum(
+        all(sum(row[j] * v[j] for j in range(m)) % modulus == 0 for row in mat)
+        for v in product(range(modulus), repeat=m))
+
+
+@given(st.sampled_from((2, 3, 4, 5, 6, 7, 8, 9, 12)), st.integers(1, 5),
+       st.integers(1, 5), st.booleans(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_image_count_backends_agree(modulus, n, data):
-    mat = [[data.draw(st.integers(0, modulus - 1)) for _ in range(n)]
-           for _ in range(n)]
-    expected = image_oracle(mat, modulus)
-    assert _kernels.image_count(mat, modulus) == expected
+def test_image_count_backends_agree(modulus, n, m, dependent, data):
+    while modulus ** m > 1024:
+        m -= 1
+    entry = st.integers(0, modulus - 1)
+    mat = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+    if dependent and m > 1:
+        # the last column a combination of the others adds nothing
+        coeffs = [data.draw(entry) for _ in range(m - 1)]
+        for row in mat:
+            row[-1] = sum(c * x for c, x in zip(coeffs, row)) % modulus
+    count = _kernels.image_count(mat, modulus)
+    assert count == image_oracle(mat, modulus)
+    assert count * kernel_oracle(mat, modulus) == modulus ** m
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.data())
 @settings(max_examples=200, deadline=None)
 def test_rank_backends_agree(n, m, data):
-    p = data.draw(st.sampled_from((3, 7, 97, 2 ** 31 - 1)))
+    p = data.draw(st.sampled_from((2, 3, 7, 97, 2 ** 31 - 1)))
     mat = [[data.draw(st.integers(0, min(p - 1, 50))) for _ in range(m)]
            for _ in range(n)]
     assert _kernels.modp_rank(mat, p) == rank_oracle(mat, p)
@@ -61,6 +79,11 @@ def test_modp_rank_validates_modulus():
         _kernels.modp_rank([[1]], 1)
     with pytest.raises(ValueError):
         _kernels.modp_rank([[1]], 2 ** 31)
+
+
+def test_image_count_validates_modulus():
+    with pytest.raises(ValueError):
+        _kernels.image_count([[1]], 2 ** 31)
 
 
 def test_image_count_empty_dimensions():
