@@ -59,7 +59,6 @@ from .qalgebra import (
     is_central,
     multiply,
     reorder_scalar,
-    second_chart_scalar,
     validate_spec,
 )
 from .search import (
@@ -115,7 +114,6 @@ __all__ = [
     "quotient_by_regular",
     "reorder_scalar",
     "search_q_params",
-    "second_chart_scalar",
     "segre_coefficients",
     "series_qpoly",
     "smith_normal_form",

@@ -33,7 +33,6 @@ from .qalgebra import (
     alternating_violations,
     center_lattice,
     chart_parameters,
-    second_chart_scalar,
 )
 from .search import _search_certificates, enumerate_cy_weights
 
@@ -146,7 +145,7 @@ def cmd_census(args) -> dict:
             "order": report.order,
             "total": _tagged(report.total),
             "charts": charts,
-            "second_chart_scalar": _pair(second_chart_scalar(spec)),
+            "second_chart_scalar": _pair(report.charts[1].spec.q(1, 0)),
         },
     }
 

@@ -1,24 +1,29 @@
 """Calabi-Yau certification of Fermat-type quantum complete intersections.
 
-Three situations, one exact decision each:
+Every criterion decides one column system per Fermat side: c^{a_j} =
+prod_i q_ij for every column j, for some root of unity c.
 
 * segre: a Segre product of two weight-1 quantum polynomial rings, cut by
-  the two Fermat elements.  Calabi-Yau iff the column products of each
-  parameter matrix are constant along columns.
+  the two Fermat elements.  Decided on both sides.
 * mixed: commutative times quantum, cut by a Fermat element and a mixed
-  bidegree element.  Calabi-Yau iff the quantum side's column products are
-  constant.
+  bidegree element.  Decided on the quantum side.
 * weighted: a single quantum weighted polynomial ring cut by its Fermat
-  element.  Calabi-Yau iff some root of unity c satisfies c^{a_j} =
-  prod_i q_ij for every column j.
+  element.  Decided on that ring.
+
+With unit weights, as on each Segre side and the quantum side of a mixed
+product, the system says the column products are constant, and the solver
+names the first column whose product differs from column 0; so one
+solver decides all three.
 
 Verdicts are three-valued; violated hypotheses are reported, never fixed
 up silently.  Each criterion states its hypotheses in one list (a Fermat
 side needs at least two generators, since k[x]/(x^h) has empty Proj), and
 verify_certificate recomputes that same list.  Every positive certificate
-carries a witness that verify_certificate recomputes from scratch.  A
-weighted refusal costs one pass of the column solver, whose detail names
-the shortest unsolvable prefix of columns.
+carries one witness c per decided side that verify_certificate checks
+against the column products, and every refusal is rechecked by a pairwise
+route that shares no merge with the solver.  A refusal costs at most one
+solver pass per side; its detail names the shortest unsolvable prefix of
+columns on the first side that fails.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ class Verdict(Enum):
 class Certificate:
     """Outcome of one certification run.
 
-    witness: the constant column products (one per side; the solved c for
-    the weighted case) when the verdict is CY, else None.
+    witness: the solved root c, one per decided Fermat side (A then B for
+    segre, B for mixed, the algebra for weighted), when the verdict is CY,
+    else None.
     expected_dimension: the Calabi-Yau dimension the criterion assigns to
     this shape, present only on a CY verdict.
     """
@@ -64,17 +70,10 @@ class Certificate:
     detail: str
 
 
-def _column_products(spec: AlgebraSpec) -> list[RootScalar]:
-    n = spec.nvars
-    return [
-        RootScalar(spec.order, sum(spec.exponents[i][j] for i in range(n)))
-        for j in range(n)
-    ]
-
-
 def _column_pairs(spec: AlgebraSpec) -> list[tuple[int, RootScalar]]:
     """(a_j, prod_i q_ij) per column: the system c^{a_j} = prod_i q_ij."""
-    return list(zip(spec.weights, _column_products(spec)))
+    return [(a, RootScalar(spec.order, sum(row[j] for row in spec.exponents)))
+            for j, a in enumerate(spec.weights)]
 
 
 def _weight_one_violations(spec: AlgebraSpec, side: str) -> list[Violation]:
@@ -177,6 +176,39 @@ _DIMENSIONS = {
 }
 
 
+# kind -> (indices of the Fermat sides whose column system decides the
+# verdict, the dimension certify assigns from the generator counts, the
+# refusal detail, the CY detail).
+_CRITERIA = {
+    "segre": ((0, 1), lambda a, b: a.nvars + b.nvars - 4,
+              "side {side} column {j} product differs from column 0",
+              "column products constant on both sides"),
+    "mixed": ((1,), _mixed_dimension,
+              "side {side} column {j} product differs from column 0",
+              "column products constant on the quantum side"),
+    "weighted": ((0,), lambda s: s.nvars - 2,
+                 "no root of unity c exists; columns 0..{j} are jointly unsolvable",
+                 "c^{a_j} matches every column product"),
+}
+
+
+def _certify(kind: str, specs: tuple[AlgebraSpec, ...]) -> Certificate:
+    bad = _VIOLATIONS[kind](*specs)
+    if bad:
+        return Certificate(kind, Verdict.HYPOTHESES_VIOLATED, specs, None,
+                           None, bad, "hypotheses violated")
+    sides, dimension, refusal, success = _CRITERIA[kind]
+    witnesses = []
+    for i in sides:
+        c, j = solve_root_system(_column_pairs(specs[i]))
+        if c is None:
+            return Certificate(kind, Verdict.NOT_CY, specs, None, None, (),
+                               refusal.format(side="AB"[i], j=j))
+        witnesses.append(c)
+    return Certificate(kind, Verdict.CY, specs, tuple(witnesses),
+                       dimension(*specs), (), success)
+
+
 def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
     """Segre product of two weight-1 quantum rings modulo both Fermat elements.
 
@@ -185,23 +217,7 @@ def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
     generator count.  CY iff both sides have constant column products; the
     dimension is then (#A - 1) + (#B - 1) - 2.
     """
-    bad = _segre_violations(spec_a, spec_b)
-    specs = (spec_a, spec_b)
-    if bad:
-        return Certificate("segre", Verdict.HYPOTHESES_VIOLATED, specs, None,
-                           None, bad, "hypotheses violated")
-    witnesses = []
-    for side, spec in (("A", spec_a), ("B", spec_b)):
-        products = _column_products(spec)
-        for j, p in enumerate(products):
-            if p != products[0]:
-                return Certificate(
-                    "segre", Verdict.NOT_CY, specs, None, None, (),
-                    f"side {side} column {j} product differs from column 0")
-        witnesses.append(products[0].reduced())
-    return Certificate("segre", Verdict.CY, specs, tuple(witnesses),
-                       spec_a.nvars + spec_b.nvars - 4, (),
-                       "column products constant on both sides")
+    return _certify("segre", (spec_a, spec_b))
 
 
 def certify_mixed(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
@@ -213,20 +229,7 @@ def certify_mixed(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
     #A = #B.  CY iff B's column products are constant; the dimension is
     2 #B - 3 for the taller shape and 2 #B - 4 for the square one.
     """
-    bad = _mixed_violations(spec_a, spec_b)
-    specs = (spec_a, spec_b)
-    if bad:
-        return Certificate("mixed", Verdict.HYPOTHESES_VIOLATED, specs, None,
-                           None, bad, "hypotheses violated")
-    products = _column_products(spec_b)
-    for j, p in enumerate(products):
-        if p != products[0]:
-            return Certificate(
-                "mixed", Verdict.NOT_CY, specs, None, None, (),
-                f"side B column {j} product differs from column 0")
-    return Certificate("mixed", Verdict.CY, specs, (products[0].reduced(),),
-                       _mixed_dimension(spec_a, spec_b), (),
-                       "column products constant on the quantum side")
+    return _certify("mixed", (spec_a, spec_b))
 
 
 def certify_weighted(spec: AlgebraSpec) -> Certificate:
@@ -237,35 +240,26 @@ def certify_weighted(spec: AlgebraSpec) -> Certificate:
     system c^{a_j} = prod_i q_ij has a root-of-unity solution; the witness
     is the reduced c and the dimension is #generators - 2.
     """
-    bad = _weighted_violations(spec)
-    if bad:
-        return Certificate("weighted", Verdict.HYPOTHESES_VIOLATED, (spec,),
-                           None, None, bad, "hypotheses violated")
-    c, j = solve_root_system(_column_pairs(spec))
-    if c is None:
-        return Certificate("weighted", Verdict.NOT_CY, (spec,), None, None, (),
-                           f"no root of unity c exists; columns 0..{j} are "
-                           "jointly unsolvable")
-    return Certificate("weighted", Verdict.CY, (spec,), (c,),
-                       spec.nvars - 2, (),
-                       "c^{a_j} matches every column product")
+    return _certify("weighted", (spec,))
 
 
 def verify_certificate(cert: Certificate) -> bool:
     """Recheck a certificate against its specs from scratch.
 
     The criterion's hypothesis list is recomputed and must equal the stored
-    violations, nonempty exactly for hypotheses_violated.  CY: the stored
-    witness must satisfy the defining property.  not_CY: the refutation is
-    recomputed (for the weighted case by a pairwise check of the column
-    congruences, independent of the solver that certified it).  The
-    expected dimension must be None unless the verdict is CY.  On a
-    weighted CY verdict it must equal the pole order at t = 1 of the
-    Fermat quotient's Hilbert series minus 1, and on segre the degree of
-    the Hilbert polynomial of the Segre product of the two Fermat
-    quotients: routes independent of the generator counts certify uses.
-    On mixed it must equal the criterion's formula, the same route as
-    certify, not a second one.
+    violations, nonempty exactly for hypotheses_violated.  The witness must
+    be None unless the verdict is CY.  On CY it must be a tuple of one root
+    of unity c per decided Fermat side (A and B for segre, B for mixed, the
+    algebra for weighted) with c^{a_j} equal to every column product of that
+    side.  On not_CY some decided side's column congruences must conflict,
+    checked pairwise: a route independent of the solver that certified it,
+    for all three criteria.  The expected dimension must be None unless the
+    verdict is CY.  On a weighted CY verdict it must equal the pole order
+    at t = 1 of the Fermat quotient's Hilbert series minus 1, and on segre
+    the degree of the Hilbert polynomial of the Segre product of the two
+    Fermat quotients: routes independent of the generator counts certify
+    uses.  On mixed it must equal the criterion's formula, the same route
+    as certify, not a second one.
     """
     found = _VIOLATIONS[cert.kind](*cert.specs)
     violated = cert.verdict is Verdict.HYPOTHESES_VIOLATED
@@ -274,22 +268,17 @@ def verify_certificate(cert: Certificate) -> bool:
     cy = cert.verdict is Verdict.CY
     if cert.expected_dimension != (_DIMENSIONS[cert.kind](*cert.specs) if cy else None):
         return False
+    if not cy and cert.witness is not None:
+        return False
     if violated:
         return True
-    if cert.kind == "weighted":
-        pairs = _column_pairs(cert.specs[0])
-        if cert.verdict is Verdict.NOT_CY:
-            return _pairwise_unsolvable(pairs)
-        (c,) = cert.witness
-        return all(c**a == p for a, p in pairs)
-    sides = cert.specs if cert.kind == "segre" else cert.specs[1:]
-    if cert.verdict is Verdict.NOT_CY:
-        return any(
-            any(p != _column_products(s)[0] for p in _column_products(s))
-            for s in sides)
-    return all(
-        all(p == w for p in _column_products(s))
-        for s, w in zip(sides, cert.witness))
+    systems = [_column_pairs(cert.specs[i]) for i in _CRITERIA[cert.kind][0]]
+    if not cy:
+        return any(_pairwise_unsolvable(pairs) for pairs in systems)
+    witness = cert.witness
+    return (isinstance(witness, tuple) and len(witness) == len(systems)
+            and all(isinstance(c, RootScalar) and all(c**a == p for a, p in pairs)
+                    for c, pairs in zip(witness, systems)))
 
 
 def _pairwise_unsolvable(pairs) -> bool:

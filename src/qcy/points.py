@@ -1,17 +1,19 @@
 """Point schemes, simple-module counts and PI degrees of quantum rings.
 
 The torus strata of the point scheme of a quantum polynomial ring are
-indexed by supports whose parameter triples multiply to 1; restricted
-Fermat equations then cut each stratum by at most one.  On affine charts
-the count of one-dimensional simple modules is governed by the pair
-scalars alone, which is what the closed-point census of a weighted
-surface adds up chart by chart.
+indexed by supports whose parameter triples multiply to 1; on a product
+of two rings, by pairs of such supports.  One cut rule serves both: each
+equation restricted to a stratum empties it when one term survives and
+cuts one dimension when two or more do.  On affine charts the count of
+one-dimensional simple modules is governed by the pair scalars alone,
+which is what the closed-point census of a weighted surface adds up
+chart by chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt
 
 from .cyclo import image_size
@@ -74,35 +76,49 @@ def admissible_supports(spec: AlgebraSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def stratum_dimension(support, exponents) -> int | None:
-    """Projective dimension of the torus stratum on `support`, cut by Fermat.
+def _support_masks(spec: AlgebraSpec, shift: int = 0) -> list[int]:
+    """Admissible supports as bit masks, generator i on bit shift + i."""
+    return [sum(1 << (shift + i) for i in s) for s in admissible_supports(spec)]
 
-    The torus on the support has dimension |S| - 1.  The restricted
-    Fermat equation keeps the terms of the support: a single surviving
-    term empties the stratum (None); two or more cut the dimension by
-    exactly one.
+
+def _cut_dimension(sides, equations) -> int | None:
+    """Largest dimension of a product of admissible strata, one per side.
+
+    `sides` holds each side's support masks (the sides on disjoint bits);
+    `equations` holds each equation's terms as masks of the generators the
+    monomial involves.  A product of supports S has dimension sum(|S| - 1);
+    an equation keeping a single term on it empties it, one keeping two or
+    more cuts one dimension.  None when every stratum dies.
     """
-    support = tuple(support)
-    if not support:
-        raise ValueError("support must be nonempty")
-    dim = len(support) - 1
-    terms = sum(1 for i in support if exponents[i] >= 1)
-    if terms == 1:
-        return None
-    if terms >= 2:
-        dim -= 1
-    return dim
+    best = None
+    for supports in product(*sides):
+        union = 0
+        for s in supports:
+            union |= s
+        dim = sum(s.bit_count() - 1 for s in supports)
+        for terms in equations:
+            alive = sum(1 for t in terms if t & union == t)
+            if alive == 1:
+                break
+            if alive >= 2:
+                dim -= 1
+        else:
+            if best is None or dim > best:
+                best = dim
+    return best
 
 
 def max_stratum_dimension(spec: AlgebraSpec) -> int | None:
-    """Largest stratum dimension with the Fermat equation imposed."""
-    h = spec.fermat_exponents()
-    best = None
-    for s in admissible_supports(spec):
-        dim = stratum_dimension(s, h)
-        if dim is not None and (best is None or dim > best):
-            best = dim
-    return best
+    """Largest torus stratum dimension with the Fermat equation imposed.
+
+    The Fermat equation keeps every term x_i^{h_i} of a support, since
+    h_i = d / a_i >= 1: a singleton stratum dies, a larger one loses one
+    dimension.  Raises HypothesisViolation when some weight does not
+    divide the total degree, as the Fermat element is then undefined.
+    """
+    spec.fermat_exponents()
+    fermat = [1 << i for i in range(spec.nvars)]
+    return _cut_dimension([_support_masks(spec)], [fermat])
 
 
 def point_scheme_dim_product(
@@ -110,40 +126,21 @@ def point_scheme_dim_product(
 ) -> int | None:
     """Dimension of the point scheme of a two-sided Fermat intersection.
 
-    Strata are products of admissible torus strata; each equation whose
-    restriction keeps one term empties the stratum, with two or more it
-    cuts one dimension.  f is the Fermat element of side A; g is "fermat"
-    (side B pure powers) or "mixed" (terms x_l y_l pairing the first
-    min(#A, #B) indices).  Returns the maximum dimension, or None when
-    every stratum dies.
+    Strata are products of admissible torus strata, cut by the same rule
+    as max_stratum_dimension.  f is the Fermat element of side A; g is
+    "fermat" (side B pure powers) or "mixed" (terms x_l y_l pairing the
+    first min(#A, #B) indices).  Returns the maximum dimension, or None
+    when every stratum dies.
     """
-    equations = [[({i}, frozenset()) for i in range(spec_a.nvars)]]
+    na = spec_a.nvars  # side B sits on bits na, na + 1, ...
+    f = [1 << i for i in range(na)]
     if g_shape == "fermat":
-        equations.append([(frozenset(), {j}) for j in range(spec_b.nvars)])
+        g = [1 << (na + j) for j in range(spec_b.nvars)]
     elif g_shape == "mixed":
-        shared = min(spec_a.nvars, spec_b.nvars)
-        equations.append([({l}, {l}) for l in range(shared)])
+        g = [1 << l | 1 << (na + l) for l in range(min(na, spec_b.nvars))]
     else:
         raise ValueError(f"unknown g shape {g_shape!r}")
-    best = None
-    supports_b = admissible_supports(spec_b)
-    for s in admissible_supports(spec_a):
-        s_set = set(s)
-        for t in supports_b:
-            t_set = set(t)
-            dim = len(s) - 1 + len(t) - 1
-            dead = False
-            for eq in equations:
-                alive = sum(
-                    1 for (ea, eb) in eq if set(ea) <= s_set and set(eb) <= t_set)
-                if alive == 1:
-                    dead = True
-                    break
-                if alive >= 2:
-                    dim -= 1
-            if not dead and (best is None or dim > best):
-                best = dim
-    return best
+    return _cut_dimension([_support_masks(spec_a), _support_masks(spec_b, na)], [f, g])
 
 
 # -- PI degree --------------------------------------------------------------
@@ -233,11 +230,15 @@ def two_var_fermat_count(a: int, b: int, d: int) -> TwoVarCount:
 
 @dataclass(frozen=True)
 class CensusChart:
+    """One chart of the census; `spec` holds its chart scalars q'_jk, None
+    for the closed stratum, which has no chart."""
+
     chart: int
     description: str
     count: object  # int | INFINITE
     items: tuple[ChartItem, ...]
     trivial_pairs: tuple[tuple[int, int], ...]
+    spec: AlgebraSpec | None
 
 
 @dataclass(frozen=True)
@@ -265,28 +266,20 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
             f"census covers weights (1, 1, a, b), got {spec.weights}")
     h = spec.fermat_exponents()
     charts = []
-
-    cp0 = chart_parameters(spec, 0)
-    c0 = chart_simple_count(cp0.spec, tuple(h[j] for j in cp0.kept))
-    charts.append(CensusChart(
-        0, "x0 inverted",
-        c0.count,
-        tuple(ChartItem(tuple(cp0.kept[i] for i in item.support), item.count)
-              for item in c0.items),
-        tuple((cp0.kept[i], cp0.kept[j]) for i, j in c0.trivial_pairs),
-    ))
-
-    sub = spec.subspec((1, 2, 3))
-    cp1 = chart_parameters(sub, 0)
-    kept1 = tuple((1, 2, 3)[i] for i in cp1.kept)
-    c1 = chart_simple_count(cp1.spec, tuple(h[j] for j in kept1))
-    charts.append(CensusChart(
-        1, "x0 = 0, x1 inverted",
-        c1.count,
-        tuple(ChartItem(tuple(kept1[i] for i in item.support), item.count)
-              for item in c1.items),
-        tuple((kept1[i], kept1[j]) for i, j in c1.trivial_pairs),
-    ))
+    for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")):
+        # x_0 .. x_{k-1} = 0 and x_k inverted: the chart at the first
+        # generator of the subalgebra on x_k .. x_3
+        cp = chart_parameters(spec if k == 0 else spec.subspec(range(k, 4)), 0)
+        kept = tuple(k + i for i in cp.kept)
+        c = chart_simple_count(cp.spec, tuple(h[j] for j in kept))
+        charts.append(CensusChart(
+            k, description,
+            c.count,
+            tuple(ChartItem(tuple(kept[i] for i in item.support), item.count)
+                  for item in c.items),
+            tuple((kept[i], kept[j]) for i, j in c.trivial_pairs),
+            cp.spec,
+        ))
 
     tv = two_var_fermat_count(spec.weights[2], spec.weights[3], spec.total_degree)
     charts.append(CensusChart(
@@ -294,6 +287,7 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
         tv.count,
         (ChartItem((2, 3), tv.count),),
         (),
+        None,
     ))
 
     if any(c.count is INFINITE for c in charts):

@@ -309,19 +309,6 @@ def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
     return ChartParams(spec=chart, kept=kept)
 
 
-def second_chart_scalar(spec: AlgebraSpec) -> RootScalar:
-    """The single chart scalar of C/(x_0) localized at x_1 (four generators).
-
-    Equals q_13^{a_2} q_32 q_21^{a_3}; computed through the generic chart
-    formula on the subalgebra without x_0.
-    """
-    if spec.nvars != 4:
-        raise ValueError("second chart is defined for four generators")
-    sub = spec.subspec((1, 2, 3))
-    chart = chart_parameters(sub, 0)
-    return chart.spec.q(1, 0)
-
-
 @dataclass(frozen=True)
 class CenterLattice:
     """Exponent lattice of central monomials of a scalar matrix.

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy.cyclo import RootScalar
+from qcy.cyclo import RootScalar, solve_root_system
 from qcy.cycert import (
     Verdict,
+    _column_pairs,
     _pairwise_unsolvable,
     certify_mixed,
     certify_segre,
@@ -243,6 +244,29 @@ def test_forged_witness_fails_verification(certified):
     assert not verify_certificate(dataclasses.replace(cy, witness=wrong))
 
 
+# A CY witness is a tuple of one root per decided side, nothing else.
+MISSHAPEN_WITNESSES = {
+    "empty": lambda w: (),
+    "one-short": lambda w: w[:-1],
+    "one-extra": lambda w: w + w[:1],
+    "list": list,
+    "none": lambda w: None,
+    "none-entries": lambda w: (None,) * len(w),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISSHAPEN_WITNESSES))
+def test_misshapen_witness_fails_verification(certified, shape):
+    cy, _ = certified
+    forged = MISSHAPEN_WITNESSES[shape](cy.witness)
+    assert not verify_certificate(dataclasses.replace(cy, witness=forged))
+
+
+def test_violated_certificate_carrying_a_witness_fails_verification(certified):
+    cy, bad = certified
+    assert not verify_certificate(dataclasses.replace(bad, witness=cy.witness))
+
+
 def test_forged_not_cy_fails_verification(certified):
     cy, _ = certified
     forged = dataclasses.replace(cy, verdict=Verdict.NOT_CY, witness=None,
@@ -288,6 +312,14 @@ def test_not_cy_certificate_carrying_a_dimension_fails_verification(kind):
     assert not verify_certificate(dataclasses.replace(cert, expected_dimension=2))
 
 
+@pytest.mark.parametrize("kind", sorted(NOT_CY_CASES))
+def test_not_cy_certificate_carrying_a_witness_fails_verification(kind):
+    certify, specs = NOT_CY_CASES[kind]
+    cert = certify(*specs)
+    for witness in ((RootScalar(1, 0),), (RootScalar(1, 0),) * len(specs)):
+        assert not verify_certificate(dataclasses.replace(cert, witness=witness))
+
+
 @pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (1, 1, 2, 2), (1, 6, 14, 21),
                                      (1, 1, 1, 1, 2), (1,) * 7])
 def test_weighted_dimension_is_the_hilbert_pole_order_minus_one(weights):
@@ -311,6 +343,32 @@ def test_segre_dimension_is_the_hilbert_polynomial_degree(sizes):
 
 
 # -- properties -------------------------------------------------------------
+
+
+@st.composite
+def unit_weight_specs(draw):
+    """Any exponent matrix: the identity below needs no hypothesis."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, order - 1), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return AlgebraSpec.unweighted(order, rows)
+
+
+@given(unit_weight_specs())
+@settings(max_examples=500, deadline=None)
+def test_unit_weight_solver_finds_the_first_column_off_column_zero(spec):
+    """With unit weights the column system says the products are constant,
+    so segre and mixed can share the solver with weighted."""
+    products = column_products(spec)
+    off = [j for j, p in enumerate(products) if p != products[0]]
+    c, j = solve_root_system(_column_pairs(spec))
+    if off:
+        assert (c, j) == (None, off[0])
+    else:
+        assert j == spec.nvars
+        assert (c.order, c.exponent) == (products[0].reduced().order,
+                                         products[0].reduced().exponent)
 
 
 @st.composite

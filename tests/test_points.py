@@ -18,7 +18,6 @@ from qcy.points import (
     max_stratum_dimension,
     pi_degree,
     point_scheme_dim_product,
-    stratum_dimension,
     two_var_fermat_count,
 )
 from qcy.qalgebra import AlgebraSpec
@@ -81,13 +80,12 @@ def test_admissible_supports_are_downward_closed(spec):
                     assert e == 0
 
 
-def test_stratum_dimensions():
-    h = (6, 6, 3, 3)
-    assert stratum_dimension((0,), h) is None
-    assert stratum_dimension((0, 1), h) == 0
-    assert stratum_dimension((0, 1, 2), h) == 1
-    with pytest.raises(ValueError):
-        stratum_dimension((), h)
+def test_max_stratum_dimension_cuts_one_dimension():
+    # a singleton stratum keeps one Fermat term and dies; a pair keeps two
+    # and drops to a point; the triple of a special chart drops to a line
+    assert max_stratum_dimension(AlgebraSpec.unweighted(1, ((0,),))) is None
+    assert max_stratum_dimension(AlgebraSpec.unweighted(2, antisymmetric(2, (1,)))) == 0
+    assert max_stratum_dimension(SPEC3) == 1
 
 
 def test_max_stratum_dimension_of_running_example():
@@ -125,6 +123,66 @@ def test_product_dimension_mixed_equation():
 def test_product_dimension_rejects_unknown_shape():
     with pytest.raises(ValueError):
         point_scheme_dim_product(SEGRE_A, SEGRE_B, "cubic")
+
+
+def two_sided_oracle(spec_a, spec_b, equations):
+    """The two-sided loop the cut rule replaced, kept as a test oracle.
+
+    Each equation is a list of terms (generators on A, generators on B).
+    """
+    best = None
+    for s in admissible_supports(spec_a):
+        for t in admissible_supports(spec_b):
+            dim = len(s) - 1 + len(t) - 1
+            dead = False
+            for eq in equations:
+                alive = sum(1 for (ea, eb) in eq
+                            if set(ea) <= set(s) and set(eb) <= set(t))
+                if alive == 1:
+                    dead = True
+                    break
+                if alive >= 2:
+                    dim -= 1
+            if not dead and (best is None or dim > best):
+                best = dim
+    return best
+
+
+def oracle_equations(na, nb, g_shape):
+    f = [({i}, set()) for i in range(na)]
+    if g_shape == "fermat":
+        return [f, [(set(), {j}) for j in range(nb)]]
+    return [f, [({l}, {l}) for l in range(min(na, nb))]]
+
+
+@st.composite
+def side_specs(draw):
+    """Unit-weight antisymmetric specs with 1..5 generators at order 1..6."""
+    n = draw(st.integers(1, 5))
+    order = draw(st.integers(1, 6))
+    e = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e[i][j] = draw(st.integers(0, order - 1))
+            e[j][i] = -e[i][j]
+    return AlgebraSpec.unweighted(order, e)
+
+
+@given(side_specs(), side_specs(), st.sampled_from(["fermat", "mixed"]))
+@settings(max_examples=400, deadline=None)
+def test_product_dimension_matches_the_two_sided_oracle(spec_a, spec_b, g_shape):
+    want = two_sided_oracle(spec_a, spec_b,
+                            oracle_equations(spec_a.nvars, spec_b.nvars, g_shape))
+    assert point_scheme_dim_product(spec_a, spec_b, g_shape) == want
+
+
+@given(side_specs())
+@settings(max_examples=300, deadline=None)
+def test_max_stratum_dimension_matches_the_oracle_on_one_side(spec):
+    # a one-generator side B adds the single point stratum and no equation
+    point = AlgebraSpec.unweighted(1, ((0,),))
+    f = [({i}, set()) for i in range(spec.nvars)]
+    assert max_stratum_dimension(spec) == two_sided_oracle(spec, point, [f])
 
 
 # -- PI degree --------------------------------------------------------------
@@ -185,6 +243,8 @@ def test_census_of_running_example():
     assert [(i.support, i.count) for i in report.charts[1].items] == [
         ((2,), 3), ((3,), 3)]
     assert report.charts[2].items[0].count == 6
+    # the chart x0 = 0, x1 inverted has the one scalar q'_32 = zeta_3^2
+    assert report.charts[1].spec.q(1, 0).pair() == (3, 2)
 
 
 def test_census_of_commutative_surface_is_infinite():

@@ -19,7 +19,6 @@ from qcy.qalgebra import (
     monomials_of_degree_at_most,
     multiply,
     reorder_scalar,
-    second_chart_scalar,
     validate_spec,
 )
 
@@ -241,10 +240,6 @@ def test_chart_parameters_of_running_example():
 def test_chart_requires_unit_weight():
     with pytest.raises(ValueError):
         chart_parameters(SPEC4, 2)
-
-
-def test_second_chart_scalar_value():
-    assert second_chart_scalar(SPEC4).pair() == (3, 2)
 
 
 def test_chart_of_commutative_stays_commutative():
