@@ -8,6 +8,17 @@ N^m; it shares no code with the Smith form it cross-checks.  The test
 suite checks both kernels against pure-Python oracles, the image against
 an enumeration of the whole domain.
 
+The rank takes one of two routes by the density of the matrix mod p.  A
+matrix at least a quarter nonzero is reduced by recursive halving over its
+longer side, with each block update x - coef @ e done as float64 matrix
+products on 16-bit limbs and reduced mod p three times per block, after
+Dumas, Giorgi and Pernet (FFLAS-FFPACK).  Limb products are below 2**32,
+so float64 sums over an inner size below 2**20 are exact integers; the
+route refuses matrices whose shorter side reaches 2**20.  A sparser
+matrix, such as the spans of the brute-force Hilbert oracle, would fill
+in under halving and keeps the pivot loop, one rank-1 update per pivot on
+the rows it hits.
+
 All modular arithmetic assumes a modulus below 2**31 so that products fit
 in int64; the image's mixed-radix codes need N^n <= 2**62.
 """
@@ -75,16 +86,50 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# Inner sizes below this keep every float64 partial sum of `_sub_product`
+# an exact integer (see there).
+_INNER_BOUND = 2**20
+# Rows of x per block product, so temporaries stay a few row blocks.
+_CHUNK = 128
+
+
 def modp_rank(mat, p: int) -> int:
-    """Rank of an integer matrix over F_p (p a prime below 2**31)."""
+    """Rank of an integer matrix over F_p (p a prime below 2**31).
+
+    Two routes, chosen by the density of the matrix reduced mod p.  With at
+    least a quarter of the entries nonzero, `_rref` reduces it by recursive
+    halving with exact float64 block products (see `_sub_product`):
+    elimination fills a dense matrix in anyway, and the pivot loop's one
+    remainder pass per pivot would be most of its time.  Sparser matrices,
+    such as the spans of the brute-force Hilbert oracle, keep `_pivot_rank`,
+    which touches only the rows a pivot hits, where halving would fill their
+    echelon form in.  The halving route raises ValueError when
+    min(n, m) >= 2**20, past which its float64 sums could be inexact.
+    """
     if not 1 < p < 2**31:
         raise ValueError("prime must fit comfortably in int64 arithmetic")
-    a = np.array(mat, dtype=np.int64) % p
+    a = np.array(mat, dtype=np.int64)
+    a %= p
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, m = a.shape
     if n == 0 or m == 0:
         return 0
+    if 4 * np.count_nonzero(a) < a.size:
+        return _pivot_rank(a, p)
+    if min(n, m) >= _INNER_BOUND:
+        raise ValueError(
+            f"dense matrices need min(n, m) < {_INNER_BOUND} "
+            "for exact float64 block products")
+    if n < m:
+        # Halving recurses over rows; more, shorter rows ran faster.
+        a = np.ascontiguousarray(a.T)
+    return len(_rref(a, p))
+
+
+def _pivot_rank(a: np.ndarray, p: int) -> int:
+    """Rank of `a` (entries in [0, p), modified in place) by rank-1 updates."""
+    n, m = a.shape
     row = 0
     for col in range(m):
         if row == n:
@@ -105,3 +150,67 @@ def modp_rank(mat, p: int) -> int:
             ) % p
         row += 1
     return row
+
+
+def _rref(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduced row echelon form of `a` over F_p in place, by halving rows.
+
+    `a` holds entries in [0, p).  On return its first r rows are reduced:
+    row i has a 1 in column cols[i] and every other row a 0 there; the
+    remaining rows are zero.  Returns cols, whose length r is the rank.
+    Rows are ordered as their pivots were found, not by column.
+    """
+    n = a.shape[0]
+    if n == 1:
+        nz = np.flatnonzero(a[0])
+        if nz.size == 0:
+            return nz
+        a[0] *= pow(int(a[0, nz[0]]), -1, p)
+        a[0] %= p
+        return nz[:1]
+    if not a.any():
+        return np.empty(0, dtype=np.intp)
+    h = n // 2
+    top, bottom = a[:h], a[h:]
+    upper = _rref(top, p)
+    r1 = upper.size
+    if r1:
+        _sub_product(bottom, bottom[:, upper], top[:r1], p)
+    lower = _rref(bottom, p)
+    r2 = lower.size
+    if r2:
+        _sub_product(top[:r1], top[:r1, lower], bottom[:r2], p)
+        # Rows r1..h-1 are zero.  The two slices overlap when r1 + r2 > h;
+        # numpy copies overlapping operands before assigning.
+        a[r1 : r1 + r2] = bottom[:r2]
+        a[max(r1 + r2, h) : h + r2] = 0
+    return np.concatenate((upper, lower))
+
+
+def _sub_product(x: np.ndarray, coef: np.ndarray, e: np.ndarray, p: int) -> None:
+    """x <- (x - coef @ e) mod p in place, exactly, with float64 products.
+
+    Entries are below 2**31, so each splits into a low 16-bit limb and a
+    high limb below 2**15.  A low * low product is below 2**32 and a cross
+    product below 2**31, so for inner size k < 2**20 each float64 sum (k
+    low products, or the 2k cross products) stays below k * 2**32 <= 2**52
+    and is an exact integer.  The three sums (high * high, cross, low * low)
+    combine by Horner's rule in 2**16 through int64, below 2**53 at every
+    step, with one remainder each.
+    """
+    e_lo = (e & 0xFFFF).astype(np.float64)
+    e_hi = (e >> 16).astype(np.float64)
+    for i in range(0, x.shape[0], _CHUNK):
+        c = coef[i : i + _CHUNK]
+        c_lo = (c & 0xFFFF).astype(np.float64)
+        c_hi = (c >> 16).astype(np.float64)
+        acc = (c_hi @ e_hi).astype(np.int64)
+        acc %= p
+        acc <<= 16
+        acc += (c_hi @ e_lo + c_lo @ e_hi).astype(np.int64)
+        acc %= p
+        acc <<= 16
+        acc += (c_lo @ e_lo).astype(np.int64)
+        block = x[i : i + _CHUNK]
+        block -= acc
+        block %= p

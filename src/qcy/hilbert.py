@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from . import _kernels
 from .cyclo import CycField, CycInt
+from .errors import InternalDefect
 from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree, multiply
 
 # Highest degree a prefix may reach.  The coefficients grow like
@@ -186,7 +189,7 @@ def _root_of_unity_mod(order: int, p: int) -> int:
         g = pow(base, (p - 1) // order, p)
         if pow(g, order, p) == 1 and all(pow(g, order // q, p) != 1 for q in factors):
             return g
-    raise RuntimeError(f"no order-{order} element found modulo {p}")
+    raise InternalDefect(f"no order-{order} element found modulo {p}")
 
 
 def _exact_rank(rows: list[dict[int, CycInt]], ncols: int, order: int) -> int:
@@ -223,20 +226,19 @@ def _exact_rank(rows: list[dict[int, CycInt]], ncols: int, order: int) -> int:
     return rank
 
 
-def _span_rank(rows: list[dict[int, CycInt]], ncols: int, order: int) -> int:
+def _span_rank(rows: list[dict[int, CycInt]], ncols: int, order: int,
+               moduli: list[tuple[int, int]]) -> int:
     """Exact rank over Q(zeta_N), certified modulo primes when possible.
 
-    The rank modulo any prime p = 1 (mod N) is a lower bound for the true
-    rank, so a full mod-p rank is a certificate.  Otherwise fall through
-    to exact field elimination.
+    `moduli` holds pairs (p, g): a prime p = 1 (mod N) and an element g of
+    order N modulo p, the image of zeta_N.  The rank modulo any such prime
+    is a lower bound for the true rank, so a full mod-p rank is a
+    certificate.  Otherwise fall through to exact field elimination.
     """
     if not rows or ncols == 0:
         return 0
     full = min(len(rows), ncols)
-    import numpy as np
-
-    for p in _primes_one_mod(order, 2):
-        g = _root_of_unity_mod(order, p)
+    for p, g in moduli:
         mat = np.zeros((len(rows), ncols), dtype=np.int64)
         for i, row in enumerate(rows):
             for j, c in row.items():
@@ -268,6 +270,8 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
                 "brute force supports only central quotient elements; "
                 "two-sided ideals of non-central elements are out of scope")
         elems.append((f, deg))
+    moduli = [(p, _root_of_unity_mod(spec.order, p))
+              for p in _primes_one_mod(spec.order, 2)]
     dims = []
     for t in range(max_degree + 1):
         cols = monomials_of_degree(spec.weights, t)
@@ -278,5 +282,6 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
                 prod = multiply(
                     SkewPoly.monomial(spec.order, mono), f, spec)
                 rows.append({index[e]: c for e, c in prod.terms.items()})
-        dims.append(len(cols) - _span_rank(rows, len(cols), spec.order))
+        dims.append(
+            len(cols) - _span_rank(rows, len(cols), spec.order, moduli))
     return dims

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from qcy import hilbert
+from qcy.errors import InternalDefect
 from qcy.hilbert import (
     DEGREE_BOUND,
     HilbertSeries,
@@ -181,3 +183,24 @@ def test_brute_force_accepts_multiple_quotients():
     series = quotient_by_regular(
         quotient_by_regular(series_qpoly((1, 1, 1, 1)), 2), 2)
     assert dims == list(series.prefix(6))
+
+
+def test_brute_force_finds_its_primes_once(monkeypatch):
+    calls = []
+    primes = hilbert._primes_one_mod
+
+    def counted(order, count):
+        calls.append(order)
+        return primes(order, count)
+
+    monkeypatch.setattr(hilbert, "_primes_one_mod", counted)
+    dims = brute_force_dims(SPEC4, fermat(SPEC4), max_degree=9)
+    assert calls == [SPEC4.order]
+    q = quotient_by_regular(series_qpoly(SPEC4.weights), SPEC4.total_degree)
+    assert dims == list(q.prefix(9))
+
+
+def test_missing_root_of_unity_is_an_internal_defect():
+    # 3 does not divide 5 - 1, so no element of order 3 exists modulo 5
+    with pytest.raises(InternalDefect):
+        hilbert._root_of_unity_mod(3, 5)
