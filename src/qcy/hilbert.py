@@ -12,6 +12,12 @@ brute_force_dims recomputes graded dimensions of a quotient from scratch
 by linear algebra over Z[zeta_N]: the span of m * f_j is row reduced with
 a full-rank certificate modulo a prime p = 1 (mod N), falling back to
 exact elimination over Q(zeta_N) when the certificate is inconclusive.
+The rows modulo p come from exponent arithmetic alone: the term c x^e of
+f_j lands at m + e with the scalar c zeta^s, s the reorder exponent of m
+past e, and zeta_N maps to an element of order N mod p.  Only the
+fallback builds the rows as CycInt products (qalgebra.multiply); with a
+single central element it never runs, since the ring is a domain and the
+rows m * f are independent.
 """
 
 from __future__ import annotations
@@ -226,27 +232,57 @@ def _exact_rank(rows: list[dict[int, CycInt]], ncols: int, order: int) -> int:
     return rank
 
 
-def _span_rank(rows: list[dict[int, CycInt]], ncols: int, order: int,
-               moduli: list[tuple[int, int]]) -> int:
-    """Exact rank over Q(zeta_N), certified modulo primes when possible.
+def _row_block(spec: AlgebraSpec, monos: np.ndarray, exps: np.ndarray,
+               index: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder exponents and columns of the rows m * f, m over `monos`.
+
+    x^m times a term c x^e of f is c zeta^s x^(m+e) with s = m . L . e,
+    where L is the strict lower triangle of the exponent matrix
+    (reorder_scalar, a bicharacter), so s is read off for all pairs at once.
+    Entry [r, k] belongs to monomial r and term k; the columns of one row
+    are distinct because the terms are.
+    """
+    lower = np.tril(np.array(spec.exponents, dtype=np.int64), -1)
+    scalars = (monos @ lower % spec.order) @ exps.T % spec.order
+    cols = np.empty(scalars.shape, dtype=np.int64)
+    for k, e in enumerate(exps):
+        cols[:, k] = [index[tuple(v)] for v in (monos + e).tolist()]
+    return scalars, cols
+
+
+def _matrix_mod(blocks, ncols: int, p: int, g: int) -> np.ndarray:
+    """The span matrix modulo p, zeta_N sent to g; one block per element.
+
+    Each block is (scalars, cols, coeffs) with coeffs the CycInt term
+    coefficients of the element.  g^s is computed once per exponent that
+    occurs.
+    """
+    nrows = sum(len(cols) for _, cols, _ in blocks)
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    start = 0
+    for scalars, cols, coeffs in blocks:
+        exponents, where = np.unique(scalars, return_inverse=True)
+        powers = np.array([pow(g, int(s), p) for s in exponents], dtype=np.int64)
+        values = np.array([c.evaluate_mod(g, p) for c in coeffs], dtype=np.int64)
+        rows = np.arange(start, start + len(cols))[:, None]
+        mat[rows, cols] = powers[where.reshape(scalars.shape)] * values % p
+        start += len(cols)
+    return mat
+
+
+def _certified_rank(blocks, ncols: int, moduli: list[tuple[int, int]]) -> int | None:
+    """Full rank certified modulo a prime, or None when no prime certifies.
 
     `moduli` holds pairs (p, g): a prime p = 1 (mod N) and an element g of
     order N modulo p, the image of zeta_N.  The rank modulo any such prime
     is a lower bound for the true rank, so a full mod-p rank is a
-    certificate.  Otherwise fall through to exact field elimination.
+    certificate.
     """
-    if not rows or ncols == 0:
-        return 0
-    full = min(len(rows), ncols)
+    full = min(sum(len(cols) for _, cols, _ in blocks), ncols)
     for p, g in moduli:
-        mat = np.zeros((len(rows), ncols), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                mat[i, j] = c.evaluate_mod(g, p)
-        rank = _kernels.modp_rank(mat, p)
-        if rank == full:
-            return rank
-    return _exact_rank(rows, ncols, order)
+        if _kernels.modp_rank(_matrix_mod(blocks, ncols, p, g), p) == full:
+            return full
+    return None
 
 
 def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[int]:
@@ -254,7 +290,10 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
 
     Returns [dim_0, ..., dim_max_degree].  Each quotient element must be
     homogeneous and central (centrality makes the degree-t relations
-    exactly the span of m * f_j); anything else is rejected.
+    exactly the span of m * f_j); anything else is rejected.  The rows
+    m * f_j are built modulo p from reorder exponents (_row_block); only
+    when no prime certifies full rank are they built again as CycInt rows
+    by `multiply`, for exact elimination.
     """
     if isinstance(quotient, SkewPoly):
         quotient = [quotient]
@@ -269,19 +308,31 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
             raise ValueError(
                 "brute force supports only central quotient elements; "
                 "two-sided ideals of non-central elements are out of scope")
-        elems.append((f, deg))
+        elems.append((f, deg, np.array(list(f.terms), dtype=np.int64),
+                      list(f.terms.values())))
     moduli = [(p, _root_of_unity_mod(spec.order, p))
               for p in _primes_one_mod(spec.order, 2)]
+    # Monomials by degree, each list computed once and dropped once no
+    # later degree takes rows from it.
+    by_degree = {}
+    reach = max((deg for _, deg, _, _ in elems), default=0)
     dims = []
     for t in range(max_degree + 1):
-        cols = monomials_of_degree(spec.weights, t)
+        by_degree.pop(t - reach - 1, None)
+        cols = by_degree[t] = monomials_of_degree(spec.weights, t)
         index = {e: i for i, e in enumerate(cols)}
-        rows = []
-        for f, deg in elems:
-            for mono in monomials_of_degree(spec.weights, t - deg):
-                prod = multiply(
-                    SkewPoly.monomial(spec.order, mono), f, spec)
-                rows.append({index[e]: c for e, c in prod.terms.items()})
-        dims.append(
-            len(cols) - _span_rank(rows, len(cols), spec.order, moduli))
+        blocks = []
+        for f, deg, exps, coeffs in elems:
+            if t >= deg and by_degree[t - deg]:
+                monos = np.array(by_degree[t - deg], dtype=np.int64)
+                blocks.append((*_row_block(spec, monos, exps, index), coeffs))
+        rank = _certified_rank(blocks, len(cols), moduli) if blocks else 0
+        if rank is None:
+            rows = [
+                {index[e]: c for e, c in multiply(
+                    SkewPoly.monomial(spec.order, mono), f, spec).terms.items()}
+                for f, deg, _, _ in elems if t >= deg
+                for mono in by_degree[t - deg]]
+            rank = _exact_rank(rows, len(cols), spec.order)
+        dims.append(len(cols) - rank)
     return dims

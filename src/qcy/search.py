@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import permutations
-from math import comb, gcd, lcm, prod
+from math import ceil, comb, gcd, lcm, log, prod
 from operator import mul
 
 from .cycert import Certificate, Verdict, certify_weighted
@@ -33,14 +33,19 @@ from .qalgebra import AlgebraSpec
 # keeps the largest accepted search within seconds and tens of MB.
 SEARCH_BOUND = 10**5
 
-# Largest enumerate_cy_weights input, in weights: C(bound + n - 1, n)
-# sorted tuples of n weights each.  The walk visits only the divisor
-# multiplicities of each total degree, so the largest accepted inputs take
-# milliseconds up to twelve variables ((4, 68) 3 ms, (6, 25) 6 ms,
-# (12, 10) 27 ms) and about a second with thousands of small weights
-# ((60, 4) 0.14 s, (1999, 2) 0.7 s, (4 * 10^6, 1) 1.0 s, mostly spent
-# rechecking the long emitted tuples), on a 2 vCPU Xeon.
+# Largest enumerate_cy_weights input, priced in weights before the walk
+# starts (_weight_walk_cost).  The walk costs its stack pushes and the
+# weights it emits; one push takes about as long as emitting and rechecking
+# four weights (about 1 and 0.25 us on a 2 vCPU Xeon), so a push is priced
+# as four weights, and neither the pushes nor the emitted weights may pass
+# the bound.  The largest accepted inputs take about a second: (2, 21762)
+# 0.5 s, (4, 9175) 0.9 s, (5, 2613) 0.7 s, (1999, 2) 0.6 s.
 WEIGHT_ENUMERATION_BOUND = 4 * 10**6
+
+# A002966(n) for n <= 6: the number of ways to write 1 as a sum of n unit
+# fractions 1/h_i, which is the number of admissible n-weight systems
+# (a_i = d / h_i with d = lcm(h)), whatever the bound.
+_UNIT_FRACTION_COUNTS = {1: 1, 2: 1, 3: 3, 4: 14, 5: 147, 6: 3462}
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
 # here as the comparison yardstick for the enumeration.  Two entries fail
@@ -104,8 +109,9 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     Emits sorted tuples with gcd 1 and every weight dividing the total
     degree.  The walk (_divisor_multiplicity_walk) builds only such tuples:
     per total degree d, one multiplicity for each divisor of d up to
-    `bound`, so it never visits the C(bound + n - 1, n) sorted tuples the
-    size check counts.  Each emitted tuple is rechecked by weight_system;
+    `bound`, so it never visits the C(bound + n - 1, n) sorted tuples; an
+    input whose walk is priced above WEIGHT_ENUMERATION_BOUND is refused
+    before it starts.  Each emitted tuple is rechecked by weight_system;
     an inadmissible one is an InternalDefect.  For four variables the
     result is compared entry by entry against the reference surface list:
     reference entries failing the divisibility requirement are flagged as
@@ -114,15 +120,12 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     """
     if n_vars < 2 or bound < 1:
         raise ValueError("need at least two variables and a positive bound")
-    # The size counted is C(bound + n - 1, n) tuples of n weights.  With
-    # k = min(n, bound - 1) that count is at least C(2k, k), past any
-    # accepted size from k = 17 on, where math.comb itself may take minutes.
-    k = min(n_vars, bound - 1)
-    if k > 16 or comb(bound + n_vars - 1, k) * n_vars > WEIGHT_ENUMERATION_BOUND:
+    cost = _weight_walk_cost(n_vars, bound)
+    if cost is None or cost > WEIGHT_ENUMERATION_BOUND:
+        priced = "over 10^10" if cost is None else f"about {cost}"
         raise ValueError(
-            f"{n_vars} weights up to {bound} make C({bound + n_vars - 1}, {n_vars}) "
-            f"sorted tuples of {n_vars} weights, above "
-            f"WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
+            f"{n_vars} weights up to {bound} make a walk priced at {priced} "
+            f"weights, above WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
     found = []
     for weights in _divisor_multiplicity_walk(n_vars, bound):
         ws = weight_system(weights)
@@ -150,6 +153,33 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
         reference=tuple(reference),
         extras=tuple(extras),
     )
+
+
+def _weight_walk_cost(n_vars: int, bound: int) -> int | None:
+    """Upper estimate of the walk's work in weights; None when over 10^10.
+
+    The walk's leaves are the sorted tuples whose weights divide their sum:
+    at most the C = C(bound + n - 1, n) sorted tuples, and, each being g
+    times an admissible system with g <= bound, at most bound * A002966(n)
+    (admissible systems are the unit-fraction decompositions of 1, see
+    _UNIT_FRACTION_COUNTS).  With D = n (bound - 1) + 1 total degrees, its
+    stack pushes stayed below 2 (D (1 + ln bound) + leaves) on every point
+    measured (n up to 2000, bound up to 4000; at most 0.71 of it on the
+    grid and 0.69 at the largest accepted inputs).  It emits at most
+    min(C, A002966(n)) systems of n weights.  With k = min(n, bound - 1)
+    >= 17, n >= 17 emits up to C >= C(2k, k) > 2 * 10^9 systems, over 10^10
+    weights, and math.comb itself may take minutes: None.
+    """
+    k = min(n_vars, bound - 1)
+    if k > 16:
+        return None
+    tuples = comb(bound + n_vars - 1, k)
+    systems, leaves = tuples, tuples
+    if n_vars in _UNIT_FRACTION_COUNTS:
+        systems = min(tuples, _UNIT_FRACTION_COUNTS[n_vars])
+        leaves = min(tuples, bound * _UNIT_FRACTION_COUNTS[n_vars])
+    pushes = 2 * ((n_vars * (bound - 1) + 1) * (1 + log(bound)) + leaves)
+    return max(ceil(4 * pushes), n_vars * systems)
 
 
 def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]:

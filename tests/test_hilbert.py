@@ -1,11 +1,15 @@
 """Hilbert series prefixes against combinatorial and linear-algebra oracles."""
 
-from math import comb
+from math import comb, gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcy import hilbert
+from qcy import hilbert, qalgebra
+from qcy.cyclo import CycInt, RootScalar
 from qcy.errors import InternalDefect
 from qcy.hilbert import (
     DEGREE_BOUND,
@@ -18,9 +22,16 @@ from qcy.hilbert import (
     series_qpoly,
 )
 from qcy.manifest import load
-from qcy.qalgebra import AlgebraSpec, SkewPoly, fermat, monomials_of_degree
+from qcy.qalgebra import (
+    AlgebraSpec,
+    SkewPoly,
+    fermat,
+    is_central,
+    monomials_of_degree,
+    validate_spec,
+)
 
-from helpers import SPEC4, antisymmetric, within
+from helpers import SPEC4, antisymmetric, multiply_rows_mod, within
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
 
@@ -173,8 +184,19 @@ def test_brute_force_requires_homogeneous_central_input():
         brute_force_dims(SPEC4, SkewPoly.zero(SPEC4.order, 4))
 
 
-def test_brute_force_accepts_multiple_quotients():
-    # two relations in the commutative square: x0^2 + x1^2 and x2^2 + x3^2
+def test_brute_force_accepts_multiple_quotients(monkeypatch):
+    # two relations in the commutative square: x0^2 + x1^2 and x2^2 + x3^2.
+    # From degree 4 on their rows are dependent, (x2^2 + x3^2) f =
+    # (x0^2 + x1^2) g, so no prime certifies and exact elimination runs.
+    calls = []
+    exact = hilbert._exact_rank
+
+    def counted(rows, ncols, order):
+        rank = exact(rows, ncols, order)
+        calls.append((len(rows), ncols, rank))
+        return rank
+
+    monkeypatch.setattr(hilbert, "_exact_rank", counted)
     spec = AlgebraSpec.unweighted(1, tuple(tuple(0 for _ in range(4))
                                            for _ in range(4)))
     f = SkewPoly.monomial(1, (2, 0, 0, 0)) + SkewPoly.monomial(1, (0, 2, 0, 0))
@@ -183,6 +205,121 @@ def test_brute_force_accepts_multiple_quotients():
     series = quotient_by_regular(
         quotient_by_regular(series_qpoly((1, 1, 1, 1)), 2), 2)
     assert dims == list(series.prefix(6))
+    assert [rows for rows, _, _ in calls] == [20, 40, 70]  # degrees 4, 5, 6
+    assert all(rank < min(rows, ncols) for rows, ncols, rank in calls)
+
+
+def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
+    counts = {"multiply": 0, "mul": 0, "monomials": []}
+    multiply, mul = qalgebra.multiply, CycInt.__mul__
+    monomials = qalgebra.monomials_of_degree
+
+    def counted_multiply(*args):
+        counts["multiply"] += 1
+        return multiply(*args)
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_monomials(weights, degree):
+        counts["monomials"].append(degree)
+        return monomials(weights, degree)
+
+    monkeypatch.setattr(hilbert, "multiply", counted_multiply)
+    monkeypatch.setattr(CycInt, "__mul__", counted_mul)
+    monkeypatch.setattr(CycInt, "__rmul__", counted_mul)
+    monkeypatch.setattr(hilbert, "monomials_of_degree", counted_monomials)
+    dims = brute_force_dims(SPEC4, fermat(SPEC4), max_degree=12)
+    assert counts["multiply"] == counts["mul"] == 0
+    assert counts["monomials"] == list(range(13))
+    q = quotient_by_regular(series_qpoly(SPEC4.weights), SPEC4.total_degree)
+    assert dims == list(q.prefix(12))
+
+
+# -- the rows modulo p against the multiply-built rows ----------------------
+
+# Weight systems whose weights divide the total degree.  The last three
+# have even weights only, so every odd degree has no monomial and some row
+# degrees are empty.
+ROW_WEIGHTS = ((1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1),
+               (1, 1, 2, 2), (1, 1, 1, 3), (2, 2), (2, 2, 4), (2, 4, 6))
+
+
+@st.composite
+def central_quotients(draw):
+    """A validated spec and one to three homogeneous central elements.
+
+    Each element is a sum of central monomials of one degree with
+    coefficients c zeta^k (+ zeta^k'), so evaluate_mod sees non-unit
+    residues as well as 1.
+    """
+    weights = draw(st.sampled_from(ROW_WEIGHTS))
+    n, d = len(weights), sum(weights)
+    h = [d // a for a in weights]
+    order = draw(st.integers(1, 12))
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            # q_ij^h_i = q_ij^h_j = 1 exactly on multiples of this step
+            step = lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
+            entries.append(step * draw(st.integers(0, order - 1)))
+    spec = AlgebraSpec(weights, order, antisymmetric(order, entries))
+    assert validate_spec(spec) == ()
+    central = {}
+    for degree in range(1, d + 1):
+        monos = [m for m in monomials_of_degree(weights, degree)
+                 if is_central(SkewPoly.monomial(order, m), spec)]
+        if monos:
+            central[degree] = monos
+    quotient = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.sampled_from(sorted(central)))
+        terms = {}
+        for mono in draw(st.lists(st.sampled_from(central[degree]),
+                                  min_size=1, max_size=3, unique=True)):
+            root = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))))
+            coeff = root * draw(st.sampled_from((1, 2, -1, 3)))
+            extra = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))))
+            if draw(st.booleans()) and not (coeff + extra).is_zero():
+                coeff = coeff + extra
+            terms[mono] = coeff
+        quotient.append(SkewPoly(order, n, terms))
+    return spec, quotient
+
+
+def _exponent_rows(spec, quotient, degree, p, g):
+    """The rows brute_force_dims builds for one degree, element by element."""
+    cols = monomials_of_degree(spec.weights, degree)
+    index = {e: i for i, e in enumerate(cols)}
+    blocks = []
+    for f in quotient:
+        monos = monomials_of_degree(
+            spec.weights, degree - f.homogeneous_degree(spec.weights))
+        if monos:
+            scalars, where = hilbert._row_block(
+                spec, np.array(monos, dtype=np.int64),
+                np.array(list(f.terms), dtype=np.int64), index)
+            blocks.append((scalars, where, list(f.terms.values())))
+    return hilbert._matrix_mod(blocks, len(cols), p, g).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(central_quotients())
+def test_exponent_rows_equal_multiply_rows_mod_p(case):
+    spec, quotient = case
+    top = max(f.homogeneous_degree(spec.weights) for f in quotient) + 3
+    moduli = [(p, hilbert._root_of_unity_mod(spec.order, p))
+              for p in hilbert._primes_one_mod(spec.order, 2)]
+    for degree in range(top + 1):
+        for p, g in moduli:
+            assert _exponent_rows(spec, quotient, degree, p, g) == \
+                multiply_rows_mod(spec, quotient, degree, p, g), (degree, p)
+    if len(quotient) == 1:
+        # a nonzero central element is regular: the ring is a domain
+        series = quotient_by_regular(
+            series_qpoly(spec.weights), quotient[0].homogeneous_degree(spec.weights))
+        assert brute_force_dims(spec, quotient, top) == list(series.prefix(top))
 
 
 def test_brute_force_finds_its_primes_once(monkeypatch):

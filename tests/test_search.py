@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcy import search
 from qcy.cycert import Verdict, certify_weighted
 from qcy.points import INFINITE
 from qcy.search import (
@@ -90,10 +91,22 @@ def test_enumeration_validates_arguments():
 
 
 @pytest.mark.parametrize("n_vars,bound", [
-    (7, 25), (4, 1000), (10**7, 1), (10**18, 10**18)])
+    (7, 25), (300, 6), (4, 10**6), (10**7, 1), (10**18, 2), (10**18, 10**18)])
 def test_enumeration_above_the_bound_is_refused_before_the_walk(n_vars, bound):
     with pytest.raises(ValueError, match=f"BOUND = {WEIGHT_ENUMERATION_BOUND}"):
         within(1, lambda: enumerate_cy_weights(n_vars, bound))
+
+
+def test_enumeration_at_the_largest_accepted_bound_runs_within_seconds():
+    # five variables: the walk is priced by its total degrees and by
+    # A002966(5) = 147, not by the C(bound + 4, 5) sorted tuples
+    bound = 903
+    while search._weight_walk_cost(5, bound + 1) <= WEIGHT_ENUMERATION_BOUND:
+        bound += 1
+    assert bound > 2000
+    assert len(within(5, lambda: enumerate_cy_weights(5, bound)).systems) == 147
+    with pytest.raises(ValueError, match=f"BOUND = {WEIGHT_ENUMERATION_BOUND}"):
+        enumerate_cy_weights(5, bound + 1)
 
 
 def test_enumeration_with_unit_bound_needs_no_recursion():
@@ -144,15 +157,18 @@ def _brute_force_weights(n_vars, bound, walked=None):
     return EnumerationResult(n_vars, bound, systems, reference, extras)
 
 
-def _accepted(n_vars, bound):
+def _brute_force_affordable(n_vars, bound):
+    """At most 4 * 10^6 weights in the C(bound + n - 1, n) sorted tuples."""
     k = min(n_vars, bound - 1)
-    return k <= 16 and comb(bound + n_vars - 1, k) * n_vars <= WEIGHT_ENUMERATION_BOUND
+    return k <= 16 and comb(bound + n_vars - 1, k) * n_vars <= 4 * 10**6
 
 
 @pytest.mark.parametrize("n_vars", range(2, 9))
 def test_enumeration_matches_brute_force_on_every_accepted_bound(n_vars):
-    bounds = [b for b in range(1, 31) if _accepted(n_vars, b)]
+    """Every bound the brute force affords is accepted, and both agree."""
+    bounds = [b for b in range(1, 31) if _brute_force_affordable(n_vars, b)]
     for bound in bounds:
+        assert search._weight_walk_cost(n_vars, bound) <= WEIGHT_ENUMERATION_BOUND
         expected = _brute_force_weights(n_vars, bound, walked=bounds[-1])
         assert enumerate_cy_weights(n_vars, bound) == expected, bound
 
@@ -177,10 +193,13 @@ def _unit_fraction_solutions(n, total=Fraction(1), least=1):
 
 
 def test_unit_fraction_counts_match_oeis_a002966():
-    assert [len(_unit_fraction_solutions(n)) for n in range(1, 5)] == [1, 1, 3, 14]
+    counts = [len(_unit_fraction_solutions(n)) for n in range(1, 7)]
+    assert counts == [1, 1, 3, 14, 147, 3462]
+    assert search._UNIT_FRACTION_COUNTS == dict(enumerate(counts, 1))
 
 
-@pytest.mark.parametrize("n_vars, bound", [(2, 1), (3, 3), (4, 21), (4, 25), (4, 68)])
+@pytest.mark.parametrize("n_vars, bound", [
+    (2, 1), (3, 3), (4, 21), (4, 25), (4, 68), (5, 903)])
 def test_systems_are_the_unit_fraction_decompositions_of_one(n_vars, bound):
     """Weights a_i dividing d = sum a_i give sum 1/h_i = 1 with h_i = d / a_i;
     conversely d = lcm(h) and a_i = d / h_i, whose gcd is 1."""
