@@ -16,10 +16,10 @@ from math import gcd, lcm
 
 from .errors import InternalDefect, OrderMismatchError
 
-# Largest domain N^m on which image_size runs the second route, the coset
-# closure in _kernels.image_count.  That route costs |image| * n <= N^m * n
-# in time and memory (a 10^6 image of 2-vectors takes about 0.05 s on a
-# 2 vCPU Xeon), and its codes need N^n <= 2**62.
+# Largest cost |image| * n on which image_size runs the second route, the
+# coset closure in _kernels.image_count, priced from the Smith form's image
+# size (a 10^6 image of 2-vectors takes about 0.05 s on a 2 vCPU Xeon); its
+# codes also need N^n <= 2**62.
 ENUMERATION_BOUND = 10**6
 
 
@@ -420,21 +420,20 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
 
     Two routes: the Smith form gives prod_i N / gcd(N, d_i); the closure of
     the column subgroup, coset by coset (_kernels.image_count), recounts it
-    at cost |image| * n when N^m <= ENUMERATION_BOUND and N^n <= 2**62.
+    at cost |image| * n when that is <= ENUMERATION_BOUND and N^n <= 2**62.
     Under "auto" both run where feasible and must agree; "enumerate" demands
     the second route.
     """
     n = len(mat)
-    m = len(mat[0]) if n else 0
     diag, _ = smith_normal_form(mat, modulus)
     by_snf = 1
     for d in diag:
         by_snf *= modulus // gcd(modulus, d)
     if method == "snf":
         return by_snf
-    feasible = modulus**m <= ENUMERATION_BOUND and modulus**n <= 2**62
+    feasible = by_snf * n <= ENUMERATION_BOUND and modulus**n <= 2**62
     if method == "enumerate" and not feasible:
-        raise ValueError(f"enumeration infeasible for N={modulus}, m={m}")
+        raise ValueError(f"enumeration infeasible for N={modulus}, n={n}")
     if feasible:
         from . import _kernels
 
@@ -447,8 +446,9 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Q(zeta_N) as a field of Fraction-coefficient residues, for the exact
-# elimination fallback.  Elements are plain tuples; the class carries N.
+# Q(zeta_N) on Fraction tuples: the tests' exact reference for the Hilbert
+# oracle's ranks, kept in src because the benchmark's tracer patches
+# CycField.__init__; it can go with the next change to the benchmark.
 
 
 class CycField:

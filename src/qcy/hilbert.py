@@ -9,15 +9,19 @@ graded algebras has degree-i piece A_i (x) B_i, so its coefficients are
 the products of the two prefixes.  No prefix runs past DEGREE_BOUND.
 
 brute_force_dims recomputes graded dimensions of a quotient from scratch
-by linear algebra over Z[zeta_N]: the span of m * f_j is row reduced with
-a full-rank certificate modulo a prime p = 1 (mod N), falling back to
-exact elimination over Q(zeta_N) when the certificate is inconclusive.
-The rows modulo p come from exponent arithmetic alone: the term c x^e of
-f_j lands at m + e with the scalar c zeta^s, s the reorder exponent of m
-past e, and zeta_N maps to an element of order N mod p.  Only the
-fallback builds the rows as CycInt products (qalgebra.multiply); with a
-single central element it never runs, since the ring is a domain and the
-rows m * f are independent.
+by linear algebra over Z[zeta_N], with one rank rule: the rank of the
+span of m * f_j is the largest of its ranks modulo primes p = 1 (mod N),
+zeta_N sent to an element g of order N.  Reducing at the prime ideal
+P = (p, zeta - g) never raises the rank, and lowers it only if every
+nonzero maximal minor D lies in P, so p divides the nonzero integer N(D).
+Hadamard's inequality in each of the phi(N) embeddings, with
+|sigma(c)| <= |c|_1, bounds |N(D)| by B = prod over rows of (sum of |c|_1^2
+over the row's terms)^(phi(N)/2).  So the primes are tried until one gives
+full rank or their product passes B; then one of them kept the rank.  The
+rows modulo p come from exponent arithmetic alone: the term c x^e of f_j
+lands at m + e with the scalar c zeta^s, s the reorder exponent of m past
+e.  With a single central element the first prime gives full rank, since
+the ring is a domain and the rows m * f are independent.
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .cyclo import CycField, CycInt
 from .errors import InternalDefect
-from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree, multiply
+from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree
 
 # Highest degree a prefix may reach.  The coefficients grow like
 # t^(n-1), so a prefix costs more than linear time and memory in the
@@ -161,16 +164,13 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _primes_one_mod(order: int, count: int) -> list[int]:
-    """Largest `count` primes p = 1 (mod order) below 2**31."""
+def _moduli(order: int):
+    """Pairs (p, g), descending: each prime p = 1 (mod order) below 2**31
+    with g an element of order `order` modulo p, the image of zeta_N."""
     top = 2**31 - 1
-    p = top - (top - 1) % order
-    out = []
-    while len(out) < count:
+    for p in range(top - (top - 1) % order, 1, -order):
         if _is_probable_prime(p):
-            out.append(p)
-        p -= order
-    return out
+            yield p, _root_of_unity_mod(order, p)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -196,40 +196,6 @@ def _root_of_unity_mod(order: int, p: int) -> int:
         if pow(g, order, p) == 1 and all(pow(g, order // q, p) != 1 for q in factors):
             return g
     raise InternalDefect(f"no order-{order} element found modulo {p}")
-
-
-def _exact_rank(rows: list[dict[int, CycInt]], ncols: int, order: int) -> int:
-    """Gaussian elimination over Q(zeta_N) with Fraction coefficients."""
-    field = CycField(order)
-    dense = []
-    for row in rows:
-        vec = [field.zero()] * ncols
-        for j, c in row.items():
-            vec[j] = field.from_cycint(c)
-        dense.append(vec)
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(dense)):
-            if not field.is_zero(dense[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        dense[rank], dense[piv] = dense[piv], dense[rank]
-        inv = field.inv(dense[rank][col])
-        pivot_row = dense[rank]
-        for i in range(rank + 1, len(dense)):
-            if field.is_zero(dense[i][col]):
-                continue
-            f = field.mul(dense[i][col], inv)
-            dense[i] = [
-                field.sub(x, field.mul(f, y)) for x, y in zip(dense[i], pivot_row)
-            ]
-        rank += 1
-        if rank == len(dense):
-            break
-    return rank
 
 
 def _row_block(spec: AlgebraSpec, monos: np.ndarray, exps: np.ndarray,
@@ -270,19 +236,37 @@ def _matrix_mod(blocks, ncols: int, p: int, g: int) -> np.ndarray:
     return mat
 
 
-def _certified_rank(blocks, ncols: int, moduli: list[tuple[int, int]]) -> int | None:
-    """Full rank certified modulo a prime, or None when no prime certifies.
+def _rank(blocks, ncols: int, moduli) -> int:
+    """Largest rank modulo the pairs (p, g) from `moduli`, once proven.
 
-    `moduli` holds pairs (p, g): a prime p = 1 (mod N) and an element g of
-    order N modulo p, the image of zeta_N.  The rank modulo any such prime
-    is a lower bound for the true rank, so a full mod-p rank is a
-    certificate.
+    Stops at a full rank, or once the distinct primes tried multiply past
+    the norm bound B (module docstring), which is computed only after the
+    first prime falls short.  ValueError when `moduli` runs out first.
     """
     full = min(sum(len(cols) for _, cols, _ in blocks), ncols)
+    best, product, bound = 0, 1, None
     for p, g in moduli:
-        if _kernels.modp_rank(_matrix_mod(blocks, ncols, p, g), p) == full:
+        rank = _kernels.modp_rank(_matrix_mod(blocks, ncols, p, g), p)
+        if rank == full:
             return full
-    return None
+        best, product = max(best, rank), product * p
+        if bound is None:
+            bound = _norm_bound_squared(blocks)
+        if product**2 > bound:
+            return best
+    raise ValueError(
+        "too few primes p = 1 (mod N) below 2**31 to prove a rank: their "
+        f"product {product} does not pass the norm bound")
+
+
+def _norm_bound_squared(blocks) -> int:
+    """B^2, exactly.  The rows of one block carry one element's coefficients
+    times roots of unity, so they share one sum of |c|_1^2."""
+    bound = 1
+    for _, cols, coeffs in blocks:
+        row = sum(sum(map(abs, c.coeffs)) ** 2 for c in coeffs)
+        bound *= row ** (len(coeffs[0].coeffs) * len(cols))
+    return bound
 
 
 def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[int]:
@@ -291,9 +275,11 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
     Returns [dim_0, ..., dim_max_degree].  Each quotient element must be
     homogeneous and central (centrality makes the degree-t relations
     exactly the span of m * f_j); anything else is rejected.  The rows
-    m * f_j are built modulo p from reorder exponents (_row_block); only
-    when no prime certifies full rank are they built again as CycInt rows
-    by `multiply`, for exact elimination.
+    m * f_j are built modulo p from reorder exponents (_row_block), and
+    each rank is the largest of their ranks modulo primes p = 1 (mod N),
+    proven by a full rank or by primes multiplying past a norm bound
+    (_rank).  The pairs (p, g) are found once per call and shared by all
+    degrees; ValueError when the primes below 2**31 run out first.
     """
     if isinstance(quotient, SkewPoly):
         quotient = [quotient]
@@ -308,31 +294,30 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
             raise ValueError(
                 "brute force supports only central quotient elements; "
                 "two-sided ideals of non-central elements are out of scope")
-        elems.append((f, deg, np.array(list(f.terms), dtype=np.int64),
+        elems.append((deg, np.array(list(f.terms), dtype=np.int64),
                       list(f.terms.values())))
-    moduli = [(p, _root_of_unity_mod(spec.order, p))
-              for p in _primes_one_mod(spec.order, 2)]
+    found, walk = [], _moduli(spec.order)
+
+    def moduli():
+        yield from found
+        for pair in walk:
+            found.append(pair)
+            yield pair
+
     # Monomials by degree, each list computed once and dropped once no
     # later degree takes rows from it.
     by_degree = {}
-    reach = max((deg for _, deg, _, _ in elems), default=0)
+    reach = max((deg for deg, _, _ in elems), default=0)
     dims = []
     for t in range(max_degree + 1):
         by_degree.pop(t - reach - 1, None)
         cols = by_degree[t] = monomials_of_degree(spec.weights, t)
         index = {e: i for i, e in enumerate(cols)}
         blocks = []
-        for f, deg, exps, coeffs in elems:
+        for deg, exps, coeffs in elems:
             if t >= deg and by_degree[t - deg]:
                 monos = np.array(by_degree[t - deg], dtype=np.int64)
                 blocks.append((*_row_block(spec, monos, exps, index), coeffs))
-        rank = _certified_rank(blocks, len(cols), moduli) if blocks else 0
-        if rank is None:
-            rows = [
-                {index[e]: c for e, c in multiply(
-                    SkewPoly.monomial(spec.order, mono), f, spec).terms.items()}
-                for f, deg, _, _ in elems if t >= deg
-                for mono in by_degree[t - deg]]
-            rank = _exact_rank(rows, len(cols), spec.order)
+        rank = _rank(blocks, len(cols), moduli()) if blocks else 0
         dims.append(len(cols) - rank)
     return dims

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qcy import _kernels
 from qcy.cyclo import (
     CycField,
     CycInt,
@@ -26,6 +27,7 @@ from qcy.cyclo import (
     solve_root_system,
 )
 from qcy.errors import InternalDefect, OrderMismatchError
+from qcy.search import search_q_params
 
 from helpers import within
 
@@ -240,7 +242,8 @@ BLOW_UP_8X8_MOD_5 = [
 
 def test_smith_normal_form_finishes_on_former_blow_up():
     within(2, lambda: smith_normal_form(BLOW_UP_8X8_MOD_5, 5))
-    # 5^8 vectors lie under ENUMERATION_BOUND, so both routes run and agree
+    # its image 5^7 times 8 rows lies under ENUMERATION_BOUND, so both
+    # routes run and agree
     assert image_size(BLOW_UP_8X8_MOD_5, 5) == 5 ** 7
 
 
@@ -355,14 +358,31 @@ def test_image_size_routes_agree(rng):
 
 
 def test_image_count_scales_with_image_and_divisors_not_multiples():
-    # Each lies under ENUMERATION_BOUND, so both routes run.  A closure
-    # looping over the 999983 multiples of one column, or building the
-    # whole domain, runs past the limit.
+    # A closure looping over the 999983 multiples of one column, or
+    # building the whole domain, runs past the limit.  Only the first lies
+    # under ENUMERATION_BOUND (image times rows), so the other two call the
+    # closure directly.
     identity = [[int(i == j) for j in range(19)] for i in range(19)]
     sizes = within(2, lambda: [image_size([[1]], 999983),
-                               image_size([[1, 0], [0, 1]], 1000),
-                               image_size(identity, 2)])
+                               _kernels.image_count([[1, 0], [0, 1]], 1000),
+                               _kernels.image_count(identity, 2)])
     assert sizes == [999983, 10 ** 6, 2 ** 19]
+
+
+def test_closure_is_priced_by_the_image_not_the_domain(monkeypatch):
+    # The class of search_q_params((1,1,1,6,9), 18) with the largest image:
+    # 11664 * 5 lies under ENUMERATION_BOUND though the domain 18^5 does not.
+    calls = []
+    count = _kernels.image_count
+    monkeypatch.setattr(_kernels, "image_count",
+                        lambda mat, modulus: calls.append(modulus) or count(mat, modulus))
+    specs = search_q_params((1, 1, 1, 6, 9), 18)
+    sizes = [image_size([list(r) for r in s.exponents], 18, method="snf")
+             for s in specs]
+    largest = specs[sizes.index(max(sizes))]
+    assert max(sizes) == 11664 and not calls
+    assert image_size([list(r) for r in largest.exponents], 18) == 11664
+    assert calls == [18]
 
 
 def test_image_size_known_values():

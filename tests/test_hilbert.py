@@ -1,5 +1,6 @@
 """Hilbert series prefixes against combinatorial and linear-algebra oracles."""
 
+from itertools import islice
 from math import comb, gcd, lcm
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy import hilbert, qalgebra
+from qcy import _kernels, hilbert, qalgebra
 from qcy.cyclo import CycInt, RootScalar
 from qcy.errors import InternalDefect
 from qcy.hilbert import (
@@ -31,7 +32,8 @@ from qcy.qalgebra import (
     validate_spec,
 )
 
-from helpers import SPEC4, antisymmetric, multiply_rows_mod, within
+from helpers import (SPEC4, antisymmetric, exact_dims, multiply_rows,
+                     multiply_rows_mod, within)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
 
@@ -187,16 +189,18 @@ def test_brute_force_requires_homogeneous_central_input():
 def test_brute_force_accepts_multiple_quotients(monkeypatch):
     # two relations in the commutative square: x0^2 + x1^2 and x2^2 + x3^2.
     # From degree 4 on their rows are dependent, (x2^2 + x3^2) f =
-    # (x0^2 + x1^2) g, so no prime certifies and exact elimination runs.
+    # (x0^2 + x1^2) g, so no prime gives full rank and the primes run on
+    # until their squared product passes B^2 = 2^rows (N = 1, two unit
+    # terms a row): one prime near 2^31 for 20 and 40 rows, two for 70.
     calls = []
-    exact = hilbert._exact_rank
+    rank = _kernels.modp_rank
 
-    def counted(rows, ncols, order):
-        rank = exact(rows, ncols, order)
-        calls.append((len(rows), ncols, rank))
-        return rank
+    def counted(mat, p):
+        out = rank(mat, p)
+        calls.append((mat.shape, p, out))
+        return out
 
-    monkeypatch.setattr(hilbert, "_exact_rank", counted)
+    monkeypatch.setattr(_kernels, "modp_rank", counted)
     spec = AlgebraSpec.unweighted(1, tuple(tuple(0 for _ in range(4))
                                            for _ in range(4)))
     f = SkewPoly.monomial(1, (2, 0, 0, 0)) + SkewPoly.monomial(1, (0, 2, 0, 0))
@@ -205,8 +209,18 @@ def test_brute_force_accepts_multiple_quotients(monkeypatch):
     series = quotient_by_regular(
         quotient_by_regular(series_qpoly((1, 1, 1, 1)), 2), 2)
     assert dims == list(series.prefix(6))
-    assert [rows for rows, _, _ in calls] == [20, 40, 70]  # degrees 4, 5, 6
-    assert all(rank < min(rows, ncols) for rows, ncols, rank in calls)
+    by_shape = {}
+    for shape, p, out in calls:
+        by_shape.setdefault(shape, []).append((p, out))
+    deficient = {shape: runs for shape, runs in by_shape.items()
+                 if shape[0] in (20, 40, 70)}  # rows at degrees 4, 5, 6
+    assert sorted(deficient) == [(20, 35), (40, 56), (70, 84)]
+    assert [len(deficient[shape]) for shape in sorted(deficient)] == [1, 1, 2]
+    for (rows, _), runs in deficient.items():
+        assert len({p for p, _ in runs}) == len(runs)
+        assert all(out < rows for _, out in runs)
+    assert all(len(runs) == 1 for shape, runs in by_shape.items()
+               if shape not in deficient)
 
 
 def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
@@ -226,7 +240,7 @@ def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
         counts["monomials"].append(degree)
         return monomials(weights, degree)
 
-    monkeypatch.setattr(hilbert, "multiply", counted_multiply)
+    monkeypatch.setattr(qalgebra, "multiply", counted_multiply)
     monkeypatch.setattr(CycInt, "__mul__", counted_mul)
     monkeypatch.setattr(CycInt, "__rmul__", counted_mul)
     monkeypatch.setattr(hilbert, "monomials_of_degree", counted_monomials)
@@ -247,8 +261,8 @@ ROW_WEIGHTS = ((1, 1), (1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1),
 
 
 @st.composite
-def central_quotients(draw):
-    """A validated spec and one to three homogeneous central elements.
+def central_quotients(draw, elements=(1, 3)):
+    """A validated spec and `elements` (a range) homogeneous central elements.
 
     Each element is a sum of central monomials of one degree with
     coefficients c zeta^k (+ zeta^k'), so evaluate_mod sees non-unit
@@ -273,7 +287,7 @@ def central_quotients(draw):
         if monos:
             central[degree] = monos
     quotient = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(*elements))):
         degree = draw(st.sampled_from(sorted(central)))
         terms = {}
         for mono in draw(st.lists(st.sampled_from(central[degree]),
@@ -309,8 +323,7 @@ def _exponent_rows(spec, quotient, degree, p, g):
 def test_exponent_rows_equal_multiply_rows_mod_p(case):
     spec, quotient = case
     top = max(f.homogeneous_degree(spec.weights) for f in quotient) + 3
-    moduli = [(p, hilbert._root_of_unity_mod(spec.order, p))
-              for p in hilbert._primes_one_mod(spec.order, 2)]
+    moduli = list(islice(hilbert._moduli(spec.order), 2))
     for degree in range(top + 1):
         for p, g in moduli:
             assert _exponent_rows(spec, quotient, degree, p, g) == \
@@ -323,18 +336,87 @@ def test_exponent_rows_equal_multiply_rows_mod_p(case):
 
 
 def test_brute_force_finds_its_primes_once(monkeypatch):
-    calls = []
-    primes = hilbert._primes_one_mod
+    walks, roots = [], []
+    moduli, root = hilbert._moduli, hilbert._root_of_unity_mod
 
-    def counted(order, count):
-        calls.append(order)
-        return primes(order, count)
+    def counted_moduli(order):
+        walks.append(order)
+        return moduli(order)
 
-    monkeypatch.setattr(hilbert, "_primes_one_mod", counted)
+    def counted_root(order, p):
+        roots.append(p)
+        return root(order, p)
+
+    monkeypatch.setattr(hilbert, "_moduli", counted_moduli)
+    monkeypatch.setattr(hilbert, "_root_of_unity_mod", counted_root)
     dims = brute_force_dims(SPEC4, fermat(SPEC4), max_degree=9)
-    assert calls == [SPEC4.order]
+    assert walks == [SPEC4.order] and len(roots) == 1
     q = quotient_by_regular(series_qpoly(SPEC4.weights), SPEC4.total_degree)
     assert dims == list(q.prefix(9))
+    # f and 2f: every degree from 6 on is deficient, and from 9 on it takes
+    # two primes; each pair is found once for all degrees
+    walks.clear()
+    roots.clear()
+    dims = brute_force_dims(SPEC4, (fermat(SPEC4), fermat(SPEC4) + fermat(SPEC4)),
+                            max_degree=12)
+    assert dims == list(q.prefix(12))
+    assert walks == [SPEC4.order]
+    assert len(roots) == len(set(roots)) > 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(central_quotients(elements=(2, 3)))
+def test_rank_equals_exact_elimination_on_several_elements(case):
+    # Degree d1 + d2, the two least element degrees, is rank deficient or
+    # has more rows than columns: f1 f2 = f2 f1 is a sum of rows of either.
+    spec, quotient = case
+    d1, d2 = sorted(f.homogeneous_degree(spec.weights) for f in quotient)[:2]
+    dims = brute_force_dims(spec, quotient, d1 + d2)
+    assert dims == exact_dims(spec, quotient, d1 + d2)
+    rows = len(multiply_rows(spec, quotient, d1 + d2))
+    assert dims[-1] > len(monomials_of_degree(spec.weights, d1 + d2)) - rows
+
+
+def _block(coefficient):
+    """One row with one term: `coefficient` at column 0, reorder exponent 0."""
+    zero = np.zeros((1, 1), dtype=np.int64)
+    return [(zero, zero, [coefficient])]
+
+
+def test_rank_stops_once_the_primes_pass_the_norm_bound(monkeypatch):
+    # N = 1: the only minor is p1 p2, divisible by the first two primes.
+    # Their product equals the bound |N(D)| <= B = p1 p2, which proves
+    # nothing, so a third prime must decide.
+    calls = []
+    rank = _kernels.modp_rank
+    monkeypatch.setattr(_kernels, "modp_rank",
+                        lambda mat, p: calls.append(p) or rank(mat, p))
+    pairs = list(islice(hilbert._moduli(1), 3))
+    block = _block(CycInt.from_int(1, pairs[0][0] * pairs[1][0]))
+    assert hilbert._rank(block, 1, iter(pairs)) == 1
+    assert calls == [p for p, _ in pairs]
+    with pytest.raises(ValueError, match="too few primes"):
+        hilbert._rank(block, 1, iter(pairs[:2]))
+    with pytest.raises(ValueError, match="too few primes"):
+        hilbert._rank(block, 1, iter(()))
+    # N = 3: a + zeta lies in the three ideals (p_i, zeta - g_i) once
+    # a = -g_i (mod p_i), and a < p1 p2 p3.  The three primes multiply past
+    # |a + zeta|_1 = a + 1 but not past B = (a + 1)^phi(3), so a fourth
+    # prime decides.
+    pairs = list(islice(hilbert._moduli(3), 4))
+    a, m = 0, 1
+    for p, g in pairs[:3]:
+        a += m * ((-g - a) * pow(m, -1, p) % p)
+        m *= p
+    calls.clear()
+    assert hilbert._rank(_block(CycInt(3, (a, 1))), 1, iter(pairs)) == 1
+    assert calls == [p for p, _ in pairs]
+
+
+@pytest.mark.parametrize("order", [2**31, 10**9 + 7])
+def test_prime_walk_ends_below_two(order):
+    # no prime p = 1 (mod N) lies below 2**31 for these
+    assert within(1, lambda: list(hilbert._moduli(order))) == []
 
 
 def test_missing_root_of_unity_is_an_internal_defect():
