@@ -42,7 +42,6 @@ from .points import (
     INFINITE,
     CensusReport,
     census_weighted_surface,
-    chart_simple_count,
     is_special,
     admissible_supports,
     max_stratum_dimension,
@@ -96,7 +95,6 @@ __all__ = [
     "certify_segre",
     "certify_weighted",
     "chart_parameters",
-    "chart_simple_count",
     "enumerate_cy_weights",
     "fermat",
     "hermite_normal_form",

@@ -13,12 +13,13 @@ chart by chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, isqrt
 
 from .cyclo import image_size
 from .errors import HypothesisViolation, InternalDefect
-from .qalgebra import AlgebraSpec, chart_parameters, validate_spec
+from .qalgebra import AlgebraSpec, _chart_exponents, validate_spec
 
 
 class _InfiniteType:
@@ -172,37 +173,6 @@ class ChartItem:
 
 
 @dataclass(frozen=True)
-class ChartCount:
-    count: object  # int | INFINITE
-    items: tuple[ChartItem, ...]
-    trivial_pairs: tuple[tuple[int, int], ...]
-
-
-def chart_simple_count(chart_spec: AlgebraSpec, exponents) -> ChartCount:
-    """One-dimensional simple modules of a chart with equation 1 + sum y_i^{m_i}.
-
-    A pair scalar q'_ij = 1 admits supports of size two, a positive
-    dimensional solution set: infinitely many.  Otherwise all simples have
-    singleton support and y_i^{m_i} = -1 contributes m_i points.
-    """
-    m = chart_spec.nvars
-    exponents = tuple(int(x) for x in exponents)
-    if len(exponents) != m or any(x < 1 for x in exponents):
-        raise ValueError("need one positive exponent per chart generator")
-    e = chart_spec.exponents
-    trivial = tuple(
-        (i, j)
-        for i, j in combinations(range(m), 2)
-        if e[i][j] % chart_spec.order == 0
-    )
-    items = [ChartItem((i,), exponents[i]) for i in range(m)]
-    if trivial:
-        items += [ChartItem(p, INFINITE) for p in trivial]
-        return ChartCount(INFINITE, tuple(items), trivial)
-    return ChartCount(sum(exponents), tuple(items), ())
-
-
-@dataclass(frozen=True)
 class TwoVarCount:
     factors: int
     shifts: int
@@ -249,12 +219,47 @@ class CensusReport:
     total: object  # int | INFINITE
 
 
+@dataclass(frozen=True)
+class _ChartPlan:
+    """What one census chart takes from the weights alone: x_chart inverted
+    and the generators before it zero, its kept generators, the singleton
+    items y_j^{h_j} = -1 with their h_j points, and their sum."""
+
+    chart: int
+    description: str
+    kept: tuple[int, ...]
+    singles: tuple[ChartItem, ...]
+    finite: int
+
+
+@lru_cache(maxsize=16)
+def _census_plan(weights: tuple[int, ...]) -> tuple[tuple[_ChartPlan, ...], CensusChart]:
+    """The two chart plans and the closed-stratum chart of a weight system."""
+    d = sum(weights)
+    h = [d // a for a in weights]
+    plans = []
+    for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")):
+        kept = tuple(range(k + 1, 4))
+        plans.append(_ChartPlan(k, description, kept,
+                                tuple(ChartItem((j,), h[j]) for j in kept),
+                                sum(h[j] for j in kept)))
+    tv = two_var_fermat_count(weights[2], weights[3], d)
+    closed = CensusChart(
+        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), (), None)
+    return tuple(plans), closed
+
+
 def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     """Closed-point census of Proj for weights (1, 1, a, b) with all a_i | d.
 
     Decomposes into the chart inverting x_0, the chart x_0 = 0 inverting
     x_1, and the closed stratum x_0 = x_1 = 0 handled by the two-variable
-    count.  The total is Infinite as soon as one chart is.
+    count.  On a chart with equation 1 + sum y_j^{h_j}, a pair scalar
+    q'_jk = 1 admits supports of size two, a positive dimensional solution
+    set: infinitely many simples.  Otherwise all simples have singleton
+    support and y_j^{h_j} = -1 contributes h_j points.  The total is
+    Infinite as soon as one chart is.  Everything but the chart scalars
+    depends on the weights alone and is planned once per weight system.
     """
     bad = validate_spec(spec)
     if bad:
@@ -264,32 +269,24 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     if spec.nvars != 4 or spec.weights[0] != 1 or spec.weights[1] != 1:
         raise ValueError(
             f"census covers weights (1, 1, a, b), got {spec.weights}")
-    h = spec.fermat_exponents()
+    plans, closed = _census_plan(spec.weights)
     charts = []
-    for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")):
-        # x_0 .. x_{k-1} = 0 and x_k inverted: the chart at the first
-        # generator of the subalgebra on x_k .. x_3
-        cp = chart_parameters(spec if k == 0 else spec.subspec(range(k, 4)), 0)
-        kept = tuple(k + i for i in cp.kept)
-        c = chart_simple_count(cp.spec, tuple(h[j] for j in kept))
-        charts.append(CensusChart(
-            k, description,
-            c.count,
-            tuple(ChartItem(tuple(kept[i] for i in item.support), item.count)
-                  for item in c.items),
-            tuple((kept[i], kept[j]) for i, j in c.trivial_pairs),
-            cp.spec,
-        ))
-
-    tv = two_var_fermat_count(spec.weights[2], spec.weights[3], spec.total_degree)
-    charts.append(CensusChart(
-        2, "x0 = x1 = 0",
-        tv.count,
-        (ChartItem((2, 3), tv.count),),
-        (),
-        None,
-    ))
-
+    for plan in plans:
+        chart = AlgebraSpec.unweighted(
+            spec.order, _chart_exponents(spec, plan.chart, plan.kept))
+        e = chart.exponents
+        kept = plan.kept
+        trivial = tuple((kept[i], kept[j])
+                        for i, j in combinations(range(len(kept)), 2) if not e[i][j])
+        if trivial:
+            charts.append(CensusChart(
+                plan.chart, plan.description, INFINITE,
+                plan.singles + tuple(ChartItem(p, INFINITE) for p in trivial),
+                trivial, chart))
+        else:
+            charts.append(CensusChart(
+                plan.chart, plan.description, plan.finite, plan.singles, (), chart))
+    charts.append(closed)
     if any(c.count is INFINITE for c in charts):
         total = INFINITE
     else:

@@ -10,13 +10,21 @@ times a monomial and all identities here are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .cyclo import CycInt, RootScalar, kernel_lattice, lattice_contains
 from .errors import HypothesisViolation, InternalDefect
 
+# Most steps center_lattice's cross-check may take, priced before it starts:
+# C(m + 6, 6) monomials of degree at most 6, each compared with the m
+# generators by two reorder scalars of O(m) steps.  A step takes about 1.2
+# us when every monomial is central (the worst case) on a 2 vCPU Xeon, so
+# the largest accepted chart, m = 10 (800,800 steps), takes about a second,
+# and m = 11 (1,497,496) is refused.
+CENTER_CHECK_BOUND = 10**6
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AlgebraSpec:
     """Weights, root order and the exponent matrix of the q parameters.
 
@@ -31,10 +39,11 @@ class AlgebraSpec:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        weights = tuple(int(a) for a in self.weights)
-        exps = tuple(tuple(int(e) % self.order for e in row) for row in self.exponents)
-        if self.order < 1:
+        order = self.order
+        if order < 1:
             raise ValueError("root order must be positive")
+        weights = tuple(map(int, self.weights))
+        exps = tuple(tuple([int(e) % order for e in row]) for row in self.exponents)
         if not weights:
             raise ValueError("need at least one generator")
         if any(a < 1 for a in weights):
@@ -296,17 +305,23 @@ def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
         raise ValueError(
             f"chart requires weight 1 at index {inverted}, "
             f"got {spec.weights[inverted]}")
-    t = inverted
-    kept = tuple(j for j in range(spec.nvars) if j != t)
+    kept = tuple(j for j in range(spec.nvars) if j != inverted)
+    chart = AlgebraSpec.unweighted(spec.order, _chart_exponents(spec, inverted, kept))
+    return ChartParams(spec=chart, kept=kept)
+
+
+def _chart_exponents(spec: AlgebraSpec, t: int, kept) -> tuple[tuple[int, ...], ...]:
+    """Exponents of q'_jk = q_tj^{a_k} q_jk q_kt^{a_j} for j, k in `kept`.
+
+    Only x_t and the kept generators enter, so with kept = (t+1, ..,) this
+    is the chart at x_t of the subalgebra on x_t, x_{t+1}, ...
+    """
     e = spec.exponents
     a = spec.weights
-    rows = []
-    for j in kept:
-        rows.append(tuple(
-            (a[k] * e[t][j] + e[j][k] + a[j] * e[k][t]) % spec.order
-            for k in kept))
-    chart = AlgebraSpec((1,) * len(kept), spec.order, tuple(rows))
-    return ChartParams(spec=chart, kept=kept)
+    n = spec.order
+    return tuple(
+        tuple([(a[k] * e[t][j] + e[j][k] + a[j] * e[k][t]) % n for k in kept])
+        for j in kept)
 
 
 @dataclass(frozen=True)
@@ -339,10 +354,17 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     Assumes unit diagonal and antisymmetry (a validated spec or a chart
     matrix).  The kernel route is cross-checked by the reorder scalars of
     every monomial of total degree at most 6: exponent arithmetic, O(1) in N.
+    A cross-check priced above CENTER_CHECK_BOUND steps is refused before
+    any work.
     """
     n = spec.order
     e = spec.exponents
     m = spec.nvars
+    cost = comb(m + 6, 6) * m * m
+    if cost > CENTER_CHECK_BOUND:
+        raise ValueError(
+            f"centrality cross-check of {m} generators takes {cost} steps, "
+            f"above CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}")
     basis = kernel_lattice([list(r) for r in e], n)
     pure = []
     for i in range(m):

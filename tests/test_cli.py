@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcy import cli, cyclo, hilbert, search
+from qcy import cli, cyclo, hilbert, qalgebra, search
 from qcy.cli import main
 from qcy.cycert import Verdict
 
@@ -297,6 +297,19 @@ def test_search_q_above_the_bound_exits_2(tmp_path):
     assert out == ""
     assert f"SEARCH_BOUND = {search.SEARCH_BOUND}" in err
     assert "362797056" in err
+    assert "Traceback" not in err
+
+
+def test_center_above_the_bound_exits_2(tmp_path):
+    """Fifteen generators: a chart of 14, cross-check priced at 7,596,960 steps."""
+    man = tmp_path / "fifteen.man"
+    man.write_text("schema 1\norder 7\nweights" + " 1" * 15 + "\n"
+                   + ("row" + " 0" * 15 + "\n") * 15)
+    code, out, err = within(1, lambda: run_cli(["center", "--input", str(man)]))
+    assert code == 2
+    assert out == ""
+    assert f"CENTER_CHECK_BOUND = {qalgebra.CENTER_CHECK_BOUND}" in err
+    assert "7596960" in err
     assert "Traceback" not in err
 
 

@@ -13,7 +13,6 @@ from qcy.points import (
     INFINITE,
     admissible_supports,
     census_weighted_surface,
-    chart_simple_count,
     is_special,
     max_stratum_dimension,
     pi_degree,
@@ -22,7 +21,7 @@ from qcy.points import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import SPEC3, SPEC4, antisymmetric
+from helpers import SPEC3, SPEC4, antisymmetric, chart_simple_count
 
 
 # -- special parameters and torus strata ------------------------------------

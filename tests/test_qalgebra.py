@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcy.cyclo import CycInt
 from qcy.errors import HypothesisViolation
 from qcy.qalgebra import (
+    CENTER_CHECK_BOUND,
     AlgebraSpec,
     SkewPoly,
     center_lattice,
@@ -22,7 +23,7 @@ from qcy.qalgebra import (
     validate_spec,
 )
 
-from helpers import CHART3, SPEC3, SPEC4, antisymmetric
+from helpers import CHART3, E4, SPEC3, SPEC4, antisymmetric, within
 
 
 # -- validation -------------------------------------------------------------
@@ -58,6 +59,39 @@ def test_fermat_exponents():
                       exponents=antisymmetric(2, (0, 0, 0)))
     with pytest.raises(HypothesisViolation):
         bad.fermat_exponents()
+
+
+def test_spec_has_slots_and_no_instance_dict():
+    assert not hasattr(SPEC4, "__dict__")
+    with pytest.raises(AttributeError):
+        SPEC4.order = 5
+
+
+def test_spec_normalizes_entries_mod_the_order():
+    spec = AlgebraSpec([True, 1.0], 3, [[3, -1], [4, 0]])
+    assert spec.weights == (1, 1)
+    assert spec.exponents == ((0, 2), (1, 0))
+    assert all(type(x) is int for x in spec.weights + spec.exponents[0])
+
+
+def test_spec_equality_and_hash_follow_the_normalized_fields():
+    same = AlgebraSpec((1, 1, 2, 2), 3, [[x + 3 for x in r] for r in E4])
+    assert same == SPEC4
+    assert hash(same) == hash(SPEC4)
+    assert len({same, SPEC4}) == 1
+    assert AlgebraSpec((1, 1, 2, 2), 6, E4) != SPEC4
+
+
+@pytest.mark.parametrize("weights, order, exponents, message", [
+    ((1, 1), 0, ((0, 0), (0, 0)), "root order must be positive"),
+    ((), 3, (), "need at least one generator"),
+    ((1, 0), 3, ((0, 0), (0, 0)), "weights must be positive"),
+    ((1, 1), 3, ((0, 0),), "shape must match"),
+    ((1, 1), 3, ((0, 0), (0,)), "shape must match"),
+])
+def test_spec_shape_errors(weights, order, exponents, message):
+    with pytest.raises(ValueError, match=message):
+        AlgebraSpec(weights, order, exponents)
 
 
 def test_subspec_restricts_generators():
@@ -274,6 +308,17 @@ def test_center_of_commutative_is_everything():
     lattice = center_lattice(spec)
     assert lattice.pure_powers == (1, 1, 1)
     assert lattice.contains((1, 0, 0))
+
+
+def test_center_cross_check_is_priced_by_the_generator_count():
+    """The largest accepted chart has ten generators."""
+    assert comb(16, 6) * 10**2 <= CENTER_CHECK_BOUND < comb(17, 6) * 11**2
+    # q_ij = zeta_7 for i < j: most monomials fail fast, so this stays quick
+    ten = AlgebraSpec.unweighted(7, antisymmetric(7, (1,) * 45))
+    assert center_lattice(ten).pure_powers == (7,) * 10
+    eleven = AlgebraSpec.unweighted(7, antisymmetric(7, (0,) * 55))
+    with pytest.raises(ValueError, match=f"CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}"):
+        within(1, lambda: center_lattice(eleven))
 
 
 # -- monomial enumeration ---------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qcy import search
 from qcy.cycert import Verdict, certify_weighted
+from qcy.errors import InternalDefect
 from qcy.points import INFINITE
 from qcy.search import (
     REFERENCE_SURFACE_WEIGHTS,
@@ -26,7 +27,7 @@ from qcy.search import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import E4, within
+from helpers import E4, reference_census, reference_search, within
 
 
 # -- weight systems ---------------------------------------------------------
@@ -375,6 +376,52 @@ def test_five_variable_search_within_a_minute():
         assert certify_weighted(spec).verdict is Verdict.CY
 
 
+@pytest.mark.parametrize("weights, order, classes", [
+    ((1, 1, 1, 6, 9), 18, 2088),
+    ((1, 1, 1, 3, 6), 12, None),
+    ((1, 1, 1, 1, 1), 5, 755),
+    *((w, sum(w), None) for w in CRITERION_2_SYSTEMS),
+], ids=str)
+def test_search_matches_the_reference_walk(weights, order, classes):
+    """The array walk and the scalar walk keep the same representatives,
+    on systems too large for the brute force."""
+    found = [s.exponents for s in search_q_params(weights, order)]
+    assert found == reference_search(weights, order)
+    assert classes is None or len(found) == classes
+
+
+def test_search_holds_large_boxes_as_python_ints(monkeypatch):
+    """With SEARCH_BOUND * box at 2^62 or more the walk leaves int64."""
+    expected = search_q_params((1, 1, 2, 2), 6)
+    monkeypatch.setattr(search, "SEARCH_BOUND", 2**62)
+    assert search._lattice_points([3, 2], [[1, 0], [0, 2]])[0].dtype == object
+    assert search_q_params((1, 1, 2, 2), 6) == expected
+
+
+def test_permutation_leaving_the_weights_is_a_defect(monkeypatch):
+    """A relabelling that swaps a weight-1 and a weight-2 generator leaves
+    the CY matrices of (1,1,2,2)@6: the orbit marking raises."""
+    real = search._weight_preserving_perms
+    monkeypatch.setattr(search, "_weight_preserving_perms",
+                        lambda weights: real(weights) + [(0, 2, 1, 3)])
+    with pytest.raises(InternalDefect, match="not closed"):
+        search_q_params((1, 1, 2, 2), 6)
+
+
+def test_action_without_its_sign_is_a_defect(monkeypatch):
+    """Relabelling e_ij to e_ji negates the exponent; dropping the sign
+    sends CY matrices of (1,1,2,2)@6 outside the set."""
+    real = search._signed_actions
+
+    def unsigned(pairs, perms):
+        source, sign = real(pairs, perms)
+        return source, abs(sign)
+
+    monkeypatch.setattr(search, "_signed_actions", unsigned)
+    with pytest.raises(InternalDefect, match="not closed"):
+        search_q_params((1, 1, 2, 2), 6)
+
+
 def test_search_above_the_bound_is_refused_before_enumeration():
     with pytest.raises(ValueError) as exc:
         within(5, lambda: search_q_params((1,) * 6, 6))
@@ -392,6 +439,13 @@ def test_sweep_census_totals():
         assert row.weights == (1, 1, 1, 3)
         total = row.census.total
         assert total is INFINITE or total == 24
+
+
+def test_sweep_census_matches_the_chart_by_chart_reference():
+    rows = sweep_census(CRITERION_2_SYSTEMS)
+    assert len(rows) == 238
+    for row in rows:
+        assert row.census == reference_census(row.spec), row.spec
 
 
 def test_sweep_census_skips_non_surface_shapes():
