@@ -14,10 +14,16 @@ longer side, with each block update x - coef @ e done as float64 matrix
 products on 16-bit limbs and reduced mod p three times per block, after
 Dumas, Giorgi and Pernet (FFLAS-FFPACK).  Limb products are below 2**32,
 so float64 sums over an inner size below 2**20 are exact integers; the
-route refuses matrices whose shorter side reaches 2**20.  A sparser
-matrix, such as the spans of the brute-force Hilbert oracle, would fill
-in under halving and keeps the pivot loop, one rank-1 update per pivot on
-the rows it hits.
+route refuses matrices whose shorter side reaches 2**20.  The halving
+stops at blocks of 16 rows, which the elimination loop reduces in int64.
+A sparser matrix, such as the spans of the brute-force Hilbert oracle,
+would fill in under halving.  Its structural pivots, rows alone in some
+column, are peeled in array rounds first, after Faugere and Lachartre
+(PASCO 2010); the elimination loop, one rank-1 update per pivot on the
+rows it hits, takes what is left.  The spans of one element peel whole
+when its leading coefficient is nonzero mod p (the row with the greatest
+leading monomial is alone in that column); the deficient spans of two
+Fermat elements peel nothing.
 
 All modular arithmetic assumes a modulus below 2**31 so that products fit
 in int64; the image's mixed-radix codes need N^n <= 2**62.
@@ -91,6 +97,9 @@ def _divisors(n: int) -> list[int]:
 _INNER_BOUND = 2**20
 # Rows of x per block product, so temporaries stay a few row blocks.
 _CHUNK = 128
+# Blocks of at most this many rows end the halving; their updates would be
+# too small for block products to pay.
+_LEAF = 16
 
 
 def modp_rank(mat, p: int) -> int:
@@ -98,25 +107,32 @@ def modp_rank(mat, p: int) -> int:
 
     Two routes, chosen by the density of the matrix reduced mod p.  With at
     least a quarter of the entries nonzero, `_rref` reduces it by recursive
-    halving with exact float64 block products (see `_sub_product`):
-    elimination fills a dense matrix in anyway, and the pivot loop's one
-    remainder pass per pivot would be most of its time.  Sparser matrices,
-    such as the spans of the brute-force Hilbert oracle, keep `_pivot_rank`,
-    which touches only the rows a pivot hits, where halving would fill their
-    echelon form in.  The halving route raises ValueError when
+    halving with exact float64 block products (see `_sub_product`) down to
+    blocks of `_LEAF` rows, which `_eliminate` reduces: elimination fills a
+    dense matrix in anyway, and one remainder pass per pivot over the whole
+    matrix would be most of its time.  Sparser matrices, such as the spans
+    of the brute-force Hilbert oracle, go to `_pivot_rank`, which peels the
+    rows alone in some column in array rounds and passes the rest to
+    `_eliminate`, touching only the rows a pivot hits, where halving would
+    fill their echelon form in.  The halving route raises ValueError when
     min(n, m) >= 2**20, past which its float64 sums could be inexact.
     """
     if not 1 < p < 2**31:
         raise ValueError("prime must fit comfortably in int64 arithmetic")
     a = np.array(mat, dtype=np.int64)
-    a %= p
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, m = a.shape
     if n == 0 or m == 0:
         return 0
-    if 4 * np.count_nonzero(a) < a.size:
-        return _pivot_rank(a, p)
+    # Two comparisons cost less than one int64 remainder pass, and callers
+    # such as the Hilbert oracle pass residues already.
+    if a.min() < 0 or a.max() >= p:
+        a %= p
+    nz = a != 0
+    if 4 * np.count_nonzero(nz) < a.size:
+        return _pivot_rank(a, nz, p)
+    del nz
     if min(n, m) >= _INNER_BOUND:
         raise ValueError(
             f"dense matrices need min(n, m) < {_INNER_BOUND} "
@@ -127,11 +143,51 @@ def modp_rank(mat, p: int) -> int:
     return len(_rref(a, p))
 
 
-def _pivot_rank(a: np.ndarray, p: int) -> int:
-    """Rank of `a` (entries in [0, p), modified in place) by rank-1 updates."""
-    n, m = a.shape
-    row = 0
-    for col in range(m):
+def _pivot_rank(a: np.ndarray, nz: np.ndarray, p: int) -> int:
+    """Rank of `a` (entries in [0, p)) with nonzero pattern `nz`, both
+    modified in place: structural pivots peeled in array rounds, then the
+    elimination loop on what is left.
+
+    Each round counts the nonzeros of every column over the remaining rows.
+    A column with one names a row that is nonzero where no other remaining
+    row is, so that row is independent of the others and rank(a) = 1 +
+    rank(a without it); the distinct named rows are dropped at once.
+    Peeling reads only the nonzero pattern, which dropping rows keeps, so
+    the rounds run on `nz` and the remainder is gathered once, without the
+    columns it has no nonzero in.  When nothing peels, `a` itself is
+    eliminated.
+    """
+    counts = nz.sum(axis=0, dtype=np.int32)
+    alive = np.ones(a.shape[0], dtype=bool)
+    peeled = 0
+    while (single := np.flatnonzero(counts == 1)).size:
+        rows = np.unique(nz[:, single].argmax(axis=0))
+        alive[rows] = False
+        counts -= nz[rows].sum(axis=0, dtype=np.int32)
+        nz[rows] = False
+        peeled += rows.size
+    del nz
+    live = np.flatnonzero(counts)
+    if peeled:
+        a = a[np.ix_(alive, live)]
+        live = np.arange(live.size)
+    return peeled + len(_eliminate(a, p, live, above=False))
+
+
+def _eliminate(a: np.ndarray, p: int, live, above: bool) -> list[int]:
+    """Row echelon form of `a` (entries in [0, p)) in place; its pivot columns.
+
+    Scans the columns `live`, which must hold every column of `a` with a
+    nonzero entry (a zero column stays zero under row operations).  One
+    rank-1 update per pivot, on the rows with a nonzero in the pivot
+    column: those below it, and those above it as well when `above` is
+    set, which leaves the first r rows reduced (see `_rref`).  Entries and
+    multipliers are residues below 2**31, so products fit in int64.
+    """
+    n = a.shape[0]
+    cols = []
+    for col in live.tolist():
+        row = len(cols)
         if row == n:
             break
         nz = np.nonzero(a[row:, col])[0]
@@ -140,16 +196,19 @@ def _pivot_rank(a: np.ndarray, p: int) -> int:
         piv = row + int(nz[0])
         if piv != row:
             a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), -1, p)
-        a[row, col:] = a[row, col:] * inv % p
-        below = a[row + 1 :, col]
-        hit = np.nonzero(below)[0]
+        pivot = a[row, col:]
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
+        if above:
+            hit = np.nonzero(a[:, col])[0]
+            hit = hit[hit != row]
+        else:
+            hit = np.nonzero(a[row + 1 :, col])[0]
+            hit += row + 1
         if hit.size:
-            a[row + 1 + hit, col:] = (
-                a[row + 1 + hit, col:] - below[hit, None] * a[row, col:]
-            ) % p
-        row += 1
-    return row
+            a[hit, col:] = (a[hit, col:] - a[hit, col : col + 1] * pivot) % p
+        cols.append(col)
+    return cols
 
 
 def _rref(a: np.ndarray, p: int) -> np.ndarray:
@@ -158,18 +217,16 @@ def _rref(a: np.ndarray, p: int) -> np.ndarray:
     `a` holds entries in [0, p).  On return its first r rows are reduced:
     row i has a 1 in column cols[i] and every other row a 0 there; the
     remaining rows are zero.  Returns cols, whose length r is the rank.
-    Rows are ordered as their pivots were found, not by column.
+    Rows are ordered as their pivots were found, not by column.  Blocks of
+    at most `_LEAF` rows are reduced by the elimination loop in int64.
     """
     n = a.shape[0]
-    if n == 1:
-        nz = np.flatnonzero(a[0])
-        if nz.size == 0:
-            return nz
-        a[0] *= pow(int(a[0, nz[0]]), -1, p)
-        a[0] %= p
-        return nz[:1]
-    if not a.any():
+    live = a.any(axis=0)
+    if not live.any():
         return np.empty(0, dtype=np.intp)
+    if n <= _LEAF:
+        cols = _eliminate(a, p, np.flatnonzero(live), above=True)
+        return np.array(cols, dtype=np.intp)
     h = n // 2
     top, bottom = a[:h], a[h:]
     upper = _rref(top, p)

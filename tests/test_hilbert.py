@@ -223,6 +223,39 @@ def test_brute_force_accepts_multiple_quotients(monkeypatch):
                if shape not in deficient)
 
 
+def test_brute_force_on_two_cubics_where_nothing_peels(monkeypatch):
+    # Two commutative cubics in six variables: each column monomial is hit
+    # by the rows of both or of neither, so no column has one nonzero and
+    # every span reaches the elimination loop whole.  From degree 6 on the
+    # spans are deficient (f g = g f) and take several primes each.
+    calls = []  # (span shape, shapes the elimination loop received)
+    rank, eliminate = _kernels.modp_rank, _kernels._eliminate
+
+    def counted_rank(mat, p):
+        calls.append((mat.shape, []))
+        return rank(mat, p)
+
+    def counted_eliminate(a, p, live, above):
+        calls[-1][1].append(a.shape)
+        return eliminate(a, p, live, above)
+
+    monkeypatch.setattr(_kernels, "modp_rank", counted_rank)
+    monkeypatch.setattr(_kernels, "_eliminate", counted_eliminate)
+    spec = AlgebraSpec.unweighted(1, ((0,) * 6,) * 6)
+    cubes = [tuple(3 * (j == i) for j in range(6)) for i in range(6)]
+    f = sum((SkewPoly.monomial(1, e) for e in cubes[1:]),
+            SkewPoly.monomial(1, cubes[0]))
+    g = sum((SkewPoly.monomial(1, e, i + 2) for i, e in enumerate(cubes[1:])),
+            SkewPoly.monomial(1, cubes[0]))
+    dims = brute_force_dims(spec, (f, g), max_degree=8)
+    series = quotient_by_regular(
+        quotient_by_regular(series_qpoly((1,) * 6), 3), 3)
+    assert dims == list(series.prefix(8))
+    assert dims[-3:] == [351, 546, 804]
+    assert len(calls) > 9  # more than one prime at some degree
+    assert all(loop == [span] for span, loop in calls)
+
+
 def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
     counts = {"multiply": 0, "mul": 0, "monomials": []}
     multiply, mul = qalgebra.multiply, CycInt.__mul__

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy import _kernels
+from qcy import _kernels, hilbert
+from qcy.qalgebra import fermat
+
+from helpers import SPEC4
 
 
 def rank_oracle(mat, p):
@@ -79,12 +82,18 @@ def assert_reduced(a, cols):
     assert not a[r:].any()
 
 
+def pivot_rank(mat, p):
+    """The sparse route called directly, on the matrix reduced mod p."""
+    a = np.array(mat, dtype=np.int64) % p
+    return _kernels._pivot_rank(a, a != 0, p)
+
+
 def assert_routes_agree(mat, p):
     """modp_rank, both of its routes called directly and the oracle agree."""
     expected = rank_oracle(mat, p)
     assert _kernels.modp_rank(mat, p) == expected
     reduced = np.array(mat, dtype=np.int64) % p
-    assert _kernels._pivot_rank(reduced.copy(), p) == expected
+    assert pivot_rank(reduced, p) == expected
     a = reduced.copy()
     cols = _kernels._rref(a, p)
     assert len(cols) == expected
@@ -98,7 +107,7 @@ def assert_routes_agree(mat, p):
 @settings(max_examples=300, deadline=None)
 def test_rank_backends_agree(n, m, p, sparsity, data):
     # entries over all of (-p, 2p), so both 16-bit limbs are exercised;
-    # `sparsity` zeros push some matrices onto the pivot loop
+    # `sparsity` zeros push some matrices onto the sparse route
     entry = st.integers(-p + 1, 2 * p - 1)
     mat = [[0 if data.draw(st.floats(0, 1)) < sparsity else data.draw(entry)
             for _ in range(m)] for _ in range(n)]
@@ -107,34 +116,6 @@ def test_rank_backends_agree(n, m, p, sparsity, data):
 
 def _dense(rng, n, m, p):
     return rng.integers(0, p, size=(n, m), dtype=np.int64)
-
-
-def _fixed_cases():
-    rng = np.random.default_rng(7)
-    p = 2_147_483_629
-    zero_top = np.vstack((np.zeros((4, 9), dtype=np.int64), _dense(rng, 5, 9, p)))
-    base = _dense(rng, 4, 10, p)
-    cases = [
-        ("all-zero", np.zeros((6, 8), dtype=np.int64), p, 0),
-        ("one-row", _dense(rng, 1, 12, p), p, 1),
-        ("one-column", _dense(rng, 12, 1, p), p, 1),
-        ("zero-top-half", zero_top, p, 5),
-        ("duplicated-rows", np.vstack((base, base, base[::-1])), p, 4),
-        ("all-p-minus-1", np.full((300, 300), 2 ** 31 - 2, dtype=np.int64),
-         2 ** 31 - 1, 1),
-    ]
-    return [pytest.param(*case[1:], id=case[0]) for case in cases]
-
-
-@pytest.mark.parametrize("mat, p, rank", _fixed_cases())
-def test_rank_fixed_cases(mat, p, rank):
-    assert _kernels.modp_rank(mat, p) == rank
-    assert _kernels._pivot_rank(mat % p, p) == rank
-    a = mat % p
-    cols = _kernels._rref(a, p)
-    assert len(cols) == rank
-    assert_reduced(a, cols)
-    assert rank_oracle(mat.tolist(), p) == rank
 
 
 def _known_rank(rng, shape, rank, p):
@@ -151,6 +132,56 @@ def _known_rank(rng, shape, rank, p):
     return mat
 
 
+def _full_range(rng, mat, p):
+    """The same matrix mod p with entries spread over (-p, 2p)."""
+    return mat + p * rng.integers(-1, 2, size=mat.shape)
+
+
+def _fixed_cases():
+    rng = np.random.default_rng(7)
+    p = 2_147_483_629
+    zero_top = np.vstack((np.zeros((4, 9), dtype=np.int64), _dense(rng, 5, 9, p)))
+    base = _dense(rng, 4, 10, p)
+    cases = [
+        ("all-zero", np.zeros((6, 8), dtype=np.int64), p, 0),
+        ("one-row", _dense(rng, 1, 12, p), p, 1),
+        ("one-column", _dense(rng, 12, 1, p), p, 1),
+        ("zero-top-half", zero_top, p, 5),
+        ("duplicated-rows", np.vstack((base, base, base[::-1])), p, 4),
+        ("all-p-minus-1", np.full((300, 300), 2 ** 31 - 2, dtype=np.int64),
+         2 ** 31 - 1, 1),
+    ]
+    # Leaves of the halving hold at most 16 rows; 17 rows and more reach
+    # the block products between them.
+    for rows, cols, rank in ((15, 20, 15), (16, 20, 16), (17, 20, 17),
+                             (17, 20, 9), (33, 40, 20), (100, 60, 60),
+                             (100, 60, 45)):
+        mat = _known_rank(rng, (rows, cols), rank, p)
+        cases.append((f"{rows}-rows-rank-{rank}", _full_range(rng, mat, p), p, rank))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("mat, p, rank", _fixed_cases())
+def test_rank_fixed_cases(mat, p, rank):
+    assert _kernels.modp_rank(mat, p) == rank
+    assert pivot_rank(mat, p) == rank
+    a = mat % p
+    cols = _kernels._rref(a, p)
+    assert len(cols) == rank
+    assert_reduced(a, cols)
+    assert rank_oracle(mat.tolist(), p) == rank
+
+
+@given(st.integers(17, 64), st.integers(1, 32), st.sampled_from(PRIMES),
+       st.integers(0, 32), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rank_routes_agree_past_one_leaf(n, m, p, rank, seed):
+    # more rows than one 16-row leaf, of a known rank at most min(n, m)
+    rng = np.random.default_rng(seed)
+    mat = _known_rank(rng, (n, m), min(rank, n, m), p)
+    assert_routes_agree(_full_range(rng, mat, p).tolist(), p)
+
+
 def test_dense_rank_peak_memory():
     p = 2_147_483_629
     mat = _known_rank(np.random.default_rng(3), (320, 1600), 256, p)
@@ -164,12 +195,147 @@ def test_dense_rank_peak_memory():
     assert peak <= 2.5 * mat.nbytes
 
 
+# -- structural pivots --------------------------------------------------------
+
+
+def _spy_eliminate(monkeypatch):
+    """Record the shape of every matrix the elimination loop receives."""
+    shapes = []
+    eliminate = _kernels._eliminate
+
+    def spy(a, p, live, above):
+        shapes.append(a.shape)
+        return eliminate(a, p, live, above)
+
+    monkeypatch.setattr(_kernels, "_eliminate", spy)
+    return shapes
+
+
+def _chain(rng, n, p):
+    """n x (n + 1), row i nonzero in columns i and i + 1 only.  Its two end
+    columns have one nonzero each, so it peels from both ends, two rows a
+    round."""
+    t = np.zeros((n, n + 1), dtype=np.int64)
+    i = np.arange(n)
+    t[i, i] = rng.integers(1, p, size=n)
+    t[i, i + 1] = rng.integers(1, p, size=n)
+    return t
+
+
+def _doubled(rng, k, m, p):
+    """k sparse rows (at most three nonzeros each) over m columns, then a
+    nonzero multiple of each, so no column has exactly one nonzero."""
+    base = np.zeros((k, m), dtype=np.int64)
+    width = min(3, m)
+    for row in base:
+        row[rng.choice(m, size=width, replace=False)] = rng.integers(1, p, size=width)
+    scales = rng.integers(1, p, size=(k, 1))
+    return np.vstack((base, base * scales % p)), base
+
+
+def _shuffled(rng, mat, p):
+    """mat with rows and columns permuted and entries spread over (-p, 2p)."""
+    mat = mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+    return _full_range(rng, mat, p)
+
+
+def test_chain_peels_over_several_rounds(monkeypatch):
+    shapes = _spy_eliminate(monkeypatch)
+    p = 2_147_483_629
+    rng = np.random.default_rng(5)
+    mat = _shuffled(rng, _chain(rng, 40, p), p)
+    assert _kernels.modp_rank(mat, p) == 40 == rank_oracle(mat.tolist(), p)
+    # every row peeled, nothing left for the loop
+    assert shapes == [(0, 0)]
+
+
+def test_doubled_rows_peel_nothing(monkeypatch):
+    shapes = _spy_eliminate(monkeypatch)
+    p = 65537
+    rng = np.random.default_rng(6)
+    doubled, base = _doubled(rng, 20, 60, p)
+    mat = _shuffled(rng, doubled, p)
+    rank = rank_oracle(base.tolist(), p)
+    assert _kernels.modp_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
+    assert shapes == [mat.shape]
+
+
+def test_peeled_rows_leave_a_deficient_remainder(monkeypatch):
+    shapes = _spy_eliminate(monkeypatch)
+    p = 2**31 - 1
+    rng = np.random.default_rng(8)
+    chain = _chain(rng, 30, p)
+    doubled, base = _doubled(rng, 12, 40, p)
+    mat = np.zeros((30 + 24, 31 + 40), dtype=np.int64)
+    mat[:30, :31] = chain
+    mat[30:, 31:] = doubled
+    mat = _shuffled(rng, mat, p)
+    rank = 30 + rank_oracle(base.tolist(), p)
+    assert rank < mat.shape[0]
+    assert _kernels.modp_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
+    # the chain peels; the doubled rows reach the loop, on their own columns
+    assert shapes == [(24, np.count_nonzero(doubled.any(axis=0)))]
+
+
+@pytest.mark.parametrize("p", (7, 65537, 2**31 - 1))
+def test_peeling_reads_entries_mod_p(p):
+    # Column 0 holds p and -p, zero mod p.  Read unreduced, it would name
+    # row 0 a structural pivot; reduced, row 0 equals row 1 and row 2 is 0.
+    mat = np.zeros((3, 12), dtype=np.int64)
+    mat[0, :2] = p, 1
+    mat[1, 1] = 1
+    mat[2, 0], mat[2, 3] = -p, 2 * p
+    assert _kernels.modp_rank(mat, p) == 1 == rank_oracle(mat.tolist(), p)
+    assert pivot_rank(mat, p) == 1
+
+
+@given(st.integers(0, 24), st.integers(0, 10), st.integers(1, 30),
+       st.sampled_from(PRIMES[2:]), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_structured_sparse_ranks(chain, k, m, p, seed):
+    # a chain that peels beside doubled rows that do not, shuffled
+    rng = np.random.default_rng(seed)
+    doubled, _ = _doubled(rng, k, m, p)
+    mat = np.zeros((chain + 2 * k, chain + 1 + m), dtype=np.int64)
+    mat[:chain, : chain + 1] = _chain(rng, chain, p)
+    mat[chain:, chain + 1 :] = doubled
+    mat = _shuffled(rng, mat, p)
+    expected = rank_oracle(mat.tolist(), p)
+    assert _kernels.modp_rank(mat, p) == expected
+    assert pivot_rank(mat, p) == expected
+
+
+def test_sparse_rank_peak_memory(monkeypatch):
+    # the Hilbert oracle's largest span of the running example to degree 24
+    spans = []
+    modp_rank = _kernels.modp_rank
+
+    def spy(mat, p):
+        spans.append((mat, p))
+        return modp_rank(mat, p)
+
+    monkeypatch.setattr(_kernels, "modp_rank", spy)
+    hilbert.brute_force_dims(SPEC4, fermat(SPEC4), 24)
+    monkeypatch.undo()
+    span, p = spans[-1]
+    assert span.shape == (385, 819)
+    assert 4 * np.count_nonzero(span) < span.size
+    tracemalloc.start()
+    try:
+        rank = _kernels.modp_rank(span, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 385
+    assert peak <= 2.5 * span.nbytes
+
+
 def test_dense_route_refuses_past_its_exactness_bound(monkeypatch):
     monkeypatch.setattr(_kernels, "_INNER_BOUND", 4)
     dense = [[1, 2, 3, 4], [5, 6, 7, 8], [1, 1, 2, 3], [2, 1, 1, 1]]
     with pytest.raises(ValueError, match="min"):
         _kernels.modp_rank(dense, 97)
-    # a sparser matrix (a fifth nonzero) keeps the pivot loop
+    # a sparser matrix (a fifth nonzero) takes the sparse route
     assert _kernels.modp_rank(np.eye(4, 5, dtype=np.int64), 97) == 4
 
 
