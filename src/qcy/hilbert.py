@@ -22,6 +22,13 @@ rows modulo p come from exponent arithmetic alone: the term c x^e of f_j
 lands at m + e with the scalar c zeta^s, s the reorder exponent of m past
 e.  With a single central element the first prime gives full rank, since
 the ring is a domain and the rows m * f are independent.
+
+The monomials of all degrees up to the top one are built once per call as
+one int64 array (qalgebra.monomials_up_to).  Each gets a mixed-radix code
+that orders monomials lexicographically and adds under multiplication, so
+the column of m + e is found for all rows and terms at once by a sorted
+search of code(m) + code(e).  A call priced above ORACLE_CELL_BOUND is
+refused before any monomial is built.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InternalDefect
-from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree
+from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_up_to
 
 # Highest degree a prefix may reach.  The coefficients grow like
 # t^(n-1), so a prefix costs more than linear time and memory in the
@@ -40,6 +47,19 @@ from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_of_degree
 # at 10^5 (1.4 s and 119 MB with two such algebras), and 1.2 s and 133 MB
 # at 3 * 10^5.
 DEGREE_BOUND = 10**5
+
+# Most int64 cells brute_force_dims may hold at once, priced from the
+# monomial counts before any work (_price); 1.2 GB.  Peak RSS over the
+# interpreter's near the bound, on a 2 vCPU AMD EPYC: the degree-8 span of
+# four quadrics in eight variables, 6,864 x 6,435 (priced 133 million
+# cells, 1,014 MiB), 729 MiB and 1.0-1.5 s per rank mod p (a deficient
+# span takes one such rank per prime until the norm bound is passed).
+# Tables with spans of one row, priced 134-149 million cells (1,027-1,137
+# MiB): 1,009-1,011 MiB in 0.5-0.8 s for weights (1, 1) to degree 5,751,
+# (1, 100) to 57,380 and (100, 1) to 57,402; 1,105 MiB in 1.1 s for
+# (1, 1, 1, 6, 9) to 139 and 1,017 MiB for (9, 6, 1, 1, 1) to 141; 1,030
+# MiB for (1, 1, 2, 2) to 185; 1,010 MiB for eight unit weights to 23.
+ORACLE_CELL_BOUND = 15 * 10**7
 
 
 class HilbertSeries:
@@ -198,38 +218,74 @@ def _root_of_unity_mod(order: int, p: int) -> int:
     raise InternalDefect(f"no order-{order} element found modulo {p}")
 
 
-def _row_block(spec: AlgebraSpec, monos: np.ndarray, exps: np.ndarray,
-               index: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Reorder exponents and columns of the rows m * f, m over `monos`.
+def _setup(spec: AlgebraSpec, quotient, degrees, max_degree: int):
+    """What brute_force_dims computes once per call: the monomial table
+    and the data of each element's rows.
 
-    x^m times a term c x^e of f is c zeta^s x^(m+e) with s = m . L . e,
-    where L is the strict lower triangle of the exponent matrix
-    (reorder_scalar, a bicharacter), so s is read off for all pairs at once.
-    Entry [r, k] belongs to monomial r and term k; the columns of one row
-    are distinct because the terms are.
+    Returns (exps, codes, starts, elems): the exponent vectors of degree 0
+    .. max_degree and their mixed-radix codes (_places), those of degree t
+    at starts[t]:starts[t + 1]; and for each element f of degree deg <=
+    max_degree, (deg, reorder, term_codes, coeffs, residues): the columns
+    L e over its terms x^e, L the strict lower triangle of the exponent
+    matrix (reorder_scalar, a bicharacter), the codes of the e, the CycInt
+    coefficients, and a dict p -> their values mod p that _matrix_mod
+    fills on first use.  ValueError, before any monomial is built, when
+    the codes would not fit in int64.
     """
+    places = _places(spec.weights, max_degree)
+    exps, starts = monomials_up_to(spec.weights, max_degree)
+    codes = exps @ places
     lower = np.tril(np.array(spec.exponents, dtype=np.int64), -1)
-    scalars = (monos @ lower % spec.order) @ exps.T % spec.order
-    cols = np.empty(scalars.shape, dtype=np.int64)
-    for k, e in enumerate(exps):
-        cols[:, k] = [index[tuple(v)] for v in (monos + e).tolist()]
-    return scalars, cols
+    elems = []
+    for deg, f in zip(degrees, quotient):
+        if deg <= max_degree:
+            terms = np.array(list(f.terms), dtype=np.int64)
+            elems.append((deg, lower @ terms.T % spec.order, terms @ places,
+                          list(f.terms.values()), {}))
+    return exps, codes, starts, elems
+
+
+def _blocks(t: int, exps: np.ndarray, codes: np.ndarray, starts, elems,
+            order: int) -> list:
+    """The rows m * f of degree t: one block (scalars, cols, coeffs,
+    residues) per element with a monomial m of degree t - deg, entry [r, k]
+    of scalars and cols for monomial r and term k.
+
+    x^m times a term c x^e of f is c zeta^s x^(m+e) with s = m . L . e.
+    The codes are additive, so m + e sits where code(m) + code(e) falls
+    among the sorted codes of degree t.  The columns of one row are
+    distinct because the terms are.
+    """
+    col_codes = codes[starts[t]:starts[t + 1]]
+    blocks = []
+    for deg, reorder, term_codes, coeffs, residues in elems:
+        if t < deg or starts[t - deg] == starts[t - deg + 1]:
+            continue
+        rows = slice(starts[t - deg], starts[t - deg + 1])
+        scalars = exps[rows] @ reorder % order
+        cols = np.searchsorted(col_codes, codes[rows, None] + term_codes)
+        blocks.append((scalars, cols, coeffs, residues))
+    return blocks
 
 
 def _matrix_mod(blocks, ncols: int, p: int, g: int) -> np.ndarray:
     """The span matrix modulo p, zeta_N sent to g; one block per element.
 
-    Each block is (scalars, cols, coeffs) with coeffs the CycInt term
-    coefficients of the element.  g^s is computed once per exponent that
-    occurs.
+    Each block is (scalars, cols, coeffs, residues): coeffs the CycInt term
+    coefficients of the element, residues its dict from p to their values
+    modulo p, filled on first use and shared by all degrees of a call.
+    g^s is computed once per exponent that occurs.
     """
-    nrows = sum(len(cols) for _, cols, _ in blocks)
+    nrows = sum(len(cols) for _, cols, _, _ in blocks)
     mat = np.zeros((nrows, ncols), dtype=np.int64)
     start = 0
-    for scalars, cols, coeffs in blocks:
+    for scalars, cols, coeffs, residues in blocks:
+        values = residues.get(p)
+        if values is None:
+            values = residues[p] = np.array(
+                [c.evaluate_mod(g, p) for c in coeffs], dtype=np.int64)
         exponents, where = np.unique(scalars, return_inverse=True)
         powers = np.array([pow(g, int(s), p) for s in exponents], dtype=np.int64)
-        values = np.array([c.evaluate_mod(g, p) for c in coeffs], dtype=np.int64)
         rows = np.arange(start, start + len(cols))[:, None]
         mat[rows, cols] = powers[where.reshape(scalars.shape)] * values % p
         start += len(cols)
@@ -243,7 +299,7 @@ def _rank(blocks, ncols: int, moduli) -> int:
     the norm bound B (module docstring), which is computed only after the
     first prime falls short.  ValueError when `moduli` runs out first.
     """
-    full = min(sum(len(cols) for _, cols, _ in blocks), ncols)
+    full = min(sum(len(cols) for _, cols, _, _ in blocks), ncols)
     best, product, bound = 0, 1, None
     for p, g in moduli:
         rank = _kernels.modp_rank(_matrix_mod(blocks, ncols, p, g), p)
@@ -263,10 +319,52 @@ def _norm_bound_squared(blocks) -> int:
     """B^2, exactly.  The rows of one block carry one element's coefficients
     times roots of unity, so they share one sum of |c|_1^2."""
     bound = 1
-    for _, cols, coeffs in blocks:
+    for _, cols, coeffs, _ in blocks:
         row = sum(sum(map(abs, c.coeffs)) ** 2 for c in coeffs)
         bound *= row ** (len(coeffs[0].coeffs) * len(cols))
     return bound
+
+
+def _places(weights, max_degree: int) -> np.ndarray:
+    """Place values of the mixed-radix code sum e_i * place_i, radix
+    max_degree // a_i + 1 at coordinate i, the first most significant.
+
+    Every exponent of degree at most max_degree is a digit, so the code
+    orders monomials lexicographically and code(m + e) = code(m) + code(e)
+    while m + e stays in range.  ValueError when a code may pass 2**62.
+    """
+    places = [1]
+    for a in reversed(weights[1:]):
+        places.append(places[-1] * (max_degree // a + 1))
+    if places[-1] * (max_degree // weights[0] + 1) > 2**62:
+        raise ValueError(
+            f"monomial codes to degree {max_degree} in weights {weights} "
+            "do not fit in int64")
+    return np.array(places[::-1], dtype=np.int64)
+
+
+def _price(weights, degrees, terms, max_degree: int) -> int:
+    """int64 cells brute_force_dims holds at once, read from the monomial
+    counts; `terms` gives each element's number of terms.
+
+    Building the table of N monomials in n variables, M of them in the
+    first n - 1, holds n M + (n + 6) N cells (monomials_up_to), and one
+    more per monomial is kept for small temporaries.  The table then
+    stays held, n + 1 cells per monomial (exponents and codes), while the
+    spans are built.  Each list or array indexed by degree costs 8 cells
+    per degree.  A span of R rows by C columns whose blocks have R_j rows
+    of T_j terms holds 3 cells per entry (the matrix, the rank's copy, and
+    the rank's own work) and 6 per block entry R_j T_j (scalars, columns
+    and their temporaries).
+    """
+    counts = series_qpoly(weights).prefix(max_degree)
+    n, table = len(weights), sum(counts)
+    head = sum(series_qpoly(weights[:-1]).prefix(max_degree)) if n > 1 else 1
+    spans = max(sum(counts[t - d] * (3 * counts[t] + 6 * k)
+                    for d, k in zip(degrees, terms) if d <= t)
+                for t in range(max_degree + 1))
+    build = n * head + (n + 7) * table
+    return max(build, (n + 1) * table + spans) + 8 * (max_degree + 2)
 
 
 def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[int]:
@@ -274,17 +372,24 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
 
     Returns [dim_0, ..., dim_max_degree].  Each quotient element must be
     homogeneous and central (centrality makes the degree-t relations
-    exactly the span of m * f_j); anything else is rejected.  The rows
-    m * f_j are built modulo p from reorder exponents (_row_block), and
-    each rank is the largest of their ranks modulo primes p = 1 (mod N),
-    proven by a full rank or by primes multiplying past a norm bound
-    (_rank).  The pairs (p, g) are found once per call and shared by all
-    degrees; ValueError when the primes below 2**31 run out first.
+    exactly the span of m * f_j); anything else is rejected.  So are a
+    negative max_degree, monomial codes past 2**62 (_places) and a call
+    priced above ORACLE_CELL_BOUND cells (_price), all before any monomial
+    is built.  The monomials of every degree and each element's term data
+    are built once per call (_setup).  The rows m * f_j are built modulo p
+    from reorder exponents, their columns found by mixed-radix codes
+    (_blocks), and each element's coefficients are evaluated once per
+    prime.  Each rank is the largest of the ranks modulo primes p = 1
+    (mod N), proven by a full rank or by primes multiplying past a norm
+    bound (_rank).  The pairs (p, g) are found once per call and shared by
+    all degrees; ValueError when the primes below 2**31 run out first.
     """
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     if isinstance(quotient, SkewPoly):
         quotient = [quotient]
     quotient = list(quotient)
-    elems = []
+    degrees = []
     for f in quotient:
         deg = f.homogeneous_degree(spec.weights)
         if deg is None or f.is_zero():
@@ -294,8 +399,14 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
             raise ValueError(
                 "brute force supports only central quotient elements; "
                 "two-sided ideals of non-central elements are out of scope")
-        elems.append((deg, np.array(list(f.terms), dtype=np.int64),
-                      list(f.terms.values())))
+        degrees.append(deg)
+    price = _price(spec.weights, degrees, [len(f.terms) for f in quotient],
+                   max_degree)
+    if price > ORACLE_CELL_BOUND:
+        raise ValueError(
+            f"brute force to degree {max_degree} holds {price} cells, "
+            f"above ORACLE_CELL_BOUND = {ORACLE_CELL_BOUND}")
+    exps, codes, starts, elems = _setup(spec, quotient, degrees, max_degree)
     found, walk = [], _moduli(spec.order)
 
     def moduli():
@@ -304,20 +415,10 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
             found.append(pair)
             yield pair
 
-    # Monomials by degree, each list computed once and dropped once no
-    # later degree takes rows from it.
-    by_degree = {}
-    reach = max((deg for deg, _, _ in elems), default=0)
     dims = []
     for t in range(max_degree + 1):
-        by_degree.pop(t - reach - 1, None)
-        cols = by_degree[t] = monomials_of_degree(spec.weights, t)
-        index = {e: i for i, e in enumerate(cols)}
-        blocks = []
-        for deg, exps, coeffs in elems:
-            if t >= deg and by_degree[t - deg]:
-                monos = np.array(by_degree[t - deg], dtype=np.int64)
-                blocks.append((*_row_block(spec, monos, exps, index), coeffs))
-        rank = _rank(blocks, len(cols), moduli()) if blocks else 0
-        dims.append(len(cols) - rank)
+        blocks = _blocks(t, exps, codes, starts, elems, spec.order)
+        ncols = starts[t + 1] - starts[t]
+        rank = _rank(blocks, ncols, moduli()) if blocks else 0
+        dims.append(ncols - rank)
     return dims

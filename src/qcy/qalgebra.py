@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
+import numpy as np
+
 from .cyclo import CycInt, RootScalar, kernel_lattice, lattice_contains
 from .errors import HypothesisViolation, InternalDefect
 
@@ -381,34 +383,44 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         pure_powers=tuple(pure),
         mixed_generator=mixed,
     )
-    for exps in monomials_of_degree_at_most((1,) * m, 6):
+    for exps in map(tuple, monomials_up_to((1,) * m, 6)[0].tolist()):
         if _monomial_is_central(exps, spec) != result.contains(exps):
             raise InternalDefect(
                 f"lattice and direct centrality disagree at {exps}")
     return result
 
 
-def monomials_of_degree(weights, degree: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the given weighted degree, lexicographic order."""
-    weights = tuple(weights)
-    out: list[tuple[int, ...]] = []
+def monomials_up_to(weights, max_degree: int) -> tuple[np.ndarray, list[int]]:
+    """Exponent vectors of weighted degree 0 .. max_degree >= 0, as int64 rows.
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(weights) - 1:
-            q, r = divmod(remaining, weights[i])
-            if r == 0:
-                out.append(prefix + (q,))
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(i + 1, remaining - e * w, prefix + (e,))
-
-    if degree < 0:
-        return []
-    rec(0, degree, ())
-    return out
-
-
-def monomials_of_degree_at_most(weights, bound: int):
-    for t in range(bound + 1):
-        yield from monomials_of_degree(weights, t)
+    Rows run by degree, then lexicographically; those of degree t are
+    exps[starts[t]:starts[t + 1]], starts a list of max_degree + 2 ints.
+    From one empty row with max_degree left to spend, one coordinate at a
+    time: a row with r left is repeated once per exponent 0 .. r // a of
+    the next coordinate, in order.  Every row built is a monomial (the
+    coordinates still to come may be 0), so none is dropped and no level
+    has more rows than the result.  The rows come out lexicographic over
+    all degrees; a stable sort of the last level by degree orders them,
+    and the columns, kept apart until then, are gathered once into the
+    table.  With N monomials, M of them in the first n - 1 coordinates,
+    at most n M + (n + 6) N int64 cells are held at once.
+    """
+    columns, left = [], np.array([max_degree], dtype=np.int64)
+    for i, a in enumerate(weights):
+        counts = left // a + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        digit = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        left = left[parent] - a * digit
+        if i < len(weights) - 1:
+            for j in range(len(columns)):
+                columns[j] = columns[j][parent]
+            columns.append(digit)
+    # by degree, max_degree - left; stable, so lexicographic within one
+    order = np.argsort(-left, kind="stable")
+    parent = parent[order]
+    exps = np.empty((len(order), len(weights)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        exps[:, j] = column[parent]
+    exps[:, -1] = digit[order]
+    degrees = max_degree - left[order]
+    return exps, np.searchsorted(degrees, np.arange(max_degree + 2)).tolist()

@@ -1,4 +1,5 @@
 """Shared fixtures: the running example, small spec builders, a time guard,
+the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
 Hilbert oracle's rows and ranks are tested against, and the scalar lattice
 walk and chart-by-chart census that the search and the census are tested
@@ -12,8 +13,7 @@ from operator import mul
 
 from qcy.cyclo import CycField
 from qcy.points import INFINITE, CensusChart, CensusReport, ChartItem, two_var_fermat_count
-from qcy.qalgebra import (
-    AlgebraSpec, SkewPoly, chart_parameters, monomials_of_degree, multiply)
+from qcy.qalgebra import AlgebraSpec, SkewPoly, chart_parameters, multiply
 from qcy.search import _cy_lattice
 
 # The running example: weight (1,1,2,2) at cube roots of unity, with
@@ -54,6 +54,35 @@ def within(seconds, fn):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def monomials_of_degree(weights, degree):
+    """Exponent vectors of one weighted degree in lexicographic order, by
+    recursion over the coordinates: the reference for
+    qalgebra.monomials_up_to."""
+    weights = tuple(weights)
+    out = []
+
+    def rec(i, remaining, prefix):
+        if i == len(weights) - 1:
+            q, r = divmod(remaining, weights[i])
+            if r == 0:
+                out.append(prefix + (q,))
+            return
+        w = weights[i]
+        for e in range(remaining // w + 1):
+            rec(i + 1, remaining - e * w, prefix + (e,))
+
+    if degree < 0:
+        return []
+    rec(0, degree, ())
+    return out
+
+
+def monomials_of_degree_at_most(weights, bound):
+    """The reference walk's monomials of degree 0 .. bound, degree by degree."""
+    for t in range(bound + 1):
+        yield from monomials_of_degree(weights, t)
 
 
 def multiply_rows(spec, quotient, degree):

@@ -31,14 +31,13 @@ from qcy.qalgebra import (
     center_lattice,
     fermat,
     is_central,
-    monomials_of_degree_at_most,
 )
 from qcy.search import enumerate_cy_weights, search_q_params, sweep_census
 
 import test_cyclo
 import test_points
 import test_qalgebra
-from helpers import SPEC3, SPEC4, antisymmetric
+from helpers import SPEC3, SPEC4, antisymmetric, monomials_of_degree_at_most
 
 
 @contextmanager

@@ -1,5 +1,7 @@
 """Hilbert series prefixes against combinatorial and linear-algebra oracles."""
 
+import random
+import tracemalloc
 from itertools import islice
 from math import comb, gcd, lcm
 from pathlib import Path
@@ -28,12 +30,11 @@ from qcy.qalgebra import (
     SkewPoly,
     fermat,
     is_central,
-    monomials_of_degree,
     validate_spec,
 )
 
-from helpers import (SPEC4, antisymmetric, exact_dims, multiply_rows,
-                     multiply_rows_mod, within)
+from helpers import (SPEC4, antisymmetric, exact_dims, monomials_of_degree,
+                     multiply_rows, multiply_rows_mod, within)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
 
@@ -259,7 +260,7 @@ def test_brute_force_on_two_cubics_where_nothing_peels(monkeypatch):
 def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
     counts = {"multiply": 0, "mul": 0, "monomials": []}
     multiply, mul = qalgebra.multiply, CycInt.__mul__
-    monomials = qalgebra.monomials_of_degree
+    monomials = qalgebra.monomials_up_to
 
     def counted_multiply(*args):
         counts["multiply"] += 1
@@ -269,19 +270,153 @@ def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
         counts["mul"] += 1
         return mul(self, other)
 
-    def counted_monomials(weights, degree):
-        counts["monomials"].append(degree)
-        return monomials(weights, degree)
+    def counted_monomials(weights, max_degree):
+        counts["monomials"].append(max_degree)
+        return monomials(weights, max_degree)
 
     monkeypatch.setattr(qalgebra, "multiply", counted_multiply)
     monkeypatch.setattr(CycInt, "__mul__", counted_mul)
     monkeypatch.setattr(CycInt, "__rmul__", counted_mul)
-    monkeypatch.setattr(hilbert, "monomials_of_degree", counted_monomials)
+    monkeypatch.setattr(hilbert, "monomials_up_to", counted_monomials)
     dims = brute_force_dims(SPEC4, fermat(SPEC4), max_degree=12)
     assert counts["multiply"] == counts["mul"] == 0
-    assert counts["monomials"] == list(range(13))
+    # every degree's monomials come from one enumeration per call
+    assert counts["monomials"] == [12]
     q = quotient_by_regular(series_qpoly(SPEC4.weights), SPEC4.total_degree)
     assert dims == list(q.prefix(12))
+
+
+def test_brute_force_evaluates_each_coefficient_once_per_prime(monkeypatch):
+    calls = []
+    evaluate = CycInt.evaluate_mod
+
+    def counted(self, g, p):
+        calls.append(p)
+        return evaluate(self, g, p)
+
+    monkeypatch.setattr(CycInt, "evaluate_mod", counted)
+    f = fermat(SPEC4)
+    dims = brute_force_dims(SPEC4, (f, f + f), max_degree=12)
+    q = quotient_by_regular(series_qpoly(SPEC4.weights), SPEC4.total_degree)
+    assert dims == list(q.prefix(12))
+    # four terms per element, two elements, each prime once for all degrees
+    primes = set(calls)
+    assert len(primes) > 1
+    assert all(calls.count(p) == 8 for p in primes)
+
+
+# -- refusals before any monomial is built ---------------------------------
+
+
+def _refused(monkeypatch, spec, quotient, max_degree, match):
+    built = []
+    monkeypatch.setattr(hilbert, "monomials_up_to",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=match):
+        within(1, lambda: brute_force_dims(spec, quotient, max_degree))
+    assert built == []
+
+
+def test_brute_force_refuses_a_negative_degree(monkeypatch):
+    _refused(monkeypatch, SPEC4, fermat(SPEC4), -1, "nonnegative")
+
+
+def test_brute_force_refuses_codes_past_int64(monkeypatch):
+    # radix 8 in 21 unit variables: 8^21 > 2^62, while the table is admitted
+    spec = AlgebraSpec.unweighted(1, ((0,) * 21,) * 21)
+    f = SkewPoly.monomial(1, (7,) + (0,) * 20)
+    assert hilbert._price(spec.weights, (7,), (1,), 7) <= \
+        hilbert.ORACLE_CELL_BOUND
+    _refused(monkeypatch, spec, f, 7, "do not fit in int64")
+    places = hilbert._places(spec.weights[:20], 7)
+    assert places.tolist() == [8**k for k in range(19, -1, -1)]
+    # int64 arrays wrap without a warning, so this bound is the overflow
+    # guard: codes below 2^62 leave code(m) + code(e) below 2^63
+    assert hilbert._places((1,) * 62, 1).tolist() == \
+        [2**k for k in range(61, -1, -1)]
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        hilbert._places((1,) * 63, 1)
+
+
+def test_brute_force_refuses_spans_past_the_bound(monkeypatch):
+    # five unit weights to degree 40: the degree-40 span of the quintic has
+    # C(39, 4) rows and C(44, 4) columns, three cells each
+    quintic = AlgebraSpec.unweighted(1, ((0,) * 5,) * 5)
+    price = hilbert._price(quintic.weights, (5,), (5,), 40)
+    assert price > 3 * comb(39, 4) * comb(44, 4) > hilbert.ORACLE_CELL_BOUND
+    _refused(monkeypatch, quintic, fermat(quintic), 40,
+             f"ORACLE_CELL_BOUND = {hilbert.ORACLE_CELL_BOUND}")
+
+
+def test_brute_force_refuses_tables_past_the_bound(monkeypatch):
+    # spans of one row, but tables past the bound: two unit weights to
+    # degree 10^4, 50 million monomials; and a heavy last weight, where the
+    # table is one hundredth as large but its first coordinate alone has
+    # one row per degree
+    pair = AlgebraSpec.unweighted(1, ((0, 0), (0, 0)))
+    f = SkewPoly.monomial(1, (10**4, 0))
+    assert hilbert._price(pair.weights, (10**4,), (1,), 10**4) > \
+        9 * comb(10**4 + 2, 2)
+    _refused(monkeypatch, pair, f, 10**4, "ORACLE_CELL_BOUND")
+    heavy = AlgebraSpec((1, 100), 1, ((0, 0), (0, 0)))
+    f = SkewPoly.monomial(1, (0, 1))
+    table = sum(series_qpoly(heavy.weights).prefix(60000))
+    assert hilbert._price(heavy.weights, (100,), (1,), 60000) > \
+        2 * 60001 + 9 * table > hilbert.ORACLE_CELL_BOUND
+    _refused(monkeypatch, heavy, f, 60000, "ORACLE_CELL_BOUND")
+
+
+def test_cell_bound_admits_the_complete_intersections():
+    # four quadrics in eight variables to degree 8: 4 C(13, 7) rows of 8
+    # terms and C(15, 7) columns, beside the table of C(16, 8) monomials
+    price = hilbert._price((1,) * 8, (2,) * 4, (8,) * 4, 8)
+    assert price == 9 * comb(16, 8) + \
+        4 * comb(13, 7) * (3 * comb(15, 7) + 6 * 8) + 8 * 10
+    assert price <= hilbert.ORACLE_CELL_BOUND
+    assert hilbert._price((1,) * 6, (3, 3), (6, 6), 8) <= \
+        hilbert.ORACLE_CELL_BOUND
+
+
+def _generic(weights, degree, seed):
+    """Every monomial of one degree, with coefficients 1 .. 50."""
+    rng = random.Random(seed)
+    exps, starts = qalgebra.monomials_up_to(weights, degree)
+    rows = exps[starts[degree]:starts[degree + 1]].tolist()
+    return SkewPoly(1, len(weights),
+                    {tuple(e): rng.randint(1, 50) for e in rows})
+
+
+def _commutative(weights):
+    return AlgebraSpec(weights, 1, ((0,) * len(weights),) * len(weights))
+
+
+@pytest.mark.parametrize("spec, quotient, max_degree", [
+    # heavy last weight, heavy first weight: tables of one row per span
+    (_commutative((1, 100)), [SkewPoly.monomial(1, (0, 1))], 1500),
+    (_commutative((100, 1)), [SkewPoly.monomial(1, (1, 0))], 1500),
+    # the paper's weights, both ways round, and eight unit weights
+    (_commutative((1, 1, 1, 6, 9)), [SkewPoly.monomial(1, (0, 0, 0, 0, 2))], 36),
+    (_commutative((9, 6, 1, 1, 1)), [SkewPoly.monomial(1, (2, 0, 0, 0, 0))], 36),
+    (_commutative((1,) * 8), [SkewPoly.monomial(1, (12,) + (0,) * 7)], 12),
+    # spans: sparse ones, and a many-term element whose spans are dense
+    (SPEC4, [fermat(SPEC4)], 30),
+    (_commutative((1,) * 5), [fermat(_commutative((1,) * 5))], 14),
+    (_commutative((1, 1, 1)), [_generic((1, 1, 1), 20, 1)], 40),
+], ids=["1,100", "100,1", "1,1,1,6,9", "9,6,1,1,1", "unit8", "spec4",
+        "quintic", "dense"])
+def test_price_covers_what_brute_force_holds(spec, quotient, max_degree):
+    degrees = [f.homogeneous_degree(spec.weights) for f in quotient]
+    price = hilbert._price(spec.weights, degrees,
+                           [len(f.terms) for f in quotient], max_degree)
+    # once untraced, so that first-use caches and imports are not counted
+    brute_force_dims(spec, quotient, max_degree)
+    tracemalloc.start()
+    try:
+        brute_force_dims(spec, quotient, max_degree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * price >= peak > 8 * price // 2
 
 
 # -- the rows modulo p against the multiply-built rows ----------------------
@@ -337,18 +472,11 @@ def central_quotients(draw, elements=(1, 3)):
 
 def _exponent_rows(spec, quotient, degree, p, g):
     """The rows brute_force_dims builds for one degree, element by element."""
-    cols = monomials_of_degree(spec.weights, degree)
-    index = {e: i for i, e in enumerate(cols)}
-    blocks = []
-    for f in quotient:
-        monos = monomials_of_degree(
-            spec.weights, degree - f.homogeneous_degree(spec.weights))
-        if monos:
-            scalars, where = hilbert._row_block(
-                spec, np.array(monos, dtype=np.int64),
-                np.array(list(f.terms), dtype=np.int64), index)
-            blocks.append((scalars, where, list(f.terms.values())))
-    return hilbert._matrix_mod(blocks, len(cols), p, g).tolist()
+    degrees = [f.homogeneous_degree(spec.weights) for f in quotient]
+    exps, codes, starts, elems = hilbert._setup(spec, quotient, degrees, degree)
+    blocks = hilbert._blocks(degree, exps, codes, starts, elems, spec.order)
+    ncols = starts[degree + 1] - starts[degree]
+    return hilbert._matrix_mod(blocks, ncols, p, g).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -413,7 +541,7 @@ def test_rank_equals_exact_elimination_on_several_elements(case):
 def _block(coefficient):
     """One row with one term: `coefficient` at column 0, reorder exponent 0."""
     zero = np.zeros((1, 1), dtype=np.int64)
-    return [(zero, zero, [coefficient])]
+    return [(zero, zero, [coefficient], {})]
 
 
 def test_rank_stops_once_the_primes_pass_the_norm_bound(monkeypatch):

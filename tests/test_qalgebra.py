@@ -1,9 +1,10 @@
-"""Skew polynomial arithmetic, charts, and the center lattice."""
+"""Skew polynomial arithmetic, charts, the center lattice and monomials."""
 
 from math import comb, gcd, lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcy.cyclo import CycInt
@@ -16,14 +17,14 @@ from qcy.qalgebra import (
     chart_parameters,
     fermat,
     is_central,
-    monomials_of_degree,
-    monomials_of_degree_at_most,
+    monomials_up_to,
     multiply,
     reorder_scalar,
     validate_spec,
 )
 
-from helpers import CHART3, E4, SPEC3, SPEC4, antisymmetric, within
+from helpers import (CHART3, E4, SPEC3, SPEC4, antisymmetric,
+                     monomials_of_degree, monomials_of_degree_at_most, within)
 
 
 # -- validation -------------------------------------------------------------
@@ -324,16 +325,38 @@ def test_center_cross_check_is_priced_by_the_generator_count():
 # -- monomial enumeration ---------------------------------------------------
 
 
+def _degree_rows(weights, degree, max_degree):
+    exps, starts = monomials_up_to(weights, max_degree)
+    return [tuple(e) for e in exps[starts[degree]:starts[degree + 1]].tolist()]
+
+
 def test_monomial_counts_match_binomials():
     for n in range(1, 5):
         for d in range(6):
-            got = monomials_of_degree((1,) * n, d)
+            got = _degree_rows((1,) * n, d, 5)
             assert len(got) == comb(n + d - 1, d)
             assert len(set(got)) == len(got)
             assert got == sorted(got)
 
 
 def test_weighted_monomials():
-    got = monomials_of_degree((1, 1, 2, 2), 2)
+    got = _degree_rows((1, 1, 2, 2), 2, 2)
     assert set(got) == {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0),
                         (0, 0, 1, 0), (0, 0, 0, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       st.integers(0, 14))
+@example([2, 2, 4], 7)  # even weights: no monomial of odd degree
+@example([2, 4, 4, 2], 11)
+@example([4], 9)
+@example([1], 0)
+def test_monomial_arrays_equal_the_reference_walk(weights, max_degree):
+    exps, starts = monomials_up_to(weights, max_degree)
+    assert exps.dtype == np.int64 and exps.shape[1] == len(weights)
+    assert len(starts) == max_degree + 2
+    assert starts[0] == 0 and starts[-1] == len(exps)
+    for t in range(max_degree + 1):
+        rows = exps[starts[t]:starts[t + 1]].tolist()
+        assert list(map(tuple, rows)) == monomials_of_degree(weights, t), t
