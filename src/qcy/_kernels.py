@@ -33,6 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Every modulus and prime the kernels take lies below this bound, so that a
+# product of two residues fits in int64.
+MODULUS_BOUND = 2**31
+
 
 def backend() -> str:
     """Name of the kernel implementation, recorded in benchmark provenance."""
@@ -55,7 +59,7 @@ def image_count(mat, modulus: int) -> int:
         return 1
     if h.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if not 0 < modulus < 2**31:
+    if not 0 < modulus < MODULUS_BOUND:
         raise ValueError("modulus must fit comfortably in int64 arithmetic")
     n = h.shape[0]
     weights = modulus ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -117,7 +121,7 @@ def modp_rank(mat, p: int) -> int:
     fill their echelon form in.  The halving route raises ValueError when
     min(n, m) >= 2**20, past which its float64 sums could be inexact.
     """
-    if not 1 < p < 2**31:
+    if not 1 < p < MODULUS_BOUND:
         raise ValueError("prime must fit comfortably in int64 arithmetic")
     a = np.array(mat, dtype=np.int64)
     if a.ndim != 2:

@@ -7,6 +7,10 @@ usage errors, 3 when a command needs hypotheses the input violates, 4 for
 internal defects.  Output is deterministic: sorted keys, reduced
 (order, exponent) scalar pairs, counts tagged finite/infinite, and the
 sha256 digest of the input embedded in the report.
+
+main is the one place that loads the manifest and writes the report
+envelope (command, input, result); each cmd_* takes the loaded manifest
+(None for enumerate-weights) and returns only its result.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import sys
 
 from . import manifest as manifest_mod
-from .cycert import certify_mixed, certify_segre, certify_weighted, verify_certificate
+from .cycert import CRITERIA, verify_certificate
 from .errors import HypothesisViolation, InternalDefect, ManifestError
 from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
@@ -55,14 +59,17 @@ def _args_input(label: str, **kwargs) -> dict:
     }
 
 
-def _load(args) -> manifest_mod.Manifest:
-    return manifest_mod.load(args.input)
-
-
-def _single_spec(man: manifest_mod.Manifest):
+def _single_algebra(man: manifest_mod.Manifest) -> manifest_mod.ManifestAlgebra:
     if len(man.algebras) != 1:
         raise ValueError("this command takes a manifest with one algebra")
-    return man.algebras[0].spec()
+    return man.algebras[0]
+
+
+def _criterion(man: manifest_mod.Manifest) -> str:
+    """The manifest's criterion: weighted for one block, segre for two by default."""
+    if man.criterion is not None:
+        return man.criterion
+    return "weighted" if len(man.algebras) == 1 else "segre"
 
 
 def _alternating(spec):
@@ -86,44 +93,29 @@ def _violations(cert) -> list[dict]:
     ]
 
 
-def cmd_certify(args) -> dict:
-    man = _load(args)
-    criterion = man.criterion
-    if criterion is None:
-        criterion = "weighted" if len(man.algebras) == 1 else "segre"
-    need = 1 if criterion == "weighted" else 2
-    if len(man.algebras) != need:
+def cmd_certify(man, args) -> dict:
+    name = _criterion(man)
+    criterion = CRITERIA[name]
+    if len(man.algebras) != criterion.algebras:
         raise ValueError(
-            f"criterion {criterion} needs {need} algebra(s), "
+            f"criterion {name} needs {criterion.algebras} algebra(s), "
             f"manifest has {len(man.algebras)}")
-    specs = [a.spec() for a in man.algebras]
-    if criterion == "weighted":
-        cert = certify_weighted(specs[0])
-    elif criterion == "segre":
-        cert = certify_segre(specs[0], specs[1])
-    else:
-        cert = certify_mixed(specs[0], specs[1])
+    cert = criterion.certify(tuple(a.spec() for a in man.algebras))
     if not verify_certificate(cert):
         raise InternalDefect(
-            f"{criterion} certificate with verdict {cert.verdict.value} "
+            f"{name} certificate with verdict {cert.verdict.value} "
             "fails re-verification")
     return {
-        "command": "certify",
-        "criterion": criterion,
-        "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "verdict": cert.verdict.value,
-            "witness": None if cert.witness is None else [_pair(w) for w in cert.witness],
-            "expected_dimension": cert.expected_dimension,
-            "violations": _violations(cert),
-            "detail": cert.detail,
-        },
+        "verdict": cert.verdict.value,
+        "witness": None if cert.witness is None else [_pair(w) for w in cert.witness],
+        "expected_dimension": cert.expected_dimension,
+        "violations": _violations(cert),
+        "detail": cert.detail,
     }
 
 
-def cmd_census(args) -> dict:
-    man = _load(args)
-    spec = _single_spec(man)
+def cmd_census(man, args) -> dict:
+    spec = _single_algebra(man).spec()
     report = census_weighted_surface(spec)
     charts = []
     for chart in report.charts:
@@ -138,44 +130,32 @@ def cmd_census(args) -> dict:
             "trivial_pairs": [list(p) for p in chart.trivial_pairs],
         })
     return {
-        "command": "census",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "weights": list(report.weights),
-            "order": report.order,
-            "total": _tagged(report.total),
-            "charts": charts,
-            "second_chart_scalar": _pair(report.charts[1].spec.q(1, 0)),
-        },
+        "weights": list(report.weights),
+        "order": report.order,
+        "total": _tagged(report.total),
+        "charts": charts,
+        "second_chart_scalar": _pair(report.charts[1].spec.q(1, 0)),
     }
 
 
-def cmd_point_scheme(args) -> dict:
-    man = _load(args)
+def cmd_point_scheme(man, args) -> dict:
     if len(man.algebras) == 1:
         spec = _alternating(man.algebras[0].spec())
-        result = {
+        return {
             "special": is_special(spec),
             "admissible_supports": [list(s) for s in admissible_supports(spec)],
             "max_stratum_dimension": max_stratum_dimension(spec),
         }
-    else:
-        specs = [_alternating(a.spec()) for a in man.algebras]
-        g_shape = "mixed" if man.criterion == "mixed" else "fermat"
-        result = {
-            "g_shape": g_shape,
-            "dimension": point_scheme_dim_product(specs[0], specs[1], g_shape),
-        }
+    specs = [_alternating(a.spec()) for a in man.algebras]
+    g_shape = "mixed" if man.criterion == "mixed" else "fermat"
     return {
-        "command": "point-scheme",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": result,
+        "g_shape": g_shape,
+        "dimension": point_scheme_dim_product(specs[0], specs[1], g_shape),
     }
 
 
-def cmd_pi_degree(args) -> dict:
-    man = _load(args)
-    spec = _alternating(_single_spec(man))
+def cmd_pi_degree(man, args) -> dict:
+    spec = _alternating(_single_algebra(man).spec())
     kept = None
     if args.chart is not None:
         chart = chart_parameters(spec, args.chart)
@@ -183,23 +163,19 @@ def cmd_pi_degree(args) -> dict:
         spec = chart.spec
     degree = pi_degree(spec)
     return {
-        "command": "pi-degree",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "chart": args.chart,
-            "kept": kept,
-            "image_size": degree * degree,
-            "pi_degree": degree,
-        },
+        "chart": args.chart,
+        "kept": kept,
+        "image_size": degree * degree,
+        "pi_degree": degree,
     }
 
 
 def _series_doc(series) -> dict:
     return {
         "numerator": [
-            [list(e), c] for e, c in sorted(series.numerator.items())
+            [[e], c] for e, c in sorted(series.numerator.items())
         ],
-        "denominator": [list(f) for f in series.denominator],
+        "denominator": [[a] for a in series.denominator],
     }
 
 
@@ -231,63 +207,49 @@ def _hilbert_side(spec, k: int):
     return doc, prefix
 
 
-def cmd_hilbert(args) -> dict:
+def cmd_hilbert(man, args) -> dict:
     """Series of one algebra, or of both sides and their Segre product.
 
     With two algebras, segre_of_quotients lists the dimensions of
     (A/f) o (B/g), the products of the two quotient prefixes; it is null
     when either side has no Fermat quotient.
     """
-    man = _load(args)
     k = args.max_degree
     sides = [_hilbert_side(a.spec(), k) for a in man.algebras]
     if len(sides) == 1:
-        result = dict(sides[0][0], max_degree=k)
-    else:
-        (doc_a, q_a), (doc_b, q_b) = sides
-        segre = None
-        if q_a is not None and q_b is not None:
-            segre = list(segre_coefficients(q_a, q_b))
-        result = {
-            "max_degree": k,
-            "algebras": [doc_a, doc_b],
-            "segre_of_quotients": segre,
-        }
+        return dict(sides[0][0], max_degree=k)
+    (doc_a, q_a), (doc_b, q_b) = sides
+    segre = None
+    if q_a is not None and q_b is not None:
+        segre = list(segre_coefficients(q_a, q_b))
     return {
-        "command": "hilbert",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": result,
+        "max_degree": k,
+        "algebras": [doc_a, doc_b],
+        "segre_of_quotients": segre,
     }
 
 
-def cmd_enumerate_weights(args) -> dict:
+def cmd_enumerate_weights(man, args) -> dict:
     result = enumerate_cy_weights(args.vars, args.bound)
     return {
-        "command": "enumerate-weights",
-        "input": _args_input("enumerate-weights", vars=args.vars, bound=args.bound),
-        "result": {
-            "n_vars": result.n_vars,
-            "bound": result.bound,
-            "systems": [list(ws.weights) for ws in result.systems],
-            "reference": [
-                {
-                    "weights": list(r.weights),
-                    "found": r.found,
-                    "divides": list(r.divides),
-                    "discrepancy": r.discrepancy,
-                }
-                for r in result.reference
-            ],
-            "extras": [list(w) for w in result.extras],
-        },
+        "n_vars": result.n_vars,
+        "bound": result.bound,
+        "systems": [list(ws.weights) for ws in result.systems],
+        "reference": [
+            {
+                "weights": list(r.weights),
+                "found": r.found,
+                "divides": list(r.divides),
+                "discrepancy": r.discrepancy,
+            }
+            for r in result.reference
+        ],
+        "extras": [list(w) for w in result.extras],
     }
 
 
-def cmd_search_q(args) -> dict:
-    man = _load(args)
-    if len(man.algebras) != 1:
-        raise ValueError("search takes a manifest with one algebra")
-    alg = man.algebras[0]
+def cmd_search_q(man, args) -> dict:
+    alg = _single_algebra(man)
     order = args.order if args.order is not None else alg.order
     entries = []
     for cert in _search_certificates(alg.weights, order):
@@ -301,40 +263,30 @@ def cmd_search_q(args) -> dict:
             "census_total": census_total,
         })
     return {
-        "command": "search-q",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "weights": list(sorted(alg.weights)),
-            "order": order,
-            "count": len(entries),
-            "specs": entries,
-        },
+        "weights": list(sorted(alg.weights)),
+        "order": order,
+        "count": len(entries),
+        "specs": entries,
     }
 
 
-def cmd_center(args) -> dict:
-    man = _load(args)
-    spec = _alternating(_single_spec(man))
-    chart_idx = args.chart if args.chart is not None else 0
-    chart = chart_parameters(spec, chart_idx)
+def cmd_center(man, args) -> dict:
+    spec = _alternating(_single_algebra(man).spec())
+    chart = chart_parameters(spec, args.chart)
     lattice = center_lattice(chart.spec)
     return {
-        "command": "center",
-        "input": {"path": args.input, "digest": man.digest},
-        "result": {
-            "chart": chart_idx,
-            "kept": list(chart.kept),
-            "chart_matrix": [
-                [_pair(chart.spec.q(i, j)) for j in range(chart.spec.nvars)]
-                for i in range(chart.spec.nvars)
-            ],
-            "basis": [list(r) for r in lattice.basis],
-            "pure_powers": list(lattice.pure_powers),
-            "has_mixed": lattice.has_mixed,
-            "mixed_generator": (
-                None if lattice.mixed_generator is None
-                else list(lattice.mixed_generator)),
-        },
+        "chart": args.chart,
+        "kept": list(chart.kept),
+        "chart_matrix": [
+            [_pair(chart.spec.q(i, j)) for j in range(chart.spec.nvars)]
+            for i in range(chart.spec.nvars)
+        ],
+        "basis": [list(r) for r in lattice.basis],
+        "pure_powers": list(lattice.pure_powers),
+        "has_mixed": lattice.has_mixed,
+        "mixed_generator": (
+            None if lattice.mixed_generator is None
+            else list(lattice.mixed_generator)),
     }
 
 
@@ -418,6 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if manifest:
             p.add_argument("--input", required=True, metavar="FILE",
                            help="algebra manifest file")
+        else:
+            p.set_defaults(input=None)
 
     p = sub.add_parser("certify", help="three-valued Calabi-Yau certification")
     common(p)
@@ -463,10 +417,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Load the manifest, run the command, print its report envelope."""
+    args = _build_parser().parse_args(argv)
     try:
-        doc = args.func(args)
+        if args.input is None:
+            man = None
+            source = _args_input(args.command, vars=args.vars, bound=args.bound)
+        else:
+            man = manifest_mod.load(args.input)
+            source = {"path": args.input, "digest": man.digest}
+        doc = {"command": args.command, "input": source, "result": args.func(man, args)}
+        if args.command == "certify":
+            doc["criterion"] = _criterion(man)
     except ManifestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

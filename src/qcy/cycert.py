@@ -15,6 +15,10 @@ product, the system says the column products are constant, and the solver
 names the first column whose product differs from column 0; so one
 solver decides all three.
 
+Each criterion is one record in CRITERIA: its algebra count, hypothesis
+list, decided sides, dimensions and details.  The manifest reader and the
+command line read the criterion names and counts from there.
+
 Verdicts are three-valued; violated hypotheses are reported, never fixed
 up silently.  Each criterion states its hypotheses in one list (a Fermat
 side needs at least two generators, since k[x]/(x^h) has empty Proj), and
@@ -28,6 +32,7 @@ columns on the first side that fails.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -142,7 +147,7 @@ def _segre_dimension(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> int:
     """
     quotients = [quotient_by_regular(series_qpoly(s.weights), s.total_degree)
                  for s in (spec_a, spec_b)]
-    start = max(0, *(max(e for (e,) in q.numerator) - len(q.denominator) + 1
+    start = max(0, *(max(q.numerator) - len(q.denominator) + 1
                      for q in quotients))
     upto = start + spec_a.nvars + spec_b.nvars
     values = segre_coefficients(*(q.prefix(upto) for q in quotients))
@@ -161,52 +166,72 @@ def _weighted_dimension(spec: AlgebraSpec) -> int:
     return pole_order_at_one(series) - 1
 
 
-_VIOLATIONS = {
-    "segre": _segre_violations,
-    "mixed": _mixed_violations,
-    "weighted": _weighted_violations,
-}
+@dataclass(frozen=True)
+class Criterion:
+    """Everything one criterion needs, kept in one record.
 
-# The dimension verify_certificate demands of a CY certificate: the Hilbert
-# series for weighted and segre, the criterion's own formula for mixed.
-_DIMENSIONS = {
-    "segre": _segre_dimension,
-    "mixed": _mixed_dimension,
-    "weighted": _weighted_dimension,
-}
+    algebras: how many algebras the criterion takes.
+    violations: its hypothesis list, a function of the specs.
+    sides: indices of the Fermat sides whose column system decides it.
+    dimension: the dimension certify assigns on a CY verdict, from the
+    generator counts.
+    verified_dimension: the dimension verify_certificate demands: the
+    Hilbert series for weighted and segre, the criterion's own formula for
+    mixed.
+    refusal, success: the not_CY detail (formatted with the failing side
+    and the end j of its shortest unsolvable column prefix) and the CY one.
+    """
+
+    name: str
+    algebras: int
+    violations: Callable[..., tuple[Violation, ...]]
+    sides: tuple[int, ...]
+    dimension: Callable[..., int]
+    verified_dimension: Callable[..., int]
+    refusal: str
+    success: str
+
+    def certify(self, specs: tuple[AlgebraSpec, ...]) -> Certificate:
+        """Run this criterion's public certify_<name> on specs.
+
+        The function is looked up in the module namespace at call time, so
+        a wrapper installed there (a profiler's, say) sees the call.
+        """
+        return globals()["certify_" + self.name](*specs)
 
 
-# kind -> (indices of the Fermat sides whose column system decides the
-# verdict, the dimension certify assigns from the generator counts, the
-# refusal detail, the CY detail).
-_CRITERIA = {
-    "segre": ((0, 1), lambda a, b: a.nvars + b.nvars - 4,
-              "side {side} column {j} product differs from column 0",
-              "column products constant on both sides"),
-    "mixed": ((1,), _mixed_dimension,
-              "side {side} column {j} product differs from column 0",
-              "column products constant on the quantum side"),
-    "weighted": ((0,), lambda s: s.nvars - 2,
-                 "no root of unity c exists; columns 0..{j} are jointly unsolvable",
-                 "c^{a_j} matches every column product"),
-}
+_UNIT_REFUSAL = "side {side} column {j} product differs from column 0"
+
+# The criteria, in the order manifests list them.
+CRITERIA = {c.name: c for c in (
+    Criterion("segre", 2, _segre_violations, (0, 1),
+              lambda a, b: a.nvars + b.nvars - 4, _segre_dimension,
+              _UNIT_REFUSAL, "column products constant on both sides"),
+    Criterion("mixed", 2, _mixed_violations, (1,),
+              _mixed_dimension, _mixed_dimension,
+              _UNIT_REFUSAL, "column products constant on the quantum side"),
+    Criterion("weighted", 1, _weighted_violations, (0,),
+              lambda s: s.nvars - 2, _weighted_dimension,
+              "no root of unity c exists; columns 0..{j} are jointly unsolvable",
+              "c^{a_j} matches every column product"),
+)}
 
 
 def _certify(kind: str, specs: tuple[AlgebraSpec, ...]) -> Certificate:
-    bad = _VIOLATIONS[kind](*specs)
+    criterion = CRITERIA[kind]
+    bad = criterion.violations(*specs)
     if bad:
         return Certificate(kind, Verdict.HYPOTHESES_VIOLATED, specs, None,
                            None, bad, "hypotheses violated")
-    sides, dimension, refusal, success = _CRITERIA[kind]
     witnesses = []
-    for i in sides:
+    for i in criterion.sides:
         c, j = solve_root_system(_column_pairs(specs[i]))
         if c is None:
             return Certificate(kind, Verdict.NOT_CY, specs, None, None, (),
-                               refusal.format(side="AB"[i], j=j))
+                               criterion.refusal.format(side="AB"[i], j=j))
         witnesses.append(c)
     return Certificate(kind, Verdict.CY, specs, tuple(witnesses),
-                       dimension(*specs), (), success)
+                       criterion.dimension(*specs), (), criterion.success)
 
 
 def certify_segre(spec_a: AlgebraSpec, spec_b: AlgebraSpec) -> Certificate:
@@ -261,18 +286,20 @@ def verify_certificate(cert: Certificate) -> bool:
     uses.  On mixed it must equal the criterion's formula, the same route
     as certify, not a second one.
     """
-    found = _VIOLATIONS[cert.kind](*cert.specs)
+    criterion = CRITERIA[cert.kind]
+    found = criterion.violations(*cert.specs)
     violated = cert.verdict is Verdict.HYPOTHESES_VIOLATED
     if found != cert.violations or bool(found) != violated:
         return False
     cy = cert.verdict is Verdict.CY
-    if cert.expected_dimension != (_DIMENSIONS[cert.kind](*cert.specs) if cy else None):
+    expected = criterion.verified_dimension(*cert.specs) if cy else None
+    if cert.expected_dimension != expected:
         return False
     if not cy and cert.witness is not None:
         return False
     if violated:
         return True
-    systems = [_column_pairs(cert.specs[i]) for i in _CRITERIA[cert.kind][0]]
+    systems = [_column_pairs(cert.specs[i]) for i in criterion.sides]
     if not cy:
         return any(_pairwise_unsolvable(pairs) for pairs in systems)
     witness = cert.witness

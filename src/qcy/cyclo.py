@@ -14,12 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from . import _kernels
 from .errors import InternalDefect, OrderMismatchError
 
 # Largest cost |image| * n on which image_size runs the second route, the
 # coset closure in _kernels.image_count, priced from the Smith form's image
-# size (a 10^6 image of 2-vectors takes about 0.05 s on a 2 vCPU Xeon); its
-# codes also need N^n <= 2**62.
+# size (a 10^6 image of 2-vectors takes about 0.05 s on a 2 vCPU Xeon); it
+# also needs N below _kernels.MODULUS_BOUND and its codes N^n <= 2**62.
 ENUMERATION_BOUND = 10**6
 
 
@@ -420,7 +421,8 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
 
     Two routes: the Smith form gives prod_i N / gcd(N, d_i); the closure of
     the column subgroup, coset by coset (_kernels.image_count), recounts it
-    at cost |image| * n when that is <= ENUMERATION_BOUND and N^n <= 2**62.
+    at cost |image| * n when that is <= ENUMERATION_BOUND, N is below
+    _kernels.MODULUS_BOUND and N^n <= 2**62.
     Under "auto" both run where feasible and must agree; "enumerate" demands
     the second route.
     """
@@ -431,12 +433,11 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
         by_snf *= modulus // gcd(modulus, d)
     if method == "snf":
         return by_snf
-    feasible = by_snf * n <= ENUMERATION_BOUND and modulus**n <= 2**62
+    feasible = (by_snf * n <= ENUMERATION_BOUND and modulus < _kernels.MODULUS_BOUND
+                and modulus**n <= 2**62)
     if method == "enumerate" and not feasible:
         raise ValueError(f"enumeration infeasible for N={modulus}, n={n}")
     if feasible:
-        from . import _kernels
-
         by_enum = _kernels.image_count(mat, modulus)
         if by_enum != by_snf:
             raise InternalDefect(

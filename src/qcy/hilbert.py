@@ -65,26 +65,23 @@ ORACLE_CELL_BOUND = 15 * 10**7
 class HilbertSeries:
     """numerator / prod (1 - t^a) over the factors a of the denominator.
 
-    `numerator` maps exponent tuples (e,) to nonzero integer coefficients;
-    `denominator` is the sorted tuple of factors (a,), each a >= 1.
+    `numerator` maps exponents e >= 0 to nonzero integer coefficients;
+    `denominator` is the sorted tuple of factors a, each a >= 1.
     """
 
     def __init__(self, numerator, denominator):
         num = {}
-        for exps, c in dict(numerator).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 1 or exps[0] < 0:
-                raise ValueError(f"bad numerator exponent {exps}")
+        for e, c in dict(numerator).items():
+            e = int(e)
+            if e < 0:
+                raise ValueError(f"bad numerator exponent {e}")
             if c:
-                num[exps] = num.get(exps, 0) + int(c)
-        den = []
-        for exps in denominator:
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != 1 or exps[0] < 1:
-                raise ValueError(f"bad denominator factor {exps}")
-            den.append(exps)
+                num[e] = num.get(e, 0) + int(c)
+        den = tuple(sorted(int(a) for a in denominator))
+        if den and den[0] < 1:
+            raise ValueError(f"bad denominator factor {den[0]}")
         self.numerator = num
-        self.denominator = tuple(sorted(den))
+        self.denominator = den
 
     def prefix(self, upto: int) -> tuple[int, ...]:
         """Coefficients of t^0 .. t^upto; 0 <= upto <= DEGREE_BOUND."""
@@ -93,10 +90,10 @@ class HilbertSeries:
                 f"series prefix to degree {upto} is outside "
                 f"[0, DEGREE_BOUND = {DEGREE_BOUND}]")
         arr = [0] * (upto + 1)
-        for (e,), c in self.numerator.items():
+        for e, c in self.numerator.items():
             if e <= upto:
                 arr[e] += c
-        for (a,) in self.denominator:
+        for a in self.denominator:
             for i in range(a, upto + 1):
                 arr[i] += arr[i - a]
         return tuple(arr)
@@ -110,7 +107,7 @@ def series_qpoly(weights) -> HilbertSeries:
     weights = tuple(int(a) for a in weights)
     if not weights or any(a < 1 for a in weights):
         raise ValueError(f"weights must be positive, got {weights}")
-    return HilbertSeries({(0,): 1}, tuple((a,) for a in weights))
+    return HilbertSeries({0: 1}, weights)
 
 
 def quotient_by_regular(series: HilbertSeries, degree: int) -> HilbertSeries:
@@ -118,8 +115,8 @@ def quotient_by_regular(series: HilbertSeries, degree: int) -> HilbertSeries:
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"bad quotient degree {degree!r}")
     num = dict(series.numerator)
-    for (e,), c in series.numerator.items():
-        num[(e + degree,)] = num.get((e + degree,), 0) - c
+    for e, c in series.numerator.items():
+        num[e + degree] = num.get(e + degree, 0) - c
     return HilbertSeries(num, series.denominator)
 
 
@@ -134,7 +131,7 @@ def pole_order_at_one(series: HilbertSeries) -> int:
     if not series.numerator:
         raise ValueError("the zero series has no pole order")
     k = 0
-    while not sum(c * comb(e, k) for (e,), c in series.numerator.items()):
+    while not sum(c * comb(e, k) for e, c in series.numerator.items()):
         k += 1
     return len(series.denominator) - k
 
@@ -187,7 +184,7 @@ def _is_probable_prime(n: int) -> bool:
 def _moduli(order: int):
     """Pairs (p, g), descending: each prime p = 1 (mod order) below 2**31
     with g an element of order `order` modulo p, the image of zeta_N."""
-    top = 2**31 - 1
+    top = _kernels.MODULUS_BOUND - 1
     for p in range(top - (top - 1) % order, 1, -order):
         if _is_probable_prime(p):
             yield p, _root_of_unity_mod(order, p)

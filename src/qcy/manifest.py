@@ -23,10 +23,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from .cycert import CRITERIA
 from .errors import ManifestError
 from .qalgebra import AlgebraSpec
-
-CRITERIA = ("segre", "mixed", "weighted")
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,31 @@ def test_search_q_finds_nothing_for_one_generator(tmp_path):
     assert json.loads(out)["result"]["count"] == 0
 
 
-def test_certify_count_mismatch_exits_2():
+def test_search_q_refuses_two_algebras():
     code, _, err = run_cli(
         ["search-q", "--input", "tests/golden/manifests/segre.man"])
     assert code == 2
     assert "one algebra" in err
+
+
+BLOCK = "order 3\nweights 1 1\nrow 0 1\nrow 2 0\n"
+
+
+@pytest.mark.parametrize("criterion,blocks,need", [
+    ("weighted", 2, 1),
+    ("segre", 1, 2),
+    ("mixed", 1, 2),
+])
+def test_certify_refuses_a_wrong_algebra_count(criterion, blocks, need, tmp_path):
+    man = tmp_path / "count.man"
+    man.write_text(f"schema 1\ncriterion {criterion}\n" + "".join(
+        f"algebra {name}\n{BLOCK}" for name in "AB"[:blocks]))
+    code, out, err = run_cli(["certify", "--input", str(man)])
+    assert code == 2
+    assert out == ""
+    assert (f"criterion {criterion} needs {need} algebra(s), "
+            f"manifest has {blocks}") in err
+    assert "Traceback" not in err
 
 
 def test_criterion_defaults_by_block_count(tmp_path):
@@ -369,3 +389,13 @@ def test_root_order_near_a_billion_is_answered_at_once(argv, key, value, tmp_pat
     code, out, err = within(5, lambda: run_cli(argv + ["--input", str(man)]))
     assert (code, err) == (0, "")
     assert json.loads(out)["result"][key] == value
+
+
+def test_one_generator_chart_past_the_kernels_modulus_bound(tmp_path):
+    """A chart of one generator at N = 3 * 10^9: the Smith form answers alone."""
+    man = tmp_path / "huge.man"
+    man.write_text("schema 1\norder 3000000000\nweights 1 1\nrow 0 7\nrow -7 0\n")
+    code, out, err = within(5, lambda: run_cli(
+        ["pi-degree", "--chart", "0", "--input", str(man)]))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["pi_degree"] == 1

@@ -391,6 +391,16 @@ def test_image_size_known_values():
     assert image_size([[1, 0], [0, 1]], 6) == 36
 
 
+def test_image_size_skips_the_closure_past_the_kernels_modulus_bound():
+    # N = 3 * 10^9 is past _kernels.MODULUS_BOUND although the image, 1,
+    # is far under ENUMERATION_BOUND: the Smith form answers alone.
+    n = 3 * 10**9
+    assert n >= _kernels.MODULUS_BOUND
+    assert image_size([[0]], n) == 1
+    with pytest.raises(ValueError, match="enumeration infeasible"):
+        image_size([[0]], n, method="enumerate")
+
+
 # -- cyclotomic field -------------------------------------------------------
 
 

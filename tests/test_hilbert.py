@@ -72,11 +72,9 @@ def test_prefix_refuses_degrees_outside_the_bound():
 
 def test_series_rejects_malformed_rational_form():
     with pytest.raises(ValueError):
-        HilbertSeries({(0, 0): 1}, ((1,),))
+        HilbertSeries({-1: 1}, (1,))
     with pytest.raises(ValueError):
-        HilbertSeries({(-1,): 1}, ((1,),))
-    with pytest.raises(ValueError):
-        HilbertSeries({(0,): 1}, ((0,),))
+        HilbertSeries({0: 1}, (0,))
 
 
 # -- quotients --------------------------------------------------------------
@@ -107,10 +105,10 @@ def test_pole_order_at_one_counts_factors_less_numerator_zeros():
     assert pole_order_at_one(series_qpoly((1, 2, 3))) == 3
     assert pole_order_at_one(quotient_by_regular(series_qpoly((1, 2, 3)), 6)) == 2
     # numerator (1 - t)^2 (1 + t) = 1 - t - t^2 + t^3 against three factors
-    cubic = HilbertSeries({(0,): 1, (1,): -1, (2,): -1, (3,): 1}, ((1,), (2,), (5,)))
+    cubic = HilbertSeries({0: 1, 1: -1, 2: -1, 3: 1}, (1, 2, 5))
     assert pole_order_at_one(cubic) == 1
     with pytest.raises(ValueError):
-        pole_order_at_one(HilbertSeries({}, ((1,),)))
+        pole_order_at_one(HilbertSeries({}, (1,)))
 
 
 def test_pole_order_at_one_needs_no_dense_numerator():
