@@ -34,7 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 # Every modulus and prime the kernels take lies below this bound, so that a
-# product of two residues fits in int64.
+# product of two residues fits in int64; cyclo.merge_columns holds its
+# residues in int64 arrays on the same condition.
 MODULUS_BOUND = 2**31
 
 

@@ -26,6 +26,7 @@ from .errors import HypothesisViolation, InternalDefect, ManifestError
 from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
     INFINITE,
+    _census,
     admissible_supports,
     census_weighted_surface,
     is_special,
@@ -179,17 +180,20 @@ def _series_doc(series) -> dict:
     }
 
 
-def _hilbert_side(spec, k: int):
+def _hilbert_side(alg, k: int):
     """One algebra's series document, and its Fermat quotient's prefix (or None).
 
     The quotient needs every weight to divide the total degree d, so that
-    the Fermat element sum x_i^(d/a_i) exists.
+    the Fermat element sum x_i^(d/a_i) exists.  Both read the manifest
+    block's weights and order alone, so a block without matrix rows is
+    served too.
     """
-    base = series_qpoly(spec.weights)
-    d = spec.total_degree
+    weights = alg.weights
+    base = series_qpoly(weights)
+    d = sum(weights)
     prefix = None
     doc_quotient = None
-    if all(d % a == 0 for a in spec.weights):
+    if all(d % a == 0 for a in weights):
         quotient = quotient_by_regular(base, d)
         prefix = quotient.prefix(k)
         doc_quotient = {
@@ -198,8 +202,8 @@ def _hilbert_side(spec, k: int):
             "coefficients": list(prefix),
         }
     doc = {
-        "weights": list(spec.weights),
-        "order": spec.order,
+        "weights": list(weights),
+        "order": alg.order,
         "series": _series_doc(base),
         "coefficients": list(base.prefix(k)),
         "quotient": doc_quotient,
@@ -215,7 +219,7 @@ def cmd_hilbert(man, args) -> dict:
     when either side has no Fermat quotient.
     """
     k = args.max_degree
-    sides = [_hilbert_side(a.spec(), k) for a in man.algebras]
+    sides = [_hilbert_side(a, k) for a in man.algebras]
     if len(sides) == 1:
         return dict(sides[0][0], max_degree=k)
     (doc_a, q_a), (doc_b, q_b) = sides
@@ -256,7 +260,7 @@ def cmd_search_q(man, args) -> dict:
         spec = cert.specs[0]
         census_total = None
         if spec.nvars == 4 and spec.weights[0] == spec.weights[1] == 1:
-            census_total = _tagged(census_weighted_surface(spec).total)
+            census_total = _tagged(_census(spec).total)
         entries.append({
             "exponents": [list(r) for r in spec.exponents],
             "witness": _pair(cert.witness[0]),

@@ -243,7 +243,8 @@ def solve_root_system(pairs) -> tuple[RootScalar | None, int]:
     `pairs` is a sequence of (a_j, RootScalar).  A single search modulus
     suffices: any solution has order dividing M = N * lcm(a_j) where N is
     the lcm of the target orders, so the problem is a congruence system
-    a_j x = t_j (mod M), merged column by column.  Returns (c, len(pairs))
+    a_j x = t_j (mod M), merged column by column (merge_columns, one
+    system of Python ints).  Returns (c, len(pairs))
     with the reduced witness c, or (None, j) when pairs[:j] has a common
     solution and pairs[:j+1] has none: every prefix's own sufficient
     modulus divides M, so the first failing merge marks the shortest
@@ -252,25 +253,43 @@ def solve_root_system(pairs) -> tuple[RootScalar | None, int]:
     pairs = list(pairs)
     if any(a < 1 for a, _ in pairs):
         raise ValueError("exponents a_j must be positive")
-    m = lcm(*[p.order for _, p in pairs]) * lcm(*[a for a, _ in pairs])
-    residue, period = 0, 1
-    for j, (a, p) in enumerate(pairs):
-        t = p.rescale(m).exponent
+    weights = [a for a, _ in pairs]
+    m = lcm(*[p.order for _, p in pairs]) * lcm(*weights)
+    x, first = merge_columns(weights, m, [p.rescale(m).exponent for _, p in pairs])
+    if first < len(pairs):
+        return None, first
+    return RootScalar(m, x).reduced(), len(pairs)
+
+
+def merge_columns(weights, m: int, targets):
+    """Solve a_j x = t_j (mod m) for every column j by one CRT merge.
+
+    `targets` holds one t_j per column (0 <= t_j < m): Python ints for one
+    system, or equal-length arrays for many systems of the same weights.
+    Each value the merge forms stays below m^2, so int64 arrays serve while
+    m < _kernels.MODULUS_BOUND; past it they must hold Python ints
+    (dtype=object), since numpy integer arrays wrap silently.  Every
+    modulus, period and inverse depends on the weights and m alone, so
+    only the residues are arrays; `%`, `//` and `*` serve ints and arrays
+    alike.  Returns (x, first): first is the first column whose congruence
+    conflicts with the earlier ones, len(weights) when none does, and x
+    is then a solution, 0 <= x < m (meaningless where first is smaller).
+    """
+    n = len(weights)
+    residue, period, first = 0, 1, n
+    for j, (a, t) in enumerate(zip(weights, targets)):
         g = gcd(a, m)
-        if t % g:
-            return None, j
         mj = m // g
-        x0 = (t // g) * pow(a // g, -1, mj) % mj if mj > 1 else 0
+        x0 = (t // g) * pow(a // g, -1, mj) % mj
         # merge x = residue (mod period) with x = x0 (mod mj)
         d = gcd(period, mj)
-        if (x0 - residue) % d:
-            return None, j
         step = mj // d
-        k = ((x0 - residue) // d) * pow(period // d, -1, step) % step if step > 1 else 0
+        bad = (t % g != 0) | ((x0 - residue) % d != 0)
+        first += (j - first) * (bad & (first == n))  # j at the first bad column
+        k = ((x0 - residue) // d) * pow(period // d, -1, step) % step
         residue += period * k
-        period = lcm(period, mj)
-        residue %= period
-    return RootScalar(m, residue).reduced(), len(pairs)
+        period *= step
+    return residue, first
 
 
 # ---------------------------------------------------------------------------

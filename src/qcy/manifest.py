@@ -14,8 +14,9 @@ Line oriented, '#' comments, whitespace separated:
 
 A second `algebra` line opens a second block (two-sided certifications).
 Matrix rows are integer exponents mod the block's order; a block may omit
-them entirely (parameter searches need only weights and order).  Parse
-errors carry 1-based line and column of the offending token.
+them entirely (parameter searches and Hilbert series need only weights
+and order).  Parse errors carry 1-based line and column of the offending
+token.
 """
 
 from __future__ import annotations

@@ -45,12 +45,13 @@ class AlgebraSpec:
         if order < 1:
             raise ValueError("root order must be positive")
         weights = tuple(map(int, self.weights))
-        exps = tuple(tuple([int(e) % order for e in row]) for row in self.exponents)
-        if not weights:
+        exps = tuple([tuple([int(e) % order for e in row]) for row in self.exponents])
+        n = len(weights)
+        if not n:
             raise ValueError("need at least one generator")
-        if any(a < 1 for a in weights):
+        if min(weights) < 1:
             raise ValueError(f"weights must be positive, got {weights}")
-        if len(exps) != len(weights) or any(len(r) != len(weights) for r in exps):
+        if list(map(len, exps)) != [n] * n:
             raise ValueError("exponent matrix shape must match the weight count")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "exponents", exps)

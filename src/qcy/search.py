@@ -11,8 +11,12 @@ search of more than SEARCH_BOUND of them is refused up front.  A point's
 row index is its free lattice digits read as a mixed-radix number, so the
 walk marks each orbit in one array step when it meets its least member,
 which becomes the class representative (isomorph-free generation, McKay
-1998), and certify_weighted checks every representative as a second
-route.
+1998).  The representatives are then certified together as a second
+route, from their columns and not from the lattice: one array of their
+exponent matrices is checked for certify_weighted's hypotheses, one CRT
+merge over all rows (cyclo.merge_columns) solves their column systems,
+and each certificate equals certify_weighted's.  The census sweep reads
+those certificates and does not recheck the hypotheses.
 """
 
 from __future__ import annotations
@@ -23,18 +27,21 @@ from math import ceil, comb, gcd, lcm, log, prod
 
 import numpy as np
 
-from .cycert import Certificate, Verdict, certify_weighted
-from .cyclo import hermite_normal_form, kernel_lattice
+from . import _kernels
+from .cycert import CRITERIA, Certificate, Verdict
+from .cyclo import RootScalar, hermite_normal_form, kernel_lattice, merge_columns
 from .errors import InternalDefect
-from .points import CensusReport, census_weighted_surface
+from .points import CensusReport, _census
 from .qalgebra import AlgebraSpec
 
 # Most Calabi-Yau exponent matrices one search may enumerate.  With few
-# weight-preserving permutations nearly every matrix is its own class and
-# costs one certificate and one spec: 0.07-0.12 ms and 0.75 KB each over
-# the 17,100 classes of (1,3,5,5,6,10) at order 30 on a 2 vCPU Xeon.  The
-# walk's array adds 8 bytes per pair and matrix, so this keeps the largest
-# accepted search within seconds and tens of MB.
+# weight-preserving permutations nearly every matrix is its own class: one
+# step of the walk, one row of the batch certification's arrays, one spec
+# and one certificate.  Over the 17,100 classes of (1,3,5,5,6,10) at order
+# 30 on a 2 vCPU Xeon that is 0.03-0.04 ms per class, and 1.0 KB kept per
+# class (1.8 KB at the peak, the walk's and the certification's arrays
+# included, by tracemalloc).  So the largest accepted search takes seconds
+# and under 200 MB.
 SEARCH_BOUND = 10**5
 
 # Largest enumerate_cy_weights input, priced in weights before the walk
@@ -321,8 +328,9 @@ def _search_certificates(weights, order: int) -> list[Certificate]:
     and _lattice_points), walks them in increasing order and marks the
     orbit of each unseen one under the weight-preserving permutations, all
     images in one array step, so the first member met is the least of its
-    orbit and becomes the class representative.  An image outside the set,
-    or a representative that does not certify CY, raises InternalDefect.
+    orbit and becomes the class representative.  The representatives are
+    certified together (_certify_classes).  An image outside the set, or a
+    representative that does not certify CY, raises InternalDefect.
     A search of more than SEARCH_BOUND CY matrices is refused before
     enumeration.
     """
@@ -348,28 +356,96 @@ def _search_certificates(weights, order: int) -> list[Certificate]:
     # `marks` writes through to `seen`, whose find() skips marked points in C
     seen = bytearray(len(points))
     marks = np.frombuffer(seen, np.bool_)
-    out = []
+    reps = []
     pos = seen.find(0)
     while pos >= 0:
-        k = points[pos]
-        images = sign * k[source] % box
+        images = sign * points[pos][source] % box
         at = ((images // diag) @ places).astype(np.intp)
         if not (points[at] == images).all():
             raise InternalDefect(
                 f"CY matrices of {weights} at order {order} are not "
                 "closed under weight-preserving permutations")
         marks[at] = True
-        exps = [[0] * n for _ in range(n)]
-        for (i, j), s, kp in zip(pairs, strides, k.tolist()):
-            exps[i][j] = s * kp
-            exps[j][i] = -s * kp % order
-        cert = certify_weighted(
-            AlgebraSpec(weights, order, tuple(tuple(r) for r in exps)))
-        if cert.verdict is not Verdict.CY:
-            raise InternalDefect(
-                f"search kept a spec that certifies {cert.verdict.value}")
-        out.append(cert)
+        reps.append(pos)
         pos = seen.find(0, pos + 1)
+    return _certify_classes(weights, order, pairs, strides, points[reps])
+
+
+def _exponent_matrices(n, order, pairs, strides, ks) -> np.ndarray:
+    """The exponent matrices of rows of lattice digits as one (R, n, n)
+    array of ks's dtype: e_ij = stride_p k_p and e_ji = -e_ij mod N for
+    pair p = (i, j), i < j, and a zero diagonal."""
+    i, j = np.array(pairs).T
+    upper = ks * np.array(strides, ks.dtype)
+    exps = np.zeros((len(ks), n, n), ks.dtype)
+    exps[:, i, j] = upper
+    exps[:, j, i] = -upper % order
+    return exps
+
+
+def _violated_hypothesis(exps, order, pairs, strides):
+    """(kind, row): the first of certify_weighted's hypotheses that some
+    matrix of exps fails, and the first such matrix; None when all hold.
+
+    The hypothesis q_ij^{h_i} = q_ij^{h_j} = 1 says that the stride of the
+    pair divides e_ij.
+    """
+    n = exps.shape[1]
+    period = np.full((n, n), order, exps.dtype)
+    for (i, j), s in zip(pairs, strides):
+        period[i, j] = period[j, i] = s
+    idx = np.arange(n)
+    for kind, residues in (
+            ("diagonal", exps[:, idx, idx] % order),
+            ("antisymmetry", (exps + exps.transpose(0, 2, 1)) % order),
+            ("entry-order", exps % period)):
+        rows = np.nonzero(residues)[0]
+        if rows.size:
+            return kind, rows[0]
+    return None
+
+
+def _certify_classes(weights, order, pairs, strides, ks) -> list[Certificate]:
+    """certify_weighted's certificate for each row of lattice digits, all
+    rows in one array pass.
+
+    The exponent matrices (_exponent_matrices) are checked against
+    certify_weighted's hypotheses: unit diagonal, antisymmetry, and
+    q_ij^{h_i} = q_ij^{h_j} = 1, which says that the pair's stride divides
+    e_ij.  Their column systems c^{a_j} = prod_i q_ij are solved by one
+    merge over all rows (merge_columns): the search modulus M = N lcm(a_j)
+    and everything but the residues depend on the weights alone.  The
+    arrays hold int64 while M < _kernels.MODULUS_BOUND and Python ints
+    past it.  Each certificate equals certify_weighted's, field for field.  A
+    row failing a hypothesis or its column system raises InternalDefect:
+    the lattice is the CY set, and this derives CY from the columns alone.
+    """
+    n = len(weights)
+    m = order * lcm(*weights)
+    dtype = np.int64 if m < _kernels.MODULUS_BOUND else object
+    exps = _exponent_matrices(n, order, pairs, strides, ks.astype(dtype, copy=False))
+    violated = _violated_hypothesis(exps, order, pairs, strides)
+    if violated is not None:
+        kind, r = violated
+        raise InternalDefect(
+            f"search class {r} of {weights} at order {order} violates {kind}")
+    columns = exps.sum(axis=1) % order * (m // order)
+    x, first = merge_columns(weights, m, list(columns.T))
+    bad = np.flatnonzero(first < n)
+    if bad.size:
+        r = bad[0]
+        raise InternalDefect(
+            f"search class {r} of {weights} at order {order} certifies "
+            f"not_CY: columns 0..{first[r]} are jointly unsolvable")
+    g = np.gcd(x, m)
+    weighted = CRITERIA["weighted"]
+    out = []
+    # lists for one matrix at a time, never for all of them at once
+    for mat, c_order, c_exponent in zip(exps, (m // g).tolist(), (x // g).tolist()):
+        spec = AlgebraSpec(weights, order, mat.tolist())
+        out.append(Certificate(
+            "weighted", Verdict.CY, (spec,), (RootScalar(c_order, c_exponent),),
+            weighted.dimension(spec), (), weighted.success))
     return out
 
 
@@ -397,6 +473,8 @@ def sweep_census(weight_systems) -> list[SweepRow]:
 
     Only surface-shaped systems (four weights starting 1, 1) are swept;
     others are skipped.  Each system uses its natural root order N = d.
+    Every spec the search returns holds a CY certificate, so the census
+    runs without rechecking its hypotheses (points._census).
     """
     rows = []
     for entry in weight_systems:
@@ -405,5 +483,5 @@ def sweep_census(weight_systems) -> list[SweepRow]:
         if len(w) != 4 or w[0] != 1 or w[1] != 1:
             continue
         for spec in search_q_params(w, ws.total_degree):
-            rows.append(SweepRow(w, spec, census_weighted_surface(spec)))
+            rows.append(SweepRow(w, spec, _census(spec)))
     return rows

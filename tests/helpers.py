@@ -1,17 +1,18 @@
 """Shared fixtures: the running example, small spec builders, a time guard,
 the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
-Hilbert oracle's rows and ranks are tested against, and the scalar lattice
+Hilbert oracle's rows and ranks are tested against, the scalar lattice
 walk and chart-by-chart census that the search and the census are tested
-against."""
+against, and the scalar CRT merge that the column merge is tested against."""
 
 import signal
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from math import gcd, lcm
 from operator import mul
 
-from qcy.cyclo import CycField
+from qcy.cyclo import CycField, RootScalar
 from qcy.points import INFINITE, CensusChart, CensusReport, ChartItem, two_var_fermat_count
 from qcy.qalgebra import AlgebraSpec, SkewPoly, chart_parameters, multiply
 from qcy.search import _cy_lattice
@@ -276,3 +277,31 @@ def reference_census(spec):
     else:
         total = sum(c.count for c in charts)
     return CensusReport(spec.weights, spec.order, tuple(charts), total)
+
+
+def reference_solve_root_system(pairs):
+    """solve_root_system one column at a time on Python ints, returning at
+    the first conflict: (reduced witness c, len(pairs)) or (None, j) with
+    pairs[:j] solvable and pairs[:j+1] not."""
+    pairs = list(pairs)
+    if any(a < 1 for a, _ in pairs):
+        raise ValueError("exponents a_j must be positive")
+    m = lcm(*[p.order for _, p in pairs]) * lcm(*[a for a, _ in pairs])
+    residue, period = 0, 1
+    for j, (a, p) in enumerate(pairs):
+        t = p.rescale(m).exponent
+        g = gcd(a, m)
+        if t % g:
+            return None, j
+        mj = m // g
+        x0 = (t // g) * pow(a // g, -1, mj) % mj if mj > 1 else 0
+        # merge x = residue (mod period) with x = x0 (mod mj)
+        d = gcd(period, mj)
+        if (x0 - residue) % d:
+            return None, j
+        step = mj // d
+        k = ((x0 - residue) // d) * pow(period // d, -1, step) % step if step > 1 else 0
+        residue += period * k
+        period = lcm(period, mj)
+        residue %= period
+    return RootScalar(m, residue).reduced(), len(pairs)

@@ -1,6 +1,5 @@
 """Command line behavior: frozen reports, determinism, and exit codes."""
 
-import dataclasses
 import io
 import json
 import os
@@ -11,7 +10,6 @@ import pytest
 
 from qcy import cli, cyclo, hilbert, qalgebra, search
 from qcy.cli import main
-from qcy.cycert import Verdict
 
 from helpers import within
 
@@ -245,6 +243,36 @@ def test_hilbert_segre_is_null_without_a_fermat_quotient(tmp_path):
     assert result["algebras"][1]["coefficients"] == [1, 2, 3, 5]
 
 
+def test_hilbert_serves_a_weights_only_manifest():
+    """The series and the Fermat quotient read the weights and the order
+    alone, so cube.man, which has no matrix rows, is served."""
+    code, out, err = run_cli(
+        ["hilbert", "--input", "tests/golden/manifests/cube.man",
+         "--max-degree", "5"])
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["weights"] == [1, 1, 1, 1]
+    assert result["order"] == 2
+    assert result["series"]["denominator"] == [[1]] * 4
+    assert result["coefficients"] == [1, 4, 10, 20, 35, 56]
+    assert result["quotient"]["degree"] == 4
+    assert result["quotient"]["coefficients"] == [1, 4, 10, 20, 34, 52]
+
+
+@pytest.mark.parametrize("rows", [
+    "row 0 0 0 0\n",                      # too few rows
+    "row 0 0 0\nrow 0 0 0\nrow 0 0 0\nrow 0 0 0\n",  # short rows
+    "row 0 0 0 x\n",
+])
+def test_hilbert_with_malformed_rows_exits_2(tmp_path, rows):
+    man = tmp_path / "bad.man"
+    man.write_text("schema 1\norder 2\nweights 1 1 1 1\n" + rows)
+    code, out, err = run_cli(["hilbert", "--input", str(man)])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_hilbert_above_the_degree_bound_exits_2():
     code, out, err = within(5, lambda: run_cli(
         ["hilbert", "--input", "tests/golden/manifests/weighted.man",
@@ -294,18 +322,26 @@ def test_numeric_argument_out_of_range_exits_2(argv):
 
 
 def test_search_q_invariant_failure_exits_4(monkeypatch):
-    """A kept spec that does not re-certify as CY is a defect, also under -O."""
-    real = search.certify_weighted
+    """A kept class whose column system fails is a defect, also under -O.
 
-    def refuse(spec):
-        return dataclasses.replace(real(spec), verdict=Verdict.NOT_CY)
+    The forgery multiplies q_01 by zeta and q_10 by its inverse in the last
+    class of cube.man: the hypotheses still hold, but the column products
+    no longer agree, so the batch certification refuses it."""
+    real = search._exponent_matrices
 
-    monkeypatch.setattr(search, "certify_weighted", refuse)
+    def forged(*args):
+        exps = real(*args)
+        exps[-1, 0, 1] = (exps[-1, 0, 1] + 1) % 2
+        exps[-1, 1, 0] = (exps[-1, 1, 0] - 1) % 2
+        return exps
+
+    monkeypatch.setattr(search, "_exponent_matrices", forged)
     code, out, err = run_cli(
         ["search-q", "--input", "tests/golden/manifests/cube.man"])
     assert code == 4
     assert out == ""
     assert "internal defect" in err
+    assert "jointly unsolvable" in err
 
 
 def test_search_q_above_the_bound_exits_2(tmp_path):

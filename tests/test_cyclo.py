@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,13 +24,14 @@ from qcy.cyclo import (
     image_size,
     kernel_lattice,
     lattice_contains,
+    merge_columns,
     smith_normal_form,
     solve_root_system,
 )
 from qcy.errors import InternalDefect, OrderMismatchError
 from qcy.search import search_q_params
 
-from helpers import within
+from helpers import reference_solve_root_system, within
 
 
 # -- RootScalar -------------------------------------------------------------
@@ -199,6 +201,97 @@ def test_solve_root_system_roundtrip_and_refutation(pairs):
         assert j == len(pairs)
         for a, rhs in pairs:
             assert (root ** a) == rhs
+
+
+def _key(result):
+    """(order, exponent) of a reduced witness, or None, and the column."""
+    c, j = result
+    return (None if c is None else (c.order, c.exponent), j)
+
+
+@st.composite
+def column_batches(draw):
+    """Weights, an order, and several target rows of one column system;
+    most random rows are unsolvable."""
+    order = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    row = st.lists(st.integers(0, order - 1),
+                   min_size=len(weights), max_size=len(weights))
+    return weights, order, draw(st.lists(row, min_size=1, max_size=8))
+
+
+@given(column_batches())
+@example(([1, 1], 3, [[1, 2], [1, 1]]))
+@example(([2, 4, 3], 8, [[1, 2, 0], [2, 4, 6], [0, 0, 0]]))
+@settings(max_examples=500, deadline=None)
+def test_merge_columns_matches_the_scalar_reference(batch):
+    """One system on Python ints (solve_root_system) and all rows at once on
+    int64 and object arrays give each row the reference's (witness, first
+    failing column)."""
+    weights, order, rows = batch
+    n = len(weights)
+    systems = [[(a, RootScalar(order, e)) for a, e in zip(weights, row)]
+               for row in rows]
+    expected = [_key(reference_solve_root_system(pairs)) for pairs in systems]
+    assert [_key(solve_root_system(pairs)) for pairs in systems] == expected
+    m = order * math.lcm(*weights)
+    for dtype in (np.int64, object):
+        targets = np.array(rows, dtype).T * (m // order)
+        x, first = merge_columns(weights, m, list(targets))
+        got = [_key((RootScalar(m, int(xr)).reduced() if j == n else None, j))
+               for xr, j in zip(x.tolist(), first.tolist())]
+        assert got == expected
+
+
+@given(st.integers(1, 60), st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       st.data())
+@settings(max_examples=500, deadline=None)
+def test_merge_columns_solves_any_congruence_system(m, weights, data):
+    """For any m, not only N * lcm(a_j), where a column alone can be
+    unsolvable (gcd(a_j, m) not dividing t_j): pairs[:first] has a solution
+    in range(m) and pairs[:first + 1] has none, and x solves them all when
+    first is the column count; Python ints and arrays agree."""
+    targets = [data.draw(st.integers(0, m - 1)) for _ in weights]
+    x, first = merge_columns(weights, m, targets)
+
+    def solved_prefix(y):
+        count = 0
+        for a, t in zip(weights, targets):
+            if (a * y - t) % m:
+                break
+            count += 1
+        return count
+
+    assert first == max(solved_prefix(y) for y in range(m))
+    if first == len(weights):
+        assert 0 <= x < m and solved_prefix(x) == first
+    xs, firsts = merge_columns(weights, m, [np.array([t]) for t in targets])
+    assert firsts.tolist() == [first]
+    if first == len(weights):
+        assert xs.tolist() == [x]
+
+
+@pytest.mark.parametrize("m, dtype", [
+    (_kernels.MODULUS_BOUND - 1, np.int64),  # prime, just below the bound
+    (2**32 + 15, object),  # coprime to 3 * 5 * 7, past the bound
+])
+def test_merge_columns_is_exact_on_both_sides_of_the_int64_bound(m, dtype):
+    """With a_j prime to m each x0 = t_j / a_j mod m is a product of two
+    residues near m.  Below the bound int64 holds it; past the bound object
+    arrays agree with Python ints, where int64 would have wrapped."""
+    weights = (3, 5, 7)
+    xs = (m - 1, m // 2 + 1, m // 3 - 7, 123456789)
+    rows = [[a * x % m for a in weights] for x in xs]  # solvable, x is the root
+    rows += [[m - 1, m - 2, m - 3], [m // 2, m - 5, 1]]  # unsolvable
+    exact = [merge_columns(weights, m, row) for row in rows]
+    assert [x for x, j in exact[:len(xs)]] == list(xs)
+    assert [j for _, j in exact] == [3] * len(xs) + [1, 1]
+    x, first = merge_columns(weights, m, list(np.array(rows, dtype).T))
+    assert list(zip(x.tolist(), first.tolist()))[:len(xs)] == exact[:len(xs)]
+    assert first.tolist() == [j for _, j in exact]
+    if dtype is object:
+        wrapped, _ = merge_columns(weights, m, list(np.array(rows, np.int64).T))
+        assert wrapped.tolist()[:len(xs)] != list(xs)
 
 
 # -- Smith and Hermite forms ------------------------------------------------

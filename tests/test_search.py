@@ -6,12 +6,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy import search
-from qcy.cycert import Verdict, certify_weighted
+from qcy import _kernels, search
+from qcy.cycert import Verdict, certify_weighted, verify_certificate
 from qcy.errors import InternalDefect
 from qcy.points import INFINITE
 from qcy.search import (
@@ -419,6 +420,93 @@ def test_action_without_its_sign_is_a_defect(monkeypatch):
 
     monkeypatch.setattr(search, "_signed_actions", unsigned)
     with pytest.raises(InternalDefect, match="not closed"):
+        search_q_params((1, 1, 2, 2), 6)
+
+
+# -- batch certification ---------------------------------------------------
+
+
+# every (weights, order) this module searches outside the hypothesis draws
+SEARCH_CASES = sorted({
+    *((w, sum(w)) for w in CRITERION_2_SYSTEMS),
+    ((1, 1, 1, 1, 2), 3), ((1,), 3), ((1, 1, 2, 2), 3), ((1, 1, 2, 2), 2),
+    ((1, 1, 2, 2), 6), ((1, 1, 1, 1), 2), ((1, 1, 1, 3), 6),
+    ((1, 1, 1, 6, 9), 18), ((1, 1, 1, 3, 6), 12), ((1, 1, 1, 1, 1), 5),
+})
+
+
+def _certificates_agree(weights, order):
+    certs = search._search_certificates(weights, order)
+    expected = [certify_weighted(s) for s in search_q_params(weights, order)]
+    assert certs == expected
+    # RootScalar equality is by value; the stored witnesses agree as well
+    assert [repr(c.witness) for c in certs] == [repr(c.witness) for c in expected]
+    assert all(verify_certificate(c) for c in certs)
+
+
+@pytest.mark.parametrize("weights, order", SEARCH_CASES, ids=str)
+def test_batch_certificates_equal_certify_weighted(weights, order):
+    _certificates_agree(weights, order)
+
+
+@given(st.sampled_from(SMALL_CASES))
+@settings(max_examples=40, deadline=None)
+def test_batch_certificates_equal_certify_weighted_on_small_systems(case):
+    _certificates_agree(*case)
+
+
+@pytest.mark.parametrize("weights, order, dtype", [
+    ((1, 1), 2**31 - 2, np.int64),  # M = 2^31 - 2, just below the bound
+    ((1, 1), 2**31, object),  # M at the bound
+    ((1, 1), 2**32, object),
+    ((1, 1, 2), 2**30 - 2, np.int64),  # M = 2^31 - 4
+    ((1, 1, 2), 2**30, object),  # M = 2^31
+], ids=str)
+def test_batch_certification_across_the_int64_bound(monkeypatch, weights, order, dtype):
+    """The column merge runs on int64 below the kernels' MODULUS_BOUND and
+    on Python ints from it on, with the same certificates either way."""
+    assert _kernels.MODULUS_BOUND == 2**31
+    real = search.merge_columns
+    ran = []
+
+    def spy(weights, m, targets):
+        ran.append(targets[0].dtype)
+        return real(weights, m, targets)
+
+    monkeypatch.setattr(search, "merge_columns", spy)
+    certs = search._search_certificates(weights, order)
+    assert ran == [np.dtype(dtype)]
+    assert len(certs) > 1
+    assert certs == [certify_weighted(c.specs[0]) for c in certs]
+    assert all(verify_certificate(c) for c in certs)
+
+
+def _forge(monkeypatch, edits):
+    """Add each delta to one entry of the last class's exponent matrix."""
+    real = search._exponent_matrices
+
+    def forged(*args):
+        exps = real(*args)
+        for (i, j), delta in edits.items():
+            exps[-1, i, j] += delta
+        return exps
+
+    monkeypatch.setattr(search, "_exponent_matrices", forged)
+
+
+@pytest.mark.parametrize("edits, kind", [
+    ({(1, 0): 1}, "antisymmetry"),
+    ({(2, 2): 3}, "diagonal"),
+    # q_23 of (1,1,2,2)@6 must be a cube root of unity: stride 2
+    ({(2, 3): 1, (3, 2): -1}, "entry-order"),
+    # q_01 times zeta, q_10 over it: hypotheses hold, columns 0 and 1 clash
+    ({(0, 1): 1, (1, 0): -1}, "columns 0..1 are jointly unsolvable"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_forged_exponent_matrix_is_a_defect(monkeypatch, edits, kind):
+    """The batch step checks its matrices, not the lattice that made them:
+    a forged class breaking a hypothesis or its column system raises."""
+    _forge(monkeypatch, edits)
+    with pytest.raises(InternalDefect, match=kind):
         search_q_params((1, 1, 2, 2), 6)
 
 
