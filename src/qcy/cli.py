@@ -27,6 +27,7 @@ from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
     INFINITE,
     _census,
+    _is_surface,
     admissible_supports,
     census_weighted_surface,
     is_special,
@@ -142,9 +143,11 @@ def cmd_census(man, args) -> dict:
 def cmd_point_scheme(man, args) -> dict:
     if len(man.algebras) == 1:
         spec = _alternating(man.algebras[0].spec())
+        # priced first: is_special's triple table alone grows as m^3
+        supports = admissible_supports(spec)
         return {
             "special": is_special(spec),
-            "admissible_supports": [list(s) for s in admissible_supports(spec)],
+            "admissible_supports": [list(s) for s in supports],
             "max_stratum_dimension": max_stratum_dimension(spec),
         }
     specs = [_alternating(a.spec()) for a in man.algebras]
@@ -259,7 +262,7 @@ def cmd_search_q(man, args) -> dict:
     for cert in _search_certificates(alg.weights, order):
         spec = cert.specs[0]
         census_total = None
-        if spec.nvars == 4 and spec.weights[0] == spec.weights[1] == 1:
+        if _is_surface(spec.weights):
             census_total = _tagged(_census(spec).total)
         entries.append({
             "exponents": [list(r) for r in spec.exponents],

@@ -10,6 +10,7 @@ matrices modulo N) backs the PI-degree and center computations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -24,6 +25,7 @@ from .errors import InternalDefect, OrderMismatchError
 ENUMERATION_BOUND = 10**6
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class RootScalar:
     """A root of unity zeta_order^exponent.
 
@@ -32,16 +34,13 @@ class RootScalar:
     order and reduced() drops to the minimal one.
     """
 
-    __slots__ = ("order", "exponent")
+    order: int
+    exponent: int
 
-    def __init__(self, order: int, exponent: int):
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exponent", exponent % order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootScalar is immutable")
+    def __post_init__(self):
+        if self.order < 1:
+            raise ValueError(f"order must be positive, got {self.order}")
+        object.__setattr__(self, "exponent", self.exponent % self.order)
 
     def rescale(self, order: int) -> "RootScalar":
         """The same value written with the given order (stored order must divide it)."""
@@ -83,9 +82,6 @@ class RootScalar:
 
     def __hash__(self):
         return hash(self.pair())
-
-    def __repr__(self):
-        return f"RootScalar({self.order}, {self.exponent})"
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +133,7 @@ def _reduce_mod_phi(coeffs: list[int], order: int) -> tuple[int, ...]:
     return tuple(work)
 
 
+@dataclass(frozen=True, slots=True)
 class CycInt:
     """Element of Z[zeta_N], stored as a residue modulo Phi_N.
 
@@ -145,19 +142,16 @@ class CycInt:
     restricted to a common order; rescaling roots is the caller's job.
     """
 
-    __slots__ = ("order", "coeffs")
+    order: int
+    coeffs: tuple[int, ...]
 
-    def __init__(self, order: int, coeffs):
-        deg = len(cyclotomic_poly(order)) - 1
-        coeffs = tuple(coeffs)
+    def __post_init__(self):
+        deg = len(cyclotomic_poly(self.order)) - 1
+        coeffs = tuple(self.coeffs)
         if len(coeffs) != deg:
             raise ValueError(
-                f"need {deg} coefficients for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
+                f"need {deg} coefficients for order {self.order}, got {len(coeffs)}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycInt is immutable")
 
     @classmethod
     def zero(cls, order: int) -> "CycInt":
@@ -218,23 +212,12 @@ class CycInt:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     def evaluate_mod(self, point: int, p: int) -> int:
         """Value of the residue polynomial at `point`, modulo the prime p."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * point + c) % p
         return acc
-
-    def __repr__(self):
-        return f"CycInt({self.order}, {self.coeffs})"
 
 
 def solve_root_system(pairs) -> tuple[RootScalar | None, int]:

@@ -190,27 +190,13 @@ def _moduli(order: int):
             yield p, _root_of_unity_mod(order, p)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _root_of_unity_mod(order: int, p: int) -> int:
     if order == 1:
         return 1
-    factors = _prime_factors(order)
+    proper = _kernels._divisors(order)[:-1]
     for base in range(2, 1000):
         g = pow(base, (p - 1) // order, p)
-        if pow(g, order, p) == 1 and all(pow(g, order // q, p) != 1 for q in factors):
+        if pow(g, order, p) == 1 and all(pow(g, d, p) != 1 for d in proper):
             return g
     raise InternalDefect(f"no order-{order} element found modulo {p}")
 

@@ -22,6 +22,7 @@ token.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 
 from .cycert import CRITERIA
@@ -52,22 +53,10 @@ class Manifest:
 
 
 def _tokenize(line: str):
-    """(token, 1-based column) pairs; '#' starts a comment."""
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    out = []
-    token_start = None
-    for idx, ch in enumerate(line):
-        if ch.isspace():
-            if token_start is not None:
-                out.append((line[token_start:idx], token_start + 1))
-                token_start = None
-        elif token_start is None:
-            token_start = idx
-    if token_start is not None:
-        out.append((line[token_start:], token_start + 1))
-    return out
+    """(token, 1-based column) pairs; '#' starts a comment.  Tokens are
+    split at the characters str.isspace accepts, which are those \\s matches."""
+    return [(m.group(), m.start() + 1)
+            for m in re.finditer(r"\S+", line.partition("#")[0])]
 
 
 def _int_token(token: str, lineno: int, col: int) -> int:

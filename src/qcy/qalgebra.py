@@ -144,31 +144,29 @@ def validate_spec(spec: AlgebraSpec) -> tuple[Violation, ...]:
     return tuple(bad)
 
 
+@dataclass(frozen=True, slots=True)
 class SkewPoly:
     """Normal-ordered element: exponent vectors with CycInt coefficients."""
 
-    __slots__ = ("order", "nvars", "terms")
+    order: int
+    nvars: int
+    terms: dict[tuple[int, ...], CycInt]
 
-    def __init__(self, order: int, nvars: int, terms):
+    def __post_init__(self):
         clean = {}
-        for exps, coeff in dict(terms).items():
+        for exps, coeff in dict(self.terms).items():
             exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if isinstance(coeff, int):
-                coeff = CycInt.from_int(order, coeff)
+                coeff = CycInt.from_int(self.order, coeff)
             elif isinstance(coeff, RootScalar):
-                coeff = CycInt.from_root(coeff, order)
-            if coeff.order != order:
+                coeff = CycInt.from_root(coeff, self.order)
+            if coeff.order != self.order:
                 raise ValueError("coefficient order does not match the spec order")
             if not coeff.is_zero():
                 clean[exps] = coeff
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPoly is immutable")
 
     @classmethod
     def zero(cls, order: int, nvars: int) -> "SkewPoly":
@@ -212,17 +210,8 @@ class SkewPoly:
             return None
         return degs.pop()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        return (self.order == other.order and self.nvars == other.nvars
-                and self.terms == other.terms)
-
     def __hash__(self):
         return hash((self.order, self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"SkewPoly(order={self.order}, terms={self.terms!r})"
 
 
 def reorder_scalar(left, right, spec: AlgebraSpec) -> RootScalar:

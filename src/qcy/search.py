@@ -9,10 +9,10 @@ Cohen GTM 138 section 2.4), enumerated directly and in increasing order
 as the rows of one array; their count is known before the walk, and a
 search of more than SEARCH_BOUND of them is refused up front.  A point's
 row index is its free lattice digits read as a mixed-radix number, so the
-walk marks each orbit in one array step when it meets its least member,
+walk marks each orbit in array steps when it meets its least member,
 which becomes the class representative (isomorph-free generation, McKay
-1998).  The representatives are then certified together as a second
-route, from their columns and not from the lattice: one array of their
+1998); the permutations are priced against ACTION_BOUND first.  The
+representatives are then certified together as a second route, from their columns and not from the lattice: one array of their
 exponent matrices is checked for certify_weighted's hypotheses, one CRT
 merge over all rows (cyclo.merge_columns) solves their column systems,
 and each certificate equals certify_weighted's.  The census sweep reads
@@ -22,8 +22,9 @@ those certificates and does not recheck the hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from collections import Counter
 from itertools import permutations
-from math import ceil, comb, gcd, lcm, log, prod
+from math import ceil, comb, factorial, gcd, lcm, log, prod
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from . import _kernels
 from .cycert import CRITERIA, Certificate, Verdict
 from .cyclo import RootScalar, hermite_normal_form, kernel_lattice, merge_columns
 from .errors import InternalDefect
-from .points import CensusReport, _census
+from .points import CensusReport, _census, _is_surface
 from .qalgebra import AlgebraSpec
 
 # Most Calabi-Yau exponent matrices one search may enumerate.  With few
@@ -43,6 +44,14 @@ from .qalgebra import AlgebraSpec
 # included, by tracemalloc).  So the largest accepted search takes seconds
 # and under 200 MB.
 SEARCH_BOUND = 10**5
+
+# Most entries, |G| n (n - 1) / 2 at 8 bytes each, of the weight-preserving
+# permutations' actions on the pairs, priced from the multiplicities of the
+# weights; each orbit is marked in steps of at most _ORBIT_BLOCK entries.
+# Nine equal weights (9! * 36 entries) take 0.8 s and 190 MB peak RSS at
+# order 1 on a 2 vCPU Xeon; ten, or nine and one more (9! * 45), are refused.
+ACTION_BOUND = 15 * 10**6
+_ORBIT_BLOCK = 2**20
 
 # Largest enumerate_cy_weights input, priced in weights before the walk
 # starts (_weight_walk_cost).  The walk costs its stack pushes and the
@@ -236,12 +245,17 @@ def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]
     return found
 
 
-def _weight_preserving_perms(weights):
+def _weight_preserving_perms(weights) -> np.ndarray:
+    """The permutations g with weights[g[i]] == weights[i], one row each:
+    every combination of one permutation per class of equal weights."""
     n = len(weights)
-    return [
-        p for p in permutations(range(n))
-        if all(weights[p[i]] == weights[i] for i in range(n))
-    ]
+    group = np.arange(n)[None, :]
+    for a in sorted(set(weights)):
+        cls = [i for i in range(n) if weights[i] == a]
+        perms = np.array(list(permutations(cls)), np.intp)
+        group = np.repeat(group, len(perms), axis=0)
+        group[:, cls] = np.tile(perms, (len(group) // len(perms), 1))
+    return group
 
 
 def _cy_lattice(weights, order):
@@ -273,7 +287,7 @@ def _cy_lattice(weights, order):
     return pairs, strides, boxes, hermite_normal_form(gens)
 
 
-def _lattice_points(boxes, basis) -> tuple[np.ndarray, np.ndarray]:
+def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, np.ndarray]:
     """Every point of the lattice modulo the box, one row each, in increasing
     order, and the place value of each digit of a point's row index.
 
@@ -286,11 +300,11 @@ def _lattice_points(boxes, basis) -> tuple[np.ndarray, np.ndarray]:
     diag_p = box_p that multiple is 0.  The row index of a point is then
     its digits t_p = k_p // diag_p read as a mixed-radix number (first pair
     most significant), which stays below the point count; a fixed
-    position's digit is 0.  Each step adds c * row_p with |c| < SEARCH_BOUND
-    and entries below the box, so int64 holds it while SEARCH_BOUND * box
-    stays below 2^62; larger boxes are held as Python ints.
+    position's digit is 0.  Each step adds c * row_p with |c| and the
+    entries below the box, so the points are exact in `dtype`: int64 when
+    every box is below _kernels.MODULUS_BOUND, as the product then stays
+    below 2^62, and object (Python ints) otherwise.
     """
-    dtype = np.int64 if SEARCH_BOUND * max(boxes) < 2**62 else object
     box = np.array(boxes, dtype)
     points = np.zeros((1, len(boxes)), dtype)
     for p, row in enumerate(basis):
@@ -307,18 +321,19 @@ def _lattice_points(boxes, basis) -> tuple[np.ndarray, np.ndarray]:
     return points, np.array(places, np.int64)
 
 
-def _signed_actions(pairs, perms) -> tuple[np.ndarray, np.ndarray]:
-    """Each permutation as a signed permutation of k: source and sign arrays.
+def _signed_actions(pairs, perms) -> np.ndarray:
+    """Each permutation (row of perms) as a signed permutation of k: indices
+    into (k, -k mod box).
 
     A weight-preserving permutation g sends e_(i,j) to e_(g i, g j), which
-    is +-e of one pair of the same stride, so the relabelled matrix has
-    k'_q = sign[g, q] * k[source[g, q]].
+    is +-e of one pair q of the same stride, so the relabelled matrix has
+    k'_p = k_q (index q) if g i < g j, else -k_q (index len(pairs) + q).
     """
-    where = {pair: q for q, pair in enumerate(pairs)}
-    source = [[where[min(g[i], g[j]), max(g[i], g[j])] for i, j in pairs]
-              for g in perms]
-    sign = [[1 if g[i] < g[j] else -1 for i, j in pairs] for g in perms]
-    return np.array(source, np.intp), np.array(sign, np.int64)
+    i, j = np.array(pairs).T
+    where = np.zeros((perms.shape[1],) * 2, np.intp)
+    where[i, j] = np.arange(len(pairs))
+    where[j, i] = where[i, j] + len(pairs)
+    return where[perms[:, i], perms[:, j]]
 
 
 def _search_certificates(weights, order: int) -> list[Certificate]:
@@ -331,8 +346,10 @@ def _search_certificates(weights, order: int) -> list[Certificate]:
     orbit and becomes the class representative.  The representatives are
     certified together (_certify_classes).  An image outside the set, or a
     representative that does not certify CY, raises InternalDefect.
-    A search of more than SEARCH_BOUND CY matrices is refused before
-    enumeration.
+    A search over SEARCH_BOUND CY matrices or ACTION_BOUND action entries
+    is refused before enumeration.  The arrays hold int64 while the search
+    modulus M = N lcm(a_j) is below _kernels.MODULUS_BOUND (see there), and
+    Python ints from it on.
     """
     ws = weight_system(weights)
     weights = ws.weights
@@ -343,32 +360,44 @@ def _search_certificates(weights, order: int) -> list[Certificate]:
     if n < 2:
         # k[x]/(x^h) has empty Proj: certify_weighted refuses every spec.
         return []
+    actions = prod(map(factorial, Counter(weights).values())) * comb(n, 2)
+    if actions > ACTION_BOUND:
+        raise ValueError(
+            f"the weight-preserving permutations of {weights} act on the "
+            f"pairs by {actions} entries, above ACTION_BOUND = {ACTION_BOUND}")
     pairs, strides, boxes, basis = _cy_lattice(weights, order)
     size = prod(box // basis[p][p] for p, box in enumerate(boxes))
     if size > SEARCH_BOUND:
         raise ValueError(
             f"search of weights {weights} at order {order} has {size} "
             f"Calabi-Yau exponent matrices, above SEARCH_BOUND = {SEARCH_BOUND}")
-    points, places = _lattice_points(boxes, basis)
+    m = order * lcm(*weights)
+    dtype = np.int64 if m < _kernels.MODULUS_BOUND else object
+    points, places = _lattice_points(boxes, basis, dtype)
     diag = np.array([row[p] for p, row in enumerate(basis)], points.dtype)
     box = np.array(boxes, points.dtype)
-    source, sign = _signed_actions(pairs, _weight_preserving_perms(weights))
+    group = _weight_preserving_perms(weights)
+    step = max(1, _ORBIT_BLOCK // len(pairs))
+    blocks = [_signed_actions(pairs, group[lo:lo + step])
+              for lo in range(0, len(group), step)]
     # `marks` writes through to `seen`, whose find() skips marked points in C
     seen = bytearray(len(points))
     marks = np.frombuffer(seen, np.bool_)
     reps = []
     pos = seen.find(0)
     while pos >= 0:
-        images = sign * points[pos][source] % box
-        at = ((images // diag) @ places).astype(np.intp)
-        if not (points[at] == images).all():
-            raise InternalDefect(
-                f"CY matrices of {weights} at order {order} are not "
-                "closed under weight-preserving permutations")
-        marks[at] = True
+        signed = np.concatenate((points[pos], -points[pos] % box))
+        for source in blocks:
+            images = signed[source]
+            at = ((images // diag) @ places).astype(np.intp)
+            if not (points[at] == images).all():
+                raise InternalDefect(
+                    f"CY matrices of {weights} at order {order} are not "
+                    "closed under weight-preserving permutations")
+            marks[at] = True
         reps.append(pos)
         pos = seen.find(0, pos + 1)
-    return _certify_classes(weights, order, pairs, strides, points[reps])
+    return _certify_classes(weights, order, m, pairs, strides, points[reps])
 
 
 def _exponent_matrices(n, order, pairs, strides, ks) -> np.ndarray:
@@ -405,7 +434,7 @@ def _violated_hypothesis(exps, order, pairs, strides):
     return None
 
 
-def _certify_classes(weights, order, pairs, strides, ks) -> list[Certificate]:
+def _certify_classes(weights, order, m, pairs, strides, ks) -> list[Certificate]:
     """certify_weighted's certificate for each row of lattice digits, all
     rows in one array pass.
 
@@ -413,17 +442,16 @@ def _certify_classes(weights, order, pairs, strides, ks) -> list[Certificate]:
     certify_weighted's hypotheses: unit diagonal, antisymmetry, and
     q_ij^{h_i} = q_ij^{h_j} = 1, which says that the pair's stride divides
     e_ij.  Their column systems c^{a_j} = prod_i q_ij are solved by one
-    merge over all rows (merge_columns): the search modulus M = N lcm(a_j)
+    merge over all rows (merge_columns): the search modulus m = N lcm(a_j)
     and everything but the residues depend on the weights alone.  The
-    arrays hold int64 while M < _kernels.MODULUS_BOUND and Python ints
-    past it.  Each certificate equals certify_weighted's, field for field.  A
+    arrays keep ks's dtype, which must be int64 only while
+    m < _kernels.MODULUS_BOUND (object past it; see _search_certificates).
+    Each certificate equals certify_weighted's, field for field.  A
     row failing a hypothesis or its column system raises InternalDefect:
     the lattice is the CY set, and this derives CY from the columns alone.
     """
     n = len(weights)
-    m = order * lcm(*weights)
-    dtype = np.int64 if m < _kernels.MODULUS_BOUND else object
-    exps = _exponent_matrices(n, order, pairs, strides, ks.astype(dtype, copy=False))
+    exps = _exponent_matrices(n, order, pairs, strides, ks)
     violated = _violated_hypothesis(exps, order, pairs, strides)
     if violated is not None:
         kind, r = violated
@@ -480,7 +508,7 @@ def sweep_census(weight_systems) -> list[SweepRow]:
     for entry in weight_systems:
         ws = entry if isinstance(entry, WeightSystem) else weight_system(entry)
         w = ws.weights
-        if len(w) != 4 or w[0] != 1 or w[1] != 1:
+        if not _is_surface(w):
             continue
         for spec in search_q_params(w, ws.total_degree):
             rows.append(SweepRow(w, spec, _census(spec)))

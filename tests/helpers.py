@@ -305,3 +305,23 @@ def reference_solve_root_system(pairs):
         period = lcm(period, mj)
         residue %= period
     return RootScalar(m, residue).reduced(), len(pairs)
+
+
+def reference_tokenize(line):
+    """manifest._tokenize by a character loop: (token, 1-based column)
+    pairs split at str.isspace, with '#' starting a comment."""
+    cut = line.find("#")
+    if cut >= 0:
+        line = line[:cut]
+    out = []
+    token_start = None
+    for idx, ch in enumerate(line):
+        if ch.isspace():
+            if token_start is not None:
+                out.append((line[token_start:idx], token_start + 1))
+                token_start = None
+        elif token_start is None:
+            token_start = idx
+    if token_start is not None:
+        out.append((line[token_start:], token_start + 1))
+    return out

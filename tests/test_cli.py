@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qcy import cli, cyclo, hilbert, qalgebra, search
+from qcy import cli, cyclo, hilbert, points, qalgebra, search
 from qcy.cli import main
 
 from helpers import within
@@ -353,6 +353,41 @@ def test_search_q_above_the_bound_exits_2(tmp_path):
     assert out == ""
     assert f"SEARCH_BOUND = {search.SEARCH_BOUND}" in err
     assert "362797056" in err
+    assert "Traceback" not in err
+
+
+def test_search_q_above_the_action_bound_exits_2(tmp_path):
+    """Ten unit weights: 10! permutations acting on 45 pairs, refused before
+    any is built."""
+    man = tmp_path / "ten.man"
+    man.write_text("schema 1\norder 1\nweights" + " 1" * 10 + "\n")
+    code, out, err = within(1, lambda: run_cli(["search-q", "--input", str(man)]))
+    assert code == 2
+    assert out == ""
+    assert f"ACTION_BOUND = {search.ACTION_BOUND}" in err
+    assert "163296000" in err
+    assert "Traceback" not in err
+
+
+def test_search_q_answers_nine_equal_weights(tmp_path):
+    """Nine unit weights, 9! * 36 action entries, are still answered."""
+    man = tmp_path / "nine.man"
+    man.write_text("schema 1\norder 1\nweights" + " 1" * 9 + "\n")
+    code, out, err = within(20, lambda: run_cli(["search-q", "--input", str(man)]))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["count"] == 1
+
+
+def test_point_scheme_above_the_bound_exits_2(tmp_path):
+    """Twenty-four generators at order 1: every one of the 2^24 supports is
+    admissible, and the walk is refused before it starts."""
+    man = tmp_path / "twentyfour.man"
+    man.write_text("schema 1\norder 1\nweights" + " 1" * 24 + "\n"
+                   + ("row" + " 0" * 24 + "\n") * 24)
+    code, out, err = within(1, lambda: run_cli(["point-scheme", "--input", str(man)]))
+    assert code == 2
+    assert out == ""
+    assert f"STRATUM_BOUND = {points.STRATUM_BOUND}" in err
     assert "Traceback" not in err
 
 

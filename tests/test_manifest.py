@@ -3,9 +3,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcy.errors import ManifestError
-from qcy.manifest import load, loads
+from qcy.manifest import _tokenize, load, loads
+
+from helpers import reference_tokenize
 
 GOOD = """\
 # running example
@@ -148,3 +152,15 @@ def test_comments_and_blank_lines_ignored():
 def test_negative_entries_are_rejected():
     err = _error("schema 1\norder 3\nweights 1 -1\n")
     assert err.line == 3
+
+
+# tabs, the comment mark, and characters str.isspace accepts beyond ASCII
+# (\x1c, \u3000, \xa0, \x85) or refuses (\u200b), among token characters
+LINE_CHARS = st.sampled_from(["\t", " ", "#", "\x1c", "\u3000", "\xa0", "\x85",
+                              "\u200b", "1", "-", "w", "\u00e9"])
+
+
+@given(st.one_of(st.text(LINE_CHARS), st.text()))
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_the_character_loop(line):
+    assert _tokenize(line) == reference_tokenize(line)

@@ -11,6 +11,7 @@ from qcy.cyclo import RootScalar
 from qcy.errors import HypothesisViolation, InternalDefect
 from qcy.points import (
     INFINITE,
+    STRATUM_BOUND,
     admissible_supports,
     census_weighted_surface,
     is_special,
@@ -21,7 +22,7 @@ from qcy.points import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import SPEC3, SPEC4, antisymmetric, chart_simple_count
+from helpers import SPEC3, SPEC4, antisymmetric, chart_simple_count, within
 
 
 # -- special parameters and torus strata ------------------------------------
@@ -46,6 +47,20 @@ def test_admissible_supports_of_special_matrix():
     got = admissible_supports(SPEC3)
     assert (0, 1, 2) in got
     assert len(got) == 7
+
+
+def test_support_walk_above_the_bound_is_refused():
+    """Seventeen generators: C(17, 3) 2^14 + 2^17 steps, refused at once."""
+    spec = AlgebraSpec.unweighted(1, [[0] * 17] * 17)
+    with pytest.raises(ValueError, match=f"11272192 steps, above STRATUM_BOUND = {STRATUM_BOUND}"):
+        within(1, lambda: admissible_supports(spec))
+
+
+def test_stratum_walk_above_the_bound_is_refused():
+    """Two sides of ten generators: 1023^2 support pairs, 20 terms each."""
+    spec = AlgebraSpec.unweighted(1, [[0] * 10] * 10)
+    with pytest.raises(ValueError, match=f"20930580 steps, above STRATUM_BOUND = {STRATUM_BOUND}"):
+        within(1, lambda: point_scheme_dim_product(spec, spec))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcy.cyclo import CycInt
+from qcy.cyclo import CycInt, RootScalar
 from qcy.errors import HypothesisViolation
 from qcy.qalgebra import (
     CENTER_CHECK_BOUND,
@@ -66,6 +66,37 @@ def test_spec_has_slots_and_no_instance_dict():
     assert not hasattr(SPEC4, "__dict__")
     with pytest.raises(AttributeError):
         SPEC4.order = 5
+
+
+@pytest.mark.parametrize("value, field", [
+    (RootScalar(6, 2), "exponent"),
+    (CycInt(3, (1, 2)), "coeffs"),
+    (SkewPoly(3, 2, {(1, 0): 1}), "terms"),
+], ids=["RootScalar", "CycInt", "SkewPoly"])
+def test_value_types_have_slots_and_refuse_assignment(value, field):
+    assert not hasattr(value, "__dict__")
+    assert field in type(value).__slots__
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+
+
+def test_value_types_compare_and_hash_by_value():
+    # RootScalar by its reduced pair, whatever order it was built with
+    assert RootScalar(6, 2) == RootScalar(3, 1)
+    assert hash(RootScalar(6, 2)) == hash(RootScalar(3, 1)) == hash((3, 1))
+    assert RootScalar(6, 8) == RootScalar(6, 2) != RootScalar(6, 1)
+    assert RootScalar(3, 1) != (3, 1)
+    # CycInt by order and coefficient tuple
+    assert CycInt(3, [1, 2]) == CycInt(3, (1, 2))
+    assert hash(CycInt(3, [1, 2])) == hash((3, (1, 2)))
+    assert CycInt(3, (1, 2)) != CycInt(4, (1, 2))
+    assert CycInt(3, (1, 2)) != (3, (1, 2))
+    # SkewPoly by order, generator count and nonzero terms
+    p = SkewPoly(3, 2, {(1, 0): 1, (0, 1): 0})
+    assert p == SkewPoly.monomial(3, (1, 0))
+    assert hash(p) == hash((3, 2, frozenset({(1, 0): CycInt.from_int(3, 1)}.items())))
+    assert p != SkewPoly(3, 3, {(1, 0, 0): 1})
+    assert p != SkewPoly(6, 2, {(1, 0): 1})
 
 
 def test_spec_normalizes_entries_mod_the_order():

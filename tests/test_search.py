@@ -392,11 +392,36 @@ def test_search_matches_the_reference_walk(weights, order, classes):
 
 
 def test_search_holds_large_boxes_as_python_ints(monkeypatch):
-    """With SEARCH_BOUND * box at 2^62 or more the walk leaves int64."""
-    expected = search_q_params((1, 1, 2, 2), 6)
-    monkeypatch.setattr(search, "SEARCH_BOUND", 2**62)
-    assert search._lattice_points([3, 2], [[1, 0], [0, 2]])[0].dtype == object
-    assert search_q_params((1, 1, 2, 2), 6) == expected
+    """With the search modulus M = N lcm(a_j) at _kernels.MODULUS_BOUND the
+    walk and the merge both leave int64, and the certificates stay equal."""
+    expected = search._search_certificates((1, 1, 2, 2), 6)
+    real_points, real_merge = search._lattice_points, search.merge_columns
+    dtypes = []
+
+    def points(boxes, basis, dtype):
+        out = real_points(boxes, basis, dtype)
+        dtypes.append(("walk", out[0].dtype))
+        return out
+
+    def merge(weights, m, targets):
+        dtypes.append(("merge", targets[0].dtype))
+        return real_merge(weights, m, targets)
+
+    monkeypatch.setattr(search, "_lattice_points", points)
+    monkeypatch.setattr(search, "merge_columns", merge)
+    monkeypatch.setattr(_kernels, "MODULUS_BOUND", 12)  # M = 6 * 2
+    assert search._search_certificates((1, 1, 2, 2), 6) == expected
+    assert dtypes == [("walk", object), ("merge", object)]
+
+
+@pytest.mark.parametrize("weights", [
+    (1,), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 2, 3, 6), (1, 1, 1, 3, 3, 3), (2, 1, 2, 1),
+], ids=str)
+def test_weight_preserving_perms_are_the_filtered_permutations(weights):
+    n = len(weights)
+    expected = [p for p in permutations(range(n))
+                if all(weights[p[i]] == weights[i] for i in range(n))]
+    assert sorted(map(tuple, search._weight_preserving_perms(weights).tolist())) == expected
 
 
 def test_permutation_leaving_the_weights_is_a_defect(monkeypatch):
@@ -404,7 +429,7 @@ def test_permutation_leaving_the_weights_is_a_defect(monkeypatch):
     the CY matrices of (1,1,2,2)@6: the orbit marking raises."""
     real = search._weight_preserving_perms
     monkeypatch.setattr(search, "_weight_preserving_perms",
-                        lambda weights: real(weights) + [(0, 2, 1, 3)])
+                        lambda weights: np.vstack([real(weights), (0, 2, 1, 3)]))
     with pytest.raises(InternalDefect, match="not closed"):
         search_q_params((1, 1, 2, 2), 6)
 
@@ -415,8 +440,7 @@ def test_action_without_its_sign_is_a_defect(monkeypatch):
     real = search._signed_actions
 
     def unsigned(pairs, perms):
-        source, sign = real(pairs, perms)
-        return source, abs(sign)
+        return real(pairs, perms) % len(pairs)
 
     monkeypatch.setattr(search, "_signed_actions", unsigned)
     with pytest.raises(InternalDefect, match="not closed"):
