@@ -91,9 +91,9 @@ def admissible_supports(spec: AlgebraSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def _support_masks(spec: AlgebraSpec, shift: int = 0) -> list[int]:
-    """Admissible supports as bit masks, generator i on bit shift + i."""
-    return [sum(1 << (shift + i) for i in s) for s in admissible_supports(spec)]
+def _support_masks(supports, shift: int = 0) -> list[int]:
+    """Supports as bit masks, generator i on bit shift + i."""
+    return [sum(1 << (shift + i) for i in s) for s in supports]
 
 
 def _cut_dimension(sides, equations) -> int | None:
@@ -128,17 +128,21 @@ def _cut_dimension(sides, equations) -> int | None:
     return best
 
 
-def max_stratum_dimension(spec: AlgebraSpec) -> int | None:
+def max_stratum_dimension(spec: AlgebraSpec, supports=None) -> int | None:
     """Largest torus stratum dimension with the Fermat equation imposed.
 
     The Fermat equation keeps every term x_i^{h_i} of a support, since
     h_i = d / a_i >= 1: a singleton stratum dies, a larger one loses one
     dimension.  Raises HypothesisViolation when some weight does not
     divide the total degree, as the Fermat element is then undefined.
+    A caller holding the spec's admissible_supports passes them, and
+    they are not walked again.
     """
     spec.fermat_exponents()
+    if supports is None:
+        supports = admissible_supports(spec)
     fermat = [1 << i for i in range(spec.nvars)]
-    return _cut_dimension([_support_masks(spec)], [fermat])
+    return _cut_dimension([_support_masks(supports)], [fermat])
 
 
 def point_scheme_dim_product(
@@ -160,7 +164,9 @@ def point_scheme_dim_product(
         g = [1 << l | 1 << (na + l) for l in range(min(na, spec_b.nvars))]
     else:
         raise ValueError(f"unknown g shape {g_shape!r}")
-    return _cut_dimension([_support_masks(spec_a), _support_masks(spec_b, na)], [f, g])
+    sides = [_support_masks(admissible_supports(spec_a)),
+             _support_masks(admissible_supports(spec_b), na)]
+    return _cut_dimension(sides, [f, g])
 
 
 # -- PI degree --------------------------------------------------------------

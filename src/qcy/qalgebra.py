@@ -19,9 +19,9 @@ from .errors import HypothesisViolation, InternalDefect
 
 # Most steps center_lattice's cross-check may take, priced before it starts:
 # C(m + 6, 6) monomials of degree at most 6, each compared with the m
-# generators by two reorder scalars of O(m) steps.  A step takes about 1.2
-# us when every monomial is central (the worst case) on a 2 vCPU Xeon, so
-# the largest accepted chart, m = 10 (800,800 steps), takes about a second,
+# generators by two reorder exponents of O(m) steps.  A step takes about
+# 0.9 us when every monomial is central (the worst case) on a 2 vCPU Xeon,
+# so the largest accepted chart, m = 10 (800,800 steps), takes 0.65-0.8 s,
 # and m = 11 (1,497,496) is refused.
 CENTER_CHECK_BOUND = 10**6
 
@@ -221,6 +221,11 @@ def reorder_scalar(left, right, spec: AlgebraSpec) -> RootScalar:
     picks up sigma = prod_{i<j} q_ji^{right_i * left_j}; a bicharacter in
     each argument.
     """
+    return RootScalar(spec.order, _reorder_exponent(left, right, spec))
+
+
+def _reorder_exponent(left, right, spec: AlgebraSpec) -> int:
+    """reorder_scalar's exponent of zeta_N, as an unreduced integer."""
     e = 0
     n = spec.nvars
     for i in range(n):
@@ -229,7 +234,7 @@ def reorder_scalar(left, right, spec: AlgebraSpec) -> RootScalar:
             for j in range(i + 1, n):
                 if left[j]:
                     e += spec.exponents[j][i] * r * left[j]
-    return RootScalar(spec.order, e)
+    return e
 
 
 def multiply(p: SkewPoly, r: SkewPoly, spec: AlgebraSpec) -> SkewPoly:
@@ -256,10 +261,11 @@ def fermat(spec: AlgebraSpec) -> SkewPoly:
 
 
 def _monomial_is_central(exps, spec: AlgebraSpec) -> bool:
-    """x_k x^e = x^e x_k for every generator k, compared as reorder scalars."""
-    for k in range(spec.nvars):
-        unit = tuple(int(i == k) for i in range(spec.nvars))
-        if reorder_scalar(unit, exps, spec) != reorder_scalar(exps, unit, spec):
+    """x_k x^e = x^e x_k for every generator k: equal reorder exponents mod N."""
+    n, m = spec.order, spec.nvars
+    for k in range(m):
+        unit = tuple(int(i == k) for i in range(m))
+        if (_reorder_exponent(unit, exps, spec) - _reorder_exponent(exps, unit, spec)) % n:
             return False
     return True
 
@@ -344,7 +350,7 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     """Central-monomial lattice {e : E . e = 0 mod N} of the matrix of spec.
 
     Assumes unit diagonal and antisymmetry (a validated spec or a chart
-    matrix).  The kernel route is cross-checked by the reorder scalars of
+    matrix).  The kernel route is cross-checked by the reorder exponents of
     every monomial of total degree at most 6: exponent arithmetic, O(1) in N.
     A cross-check priced above CENTER_CHECK_BOUND steps is refused before
     any work.
@@ -367,17 +373,16 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         if any(row[i] % pure[i] for i in range(m)):
             mixed = tuple(row)
             break
-    result = CenterLattice(
+    for exps in map(tuple, monomials_up_to((1,) * m, 6)[0].tolist()):
+        if _monomial_is_central(exps, spec) != lattice_contains(basis, exps):
+            raise InternalDefect(
+                f"lattice and direct centrality disagree at {exps}")
+    return CenterLattice(
         order=n,
         basis=tuple(tuple(r) for r in basis),
         pure_powers=tuple(pure),
         mixed_generator=mixed,
     )
-    for exps in map(tuple, monomials_up_to((1,) * m, 6)[0].tolist()):
-        if _monomial_is_central(exps, spec) != result.contains(exps):
-            raise InternalDefect(
-                f"lattice and direct centrality disagree at {exps}")
-    return result
 
 
 def monomials_up_to(weights, max_degree: int) -> tuple[np.ndarray, list[int]]:

@@ -413,6 +413,18 @@ def test_certify_failing_verification_exits_4(monkeypatch):
     assert "internal defect" in err
 
 
+def test_center_with_a_forged_lattice_exits_4(monkeypatch):
+    """A kernel lattice missing its row (1, 1, 1) disagrees with the reorder
+    exponents of x0 x1 x2, which is central on chart 0 of weighted.man."""
+    real = qalgebra.kernel_lattice
+    monkeypatch.setattr(qalgebra, "kernel_lattice", lambda *a: real(*a)[1:])
+    code, out, err = run_cli(
+        ["center", "--input", "tests/golden/manifests/weighted.man", "--chart", "0"])
+    assert code == 4
+    assert out == ""
+    assert "internal defect: lattice and direct centrality disagree" in err
+
+
 NOT_ALTERNATING = {
     "nonzero-diagonal": "schema 1\norder 7\nweights 1\nrow 1\n",
     "not-antisymmetric": (
@@ -470,3 +482,67 @@ def test_one_generator_chart_past_the_kernels_modulus_bound(tmp_path):
         ["pi-degree", "--chart", "0", "--input", str(man)]))
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["pi_degree"] == 1
+
+
+def _golden(name):
+    return (GOLDEN / "expected" / name).read_text()
+
+
+def test_usage_errors_and_help_leave_the_parser_serving():
+    """One parser serves the process: after a usage error and a help exit,
+    the next request still reproduces its frozen report."""
+    cli._build_parser()
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["search-q", "--input", "tests/golden/manifests/cube.man",
+                 "--order", "0"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["certify", "--help"])
+    assert exc.value.code == 0
+    assert cli._build_parser() is parser
+    code, out, err = run_cli(
+        ["certify", "--input", "tests/golden/manifests/weighted.man"])
+    assert (code, out, err) == (0, _golden("certify_weighted.json"), "")
+
+
+def test_no_argument_leaks_between_requests():
+    """--chart 0 on one request leaves the next one's default alone."""
+    argv = ["pi-degree", "--input", "tests/golden/manifests/weighted.man"]
+    assert run_cli(argv + ["--chart", "0"]) == (0, _golden("pi_degree_chart0.json"), "")
+    assert run_cli(argv) == (0, _golden("pi_degree_ambient.json"), "")
+
+
+def test_commands_are_looked_up_when_called(monkeypatch):
+    """A cmd_* replaced after the parser is built is the one main runs, so a
+    wrapper installed in the module namespace sees every request."""
+    argv = ["center", "--input", "tests/golden/manifests/weighted.man", "--chart", "0"]
+    run_cli(argv)
+    calls = []
+    real = cli.cmd_center
+
+    def wrapped(man, args):
+        calls.append(args.chart)
+        return real(man, args)
+
+    monkeypatch.setattr(cli, "cmd_center", wrapped)
+    assert run_cli(argv) == (0, _golden("center_chart0.json"), "")
+    assert calls == [0]
+
+
+def test_point_scheme_walks_its_supports_once(monkeypatch):
+    """One single-algebra request walks the admissible supports once:
+    max_stratum_dimension reads the ones the report lists."""
+    calls = []
+    supports = points.admissible_supports
+
+    def count_supports(spec):
+        calls.append(spec.nvars)
+        return supports(spec)
+
+    monkeypatch.setattr(points, "admissible_supports", count_supports)
+    monkeypatch.setattr(cli, "admissible_supports", count_supports)
+    code, out, err = run_cli(
+        ["point-scheme", "--input", "tests/golden/manifests/weighted.man"])
+    assert (code, out, err) == (0, _golden("point_scheme_weighted.json"), "")
+    assert calls == [4]

@@ -196,7 +196,9 @@ def test_max_stratum_dimension_matches_the_oracle_on_one_side(spec):
     # a one-generator side B adds the single point stratum and no equation
     point = AlgebraSpec.unweighted(1, ((0,),))
     f = [({i}, set()) for i in range(spec.nvars)]
-    assert max_stratum_dimension(spec) == two_sided_oracle(spec, point, [f])
+    want = two_sided_oracle(spec, point, [f])
+    assert max_stratum_dimension(spec) == want
+    assert max_stratum_dimension(spec, admissible_supports(spec)) == want
 
 
 # -- PI degree --------------------------------------------------------------

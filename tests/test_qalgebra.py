@@ -8,10 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcy.cyclo import CycInt, RootScalar
-from qcy.errors import HypothesisViolation
+from qcy import qalgebra
+from qcy.errors import HypothesisViolation, InternalDefect
 from qcy.qalgebra import (
     CENTER_CHECK_BOUND,
     AlgebraSpec,
+    _monomial_is_central,
+    _reorder_exponent,
     SkewPoly,
     center_lattice,
     chart_parameters,
@@ -189,6 +192,24 @@ def test_reorder_scalar_is_a_bicharacter(data):
         reorder_scalar(u, v, spec) * reorder_scalar(u, w, spec)
 
 
+@given(spec_and_vectors())
+@settings(max_examples=500, deadline=None)
+def test_reorder_exponent_is_the_scalar_exponent(data):
+    spec, u, v, _ = data
+    assert _reorder_exponent(u, v, spec) % spec.order == reorder_scalar(u, v, spec).exponent
+
+
+@given(spec_and_vectors())
+@settings(max_examples=500, deadline=None)
+def test_monomial_centrality_matches_the_scalar_comparison(data):
+    """The exponent test agrees with comparing the two reorder scalars."""
+    spec, u, _, _ = data
+    units = [tuple(int(i == k) for i in range(spec.nvars)) for k in range(spec.nvars)]
+    by_scalars = all(reorder_scalar(unit, u, spec) == reorder_scalar(u, unit, spec)
+                     for unit in units)
+    assert _monomial_is_central(u, spec) == by_scalars
+
+
 @st.composite
 def spec_and_polys(draw):
     order = draw(st.integers(1, 4))
@@ -340,6 +361,15 @@ def test_center_of_commutative_is_everything():
     lattice = center_lattice(spec)
     assert lattice.pure_powers == (1, 1, 1)
     assert lattice.contains((1, 0, 0))
+
+
+def test_center_with_a_forged_lattice_is_a_defect(monkeypatch):
+    """Dropping the kernel's row (1, 1, 1) leaves x0 x1 x2 central by its
+    reorder exponents but outside the lattice."""
+    real = qalgebra.kernel_lattice
+    monkeypatch.setattr(qalgebra, "kernel_lattice", lambda *a: real(*a)[1:])
+    with pytest.raises(InternalDefect, match=r"disagree at \(1, 1, 1\)"):
+        center_lattice(SPEC3)
 
 
 def test_center_cross_check_is_priced_by_the_generator_count():
