@@ -14,15 +14,24 @@ from math import comb, gcd
 
 import numpy as np
 
-from .cyclo import CycInt, RootScalar, kernel_lattice, lattice_contains
+from .cyclo import (
+    CycInt,
+    RootScalar,
+    int_rows,
+    kernel_lattice,
+    lattice_contains,
+    lattice_members,
+)
 from .errors import HypothesisViolation, InternalDefect
 
 # Most steps center_lattice's cross-check may take, priced before it starts:
 # C(m + 6, 6) monomials of degree at most 6, each compared with the m
-# generators by two reorder exponents of O(m) steps.  A step takes about
-# 0.9 us when every monomial is central (the worst case) on a 2 vCPU Xeon,
-# so the largest accepted chart, m = 10 (800,800 steps), takes 0.65-0.8 s,
-# and m = 11 (1,497,496) is refused.
+# generators through m x m exponent products.  The largest accepted chart,
+# m = 10 (800,800 steps), takes about 10 ms when every monomial is central
+# (the worst case) on a 2 vCPU Xeon, 20 ms at N = 10^29 on Python ints, and
+# m = 11 (1,497,496) is refused; the bound was set at 0.9 us a step, for a
+# check that took one monomial at a time, and is kept so that the same
+# inputs are refused.
 CENTER_CHECK_BOUND = 10**6
 
 
@@ -260,20 +269,31 @@ def fermat(spec: AlgebraSpec) -> SkewPoly:
     return SkewPoly(spec.order, spec.nvars, acc)
 
 
-def _monomial_is_central(exps, spec: AlgebraSpec) -> bool:
-    """x_k x^e = x^e x_k for every generator k: equal reorder exponents mod N."""
-    n, m = spec.order, spec.nvars
-    for k in range(m):
-        unit = tuple(int(i == k) for i in range(m))
-        if (_reorder_exponent(unit, exps, spec) - _reorder_exponent(exps, unit, spec)) % n:
-            return False
-    return True
+def _central_mask(exps, spec: AlgebraSpec) -> np.ndarray:
+    """Which rows e of `exps` give a central monomial x^e, as a bool array.
+
+    x_k x^e and x^e x_k have reorder exponents sum_{i<k} E_ki e_i and
+    sum_{j>k} E_jk e_j, whose difference is (M e)_k with M = L - L^T and
+    L = tril(E, -1); so x^e is central when M e = 0 (mod N), one integer
+    product for every generator and every row.  Entries of M are below N,
+    so no value formed exceeds N m max|e|: the arrays are int64 when that
+    is below 2**63, else Python ints.
+    """
+    n, m, e = spec.order, spec.nvars, spec.exponents
+    rows, top = int_rows(exps)
+    rows = rows.reshape(len(rows), m)  # no terms: the zero polynomial
+    dtype = np.int64 if n * m * max(top, 1) < 2**63 else object
+    skew = np.array([[e[k][i] if i < k else -e[i][k] if i > k else 0
+                      for i in range(m)] for k in range(m)], dtype)
+    # compare before reducing: numpy < 2 reduces an object array's any()
+    # to one of its elements, not a bool
+    return ~(((rows.astype(dtype) @ skew.T) % n) != 0).any(axis=1)
 
 
 def is_central(p: SkewPoly, spec: AlgebraSpec) -> bool:
     """Monomial by monomial: x_k p and p x_k have terms at the same e + 1_k, and
     Z[zeta_N] has no zero divisors, so no cyclotomic integer is multiplied."""
-    return all(_monomial_is_central(e, spec) for e in p.terms)
+    return bool(_central_mask(list(p.terms), spec).all())
 
 
 @dataclass(frozen=True)
@@ -350,10 +370,14 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     """Central-monomial lattice {e : E . e = 0 mod N} of the matrix of spec.
 
     Assumes unit diagonal and antisymmetry (a validated spec or a chart
-    matrix).  The kernel route is cross-checked by the reorder exponents of
-    every monomial of total degree at most 6: exponent arithmetic, O(1) in N.
-    A cross-check priced above CENTER_CHECK_BOUND steps is refused before
-    any work.
+    matrix).  The kernel route is cross-checked on every monomial of total
+    degree at most 6 at once: the direct route's mask (_central_mask, one
+    integer product mod N over the whole table) must equal the lattice
+    route's (cyclo.lattice_members, one reduction per basis row over all
+    rows), or InternalDefect names the first monomial where they differ.
+    Exponent arithmetic only, in int64 where it provably fits and in Python
+    ints past it, so the check is exact at any order.  A cross-check priced
+    above CENTER_CHECK_BOUND steps is refused before any work.
     """
     n = spec.order
     e = spec.exponents
@@ -373,10 +397,11 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         if any(row[i] % pure[i] for i in range(m)):
             mixed = tuple(row)
             break
-    for exps in map(tuple, monomials_up_to((1,) * m, 6)[0].tolist()):
-        if _monomial_is_central(exps, spec) != lattice_contains(basis, exps):
-            raise InternalDefect(
-                f"lattice and direct centrality disagree at {exps}")
+    exps = monomials_up_to((1,) * m, 6)[0]
+    agree = _central_mask(exps, spec) == lattice_members(basis, exps)
+    if not agree.all():
+        first = tuple(exps[np.argmin(agree)].tolist())
+        raise InternalDefect(f"lattice and direct centrality disagree at {first}")
     return CenterLattice(
         order=n,
         basis=tuple(tuple(r) for r in basis),

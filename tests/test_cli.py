@@ -1,12 +1,16 @@
 """Command line behavior: frozen reports, determinism, and exit codes."""
 
+import hashlib
 import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcy import cli, cyclo, hilbert, points, qalgebra, search
 from qcy.cli import main
@@ -102,6 +106,35 @@ def test_json_reports_parse_and_embed_digest():
         assert out.endswith("\n")
         assert len(doc["input"]["digest"]) == 64
         assert "result" in doc
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(-2**70, 2**70) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=20)
+
+
+@given(REPORT_VALUES)
+@settings(max_examples=500, deadline=None)
+@example({"\u00e9\"\\\n\x00\x1f": [-1, 2**64 + 1, True, None, [], {}, ()]})
+@example({"a": {"b": [[0, -2**70], ("x", "\u2603"), {}]}, "": []})
+@example([])
+def test_structured_writer_equals_json_dumps(doc):
+    """The report writer writes what json.dumps writes with indent=2, sort_keys=True."""
+    out: list[str] = []
+    cli._json_lines(doc, "", out)
+    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, np.int64(3), {1: "int key"}, {"a": [0, 2.0]}],
+    ids=["float", "np.int64", "int key", "nested float"])
+def test_structured_writer_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        cli._json_lines(value, "", [])
 
 
 def test_parse_error_exits_2_with_position(tmp_path):
@@ -422,7 +455,7 @@ def test_center_with_a_forged_lattice_exits_4(monkeypatch):
         ["center", "--input", "tests/golden/manifests/weighted.man", "--chart", "0"])
     assert code == 4
     assert out == ""
-    assert "internal defect: lattice and direct centrality disagree" in err
+    assert "internal defect: lattice and direct centrality disagree at (1, 1, 1)" in err
 
 
 NOT_ALTERNATING = {
@@ -472,6 +505,39 @@ def test_root_order_near_a_billion_is_answered_at_once(argv, key, value, tmp_pat
     code, out, err = within(5, lambda: run_cli(argv + ["--input", str(man)]))
     assert (code, err) == (0, "")
     assert json.loads(out)["result"][key] == value
+
+
+@pytest.mark.parametrize("order,k,e", [
+    (3 * 10**9, 10**9, 1),
+    (2**63 + 1, 3074457345618258603, 1),
+    (10**29, 10**29, 3),
+], ids=["3e9", "2^63+1", "1e29"])
+def test_center_of_a_cyclic_chart_at_large_orders(order, k, e, tmp_path):
+    """On x0 x1 x2 with q_01 = q_12 = q_20 = zeta_N, chart 0 has q'_12 =
+    zeta_N^3 = zeta_k^e.  The cross-check runs in int64 at 3e9, on Python
+    ints at 2^63 + 1 (whose k is below 2**63) and at 10^29, and every
+    report is frozen byte for byte."""
+    man = tmp_path / "cyclic.man"
+    man.write_text(f"schema 1\norder {order}\nweights 1 1 1\n"
+                   "row 0 1 -1\nrow -1 0 1\nrow 1 -1 0\n")
+    code, out, err = within(5, lambda: run_cli(
+        ["center", "--chart", "0", "--input", str(man)]))
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(man.read_bytes()).hexdigest()
+    assert out == (
+        '{\n  "command": "center",\n  "input": {\n'
+        f'    "digest": "{digest}",\n    "path": {json.dumps(str(man))}\n  }},\n'
+        '  "result": {\n    "basis": [\n'
+        f'      [\n        {k},\n        0\n      ],\n'
+        f'      [\n        0,\n        {k}\n      ]\n    ],\n'
+        '    "chart": 0,\n    "chart_matrix": [\n      [\n'
+        '        [\n          1,\n          0\n        ],\n'
+        f'        [\n          {k},\n          {e}\n        ]\n      ],\n      [\n'
+        f'        [\n          {k},\n          {k - e}\n        ],\n'
+        '        [\n          1,\n          0\n        ]\n      ]\n    ],\n'
+        '    "has_mixed": false,\n    "kept": [\n      1,\n      2\n    ],\n'
+        '    "mixed_generator": null,\n'
+        f'    "pure_powers": [\n      {k},\n      {k}\n    ]\n  }}\n}}\n')
 
 
 def test_one_generator_chart_past_the_kernels_modulus_bound(tmp_path):

@@ -103,3 +103,6 @@ def test_every_invocation_ends_in_a_named_exit(text, data):
     assert "Traceback" not in err
     structured = argv[-2:] != ["--format", "human"]
     assert _parses(out) == (structured and code == 0), (argv, code, out[:200])
+    if structured and code == 0:
+        # the report writer writes what json writes with indent=2, sort_keys=True
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

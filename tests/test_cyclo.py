@@ -24,6 +24,7 @@ from qcy.cyclo import (
     image_size,
     kernel_lattice,
     lattice_contains,
+    lattice_members,
     merge_columns,
     smith_normal_form,
     solve_root_system,
@@ -392,6 +393,43 @@ def test_lattice_contains_brute_force(rng):
             claimed = lattice_contains(basis, v)
             if tuple(v) in span:
                 assert claimed
+
+
+def _contains_by_loop(basis, vec):
+    """Reference: one vector reduced row by row in Python ints."""
+    v = list(map(int, vec))
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        if v[p] % row[p]:
+            return False
+        q = v[p] // row[p]
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_lattice_members_matches_the_vector_loop(data):
+    """The array pass answers as the one-vector loop, in int64 and past it."""
+    m = data.draw(st.integers(1, 4))
+    scale = data.draw(st.sampled_from((6, 10**9, 2**62, 10**30)))
+    entry = st.integers(-scale, scale)
+    rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                              min_size=1, max_size=3))
+    basis = hermite_normal_form(rows)
+    vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                              min_size=1, max_size=6))
+    # members too: small combinations of the rows
+    for coeffs in data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                              max_size=len(rows)), max_size=3)):
+        vecs.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)])
+    expected = [_contains_by_loop(basis, v) for v in vecs]
+    members = lattice_members(basis, vecs)
+    assert members.dtype == bool
+    assert members.tolist() == expected
+    assert [lattice_contains(basis, v) for v in vecs] == expected
+    if all(abs(x) < 2**63 for v in vecs for x in v):
+        assert lattice_members(basis, np.array(vecs, dtype=np.int64)).tolist() == expected
 
 
 # -- kernels and image sizes ------------------------------------------------

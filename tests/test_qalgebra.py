@@ -13,7 +13,7 @@ from qcy.errors import HypothesisViolation, InternalDefect
 from qcy.qalgebra import (
     CENTER_CHECK_BOUND,
     AlgebraSpec,
-    _monomial_is_central,
+    _central_mask,
     _reorder_exponent,
     SkewPoly,
     center_lattice,
@@ -202,12 +202,18 @@ def test_reorder_exponent_is_the_scalar_exponent(data):
 @given(spec_and_vectors())
 @settings(max_examples=500, deadline=None)
 def test_monomial_centrality_matches_the_scalar_comparison(data):
-    """The exponent test agrees with comparing the two reorder scalars."""
-    spec, u, _, _ = data
+    """The array mask agrees, row by row, with comparing the two reorder scalars."""
+    spec, u, v, w = data
     units = [tuple(int(i == k) for i in range(spec.nvars)) for k in range(spec.nvars)]
-    by_scalars = all(reorder_scalar(unit, u, spec) == reorder_scalar(u, unit, spec)
-                     for unit in units)
-    assert _monomial_is_central(u, spec) == by_scalars
+    by_scalars = [all(reorder_scalar(unit, x, spec) == reorder_scalar(x, unit, spec)
+                      for unit in units) for x in (u, v, w)]
+    assert _central_mask([u, v, w], spec).tolist() == by_scalars
+    assert _central_mask(np.array([u, v, w], dtype=np.int64), spec).tolist() == by_scalars
+    # N * 2**62 added to every entry keeps M e mod N and forces Python ints
+    shifted = [[x + spec.order * 2**62 for x in row] for row in (u, v, w)]
+    mask = _central_mask(shifted, spec)
+    assert mask.dtype == bool
+    assert mask.tolist() == by_scalars
 
 
 @st.composite
