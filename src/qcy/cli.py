@@ -37,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import manifest as manifest_mod
 from .cycert import CRITERIA, verify_certificate
+from .cyclo import RootScalar
 from .errors import HypothesisViolation, InternalDefect, ManifestError
 from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
@@ -51,6 +52,7 @@ from .points import (
     point_scheme_dim_product,
 )
 from .qalgebra import (
+    _chart_exponents,
     alternating_violations,
     center_lattice,
     chart_parameters,
@@ -151,7 +153,9 @@ def cmd_census(man, args) -> dict:
         "order": report.order,
         "total": _tagged(report.total),
         "charts": charts,
-        "second_chart_scalar": _pair(report.charts[1].spec.q(1, 0)),
+        # q'_32 on the chart x0 = 0, x1 inverted
+        "second_chart_scalar": _pair(
+            RootScalar(spec.order, _chart_exponents(spec, 1, (2, 3))[1][0])),
     }
 
 
@@ -273,19 +277,19 @@ def cmd_enumerate_weights(man, args) -> dict:
 def cmd_search_q(man, args) -> dict:
     alg = _single_algebra(man)
     order = args.order if args.order is not None else alg.order
+    weights = sorted(alg.weights)  # the search sorts them, so its specs carry these
+    surface = _is_surface(weights)
     entries = []
     for cert in _search_certificates(alg.weights, order):
         spec = cert.specs[0]
-        census_total = None
-        if _is_surface(spec.weights):
-            census_total = _tagged(_census(spec).total)
+        census_total = _tagged(_census(spec).total) if surface else None
         entries.append({
             "exponents": [list(r) for r in spec.exponents],
             "witness": _pair(cert.witness[0]),
             "census_total": census_total,
         })
     return {
-        "weights": list(sorted(alg.weights)),
+        "weights": weights,
         "order": order,
         "count": len(entries),
         "specs": entries,

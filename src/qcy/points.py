@@ -225,15 +225,14 @@ def two_var_fermat_count(a: int, b: int, d: int) -> TwoVarCount:
 
 @dataclass(frozen=True)
 class CensusChart:
-    """One chart of the census; `spec` holds its chart scalars q'_jk, None
-    for the closed stratum, which has no chart."""
+    """One piece of the census: an affine chart (0 or 1), or the closed
+    stratum x0 = x1 = 0 (2), which has no chart."""
 
     chart: int
     description: str
     count: object  # int | INFINITE
     items: tuple[ChartItem, ...]
     trivial_pairs: tuple[tuple[int, int], ...]
-    spec: AlgebraSpec | None
 
 
 @dataclass(frozen=True)
@@ -244,34 +243,22 @@ class CensusReport:
     total: object  # int | INFINITE
 
 
-@dataclass(frozen=True)
-class _ChartPlan:
-    """What one census chart takes from the weights alone: x_chart inverted
-    and the generators before it zero, its kept generators, the singleton
-    items y_j^{h_j} = -1 with their h_j points, and their sum."""
-
-    chart: int
-    description: str
-    kept: tuple[int, ...]
-    singles: tuple[ChartItem, ...]
-    finite: int
-
-
 @lru_cache(maxsize=16)
-def _census_plan(weights: tuple[int, ...]) -> tuple[tuple[_ChartPlan, ...], CensusChart]:
-    """The two chart plans and the closed-stratum chart of a weight system."""
+def _census_plan(weights: tuple[int, ...]) -> tuple[tuple[CensusChart, ...], CensusChart]:
+    """The two affine charts of a weight system as they read when no pair
+    scalar is trivial, and its closed-stratum chart.  Chart k inverts x_k,
+    sets the generators before it to zero and keeps the ones after it; its
+    singleton items y_j^{h_j} = -1 count h_j points each."""
     d = sum(weights)
     h = [d // a for a in weights]
-    plans = []
-    for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")):
-        kept = tuple(range(k + 1, 4))
-        plans.append(_ChartPlan(k, description, kept,
-                                tuple(ChartItem((j,), h[j]) for j in kept),
-                                sum(h[j] for j in kept)))
+    finite = tuple(
+        CensusChart(k, description, sum(h[k + 1:]),
+                    tuple(ChartItem((j,), h[j]) for j in range(k + 1, 4)), ())
+        for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")))
     tv = two_var_fermat_count(weights[2], weights[3], d)
     closed = CensusChart(
-        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), (), None)
-    return tuple(plans), closed
+        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ())
+    return finite, closed
 
 
 def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
@@ -300,24 +287,20 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
 def _census(spec: AlgebraSpec) -> CensusReport:
     """census_weighted_surface past its checks.  Callers pass a spec of
     weights (1, 1, a, b) that holds a CY certificate, whose hypotheses
-    include validate_spec's list."""
-    plans, closed = _census_plan(spec.weights)
+    include validate_spec's list.  A chart is built anew only when one of
+    its pair scalars q'_jk (qalgebra._chart_exponents) is trivial."""
+    finite, closed = _census_plan(spec.weights)
     charts = []
-    for plan in plans:
-        chart = AlgebraSpec.unweighted(
-            spec.order, _chart_exponents(spec, plan.chart, plan.kept))
-        e = chart.exponents
-        kept = plan.kept
+    for chart in finite:
+        kept = range(chart.chart + 1, 4)
+        e = _chart_exponents(spec, chart.chart, kept)
         trivial = tuple((kept[i], kept[j])
                         for i, j in combinations(range(len(kept)), 2) if not e[i][j])
         if trivial:
-            charts.append(CensusChart(
-                plan.chart, plan.description, INFINITE,
-                plan.singles + tuple(ChartItem(p, INFINITE) for p in trivial),
-                trivial, chart))
-        else:
-            charts.append(CensusChart(
-                plan.chart, plan.description, plan.finite, plan.singles, (), chart))
+            chart = CensusChart(
+                chart.chart, chart.description, INFINITE,
+                chart.items + tuple(ChartItem(p, INFINITE) for p in trivial), trivial)
+        charts.append(chart)
     charts.append(closed)
     if any(c.count is INFINITE for c in charts):
         total = INFINITE

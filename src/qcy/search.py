@@ -502,7 +502,9 @@ def sweep_census(weight_systems) -> list[SweepRow]:
     Only surface-shaped systems (four weights starting 1, 1) are swept;
     others are skipped.  Each system uses its natural root order N = d.
     Every spec the search returns holds a CY certificate, so the census
-    runs without rechecking its hypotheses (points._census).
+    runs without rechecking its hypotheses (points._census).  It reads only
+    the pair scalars of each class's two affine charts from its exponents,
+    so the sweep builds no spec beyond the search's one per class.
     """
     rows = []
     for entry in weight_systems:

@@ -2,8 +2,9 @@
 the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
 Hilbert oracle's rows and ranks are tested against, the scalar lattice
-walk and chart-by-chart census that the search and the census are tested
-against, and the scalar CRT merge that the column merge is tested against."""
+walk and chart-by-chart census (with its second chart's scalar) that the
+search and the census are tested against, a counter of spec constructions,
+a one-algebra manifest writer, and the scalar CRT merge that the column merge is tested against."""
 
 import signal
 from bisect import bisect_left
@@ -25,6 +26,9 @@ SPEC4 = AlgebraSpec(weights=(1, 1, 2, 2), order=3, exponents=E4)
 # Its localized chart in the first weight-one variable.
 CHART3 = ((0, 2, 1), (1, 0, 2), (2, 1, 0))
 SPEC3 = AlgebraSpec.unweighted(3, CHART3)
+
+# The five surface weight systems (1, 1, a, b) of criterion 2.
+CRITERION_2_SYSTEMS = [(1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6)]
 
 
 def antisymmetric(order, entries):
@@ -267,16 +271,43 @@ def reference_census(spec):
             tuple(ChartItem(tuple(kept[i] for i in item.support), item.count)
                   for item in c.items),
             tuple((kept[i], kept[j]) for i, j in c.trivial_pairs),
-            cp.spec,
         ))
     tv = two_var_fermat_count(spec.weights[2], spec.weights[3], spec.total_degree)
     charts.append(CensusChart(
-        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), (), None))
+        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ()))
     if any(c.count is INFINITE for c in charts):
         total = INFINITE
     else:
         total = sum(c.count for c in charts)
     return CensusReport(spec.weights, spec.order, tuple(charts), total)
+
+
+def reference_second_chart_scalar(spec):
+    """q'_32 of the census chart x0 = 0, x1 inverted, as a reduced pair:
+    chart_parameters at x1 of the subalgebra on x1, x2, x3."""
+    return chart_parameters(spec.subspec(range(1, 4)), 0).spec.q(1, 0).pair()
+
+
+def record_spec_constructions(monkeypatch):
+    """Patch AlgebraSpec so that each construction from here on appends the
+    new spec to the list returned."""
+    built = []
+    post_init = AlgebraSpec.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(AlgebraSpec, "__post_init__", counting)
+    return built
+
+
+def manifest_text(spec):
+    """A manifest holding spec as its one algebra."""
+    lines = ["schema 1", "algebra A", f"order {spec.order}",
+             "weights " + " ".join(map(str, spec.weights))]
+    lines += ["row " + " ".join(map(str, row)) for row in spec.exponents]
+    return "\n".join(lines) + "\n"
 
 
 def reference_solve_root_system(pairs):

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 from qcy import cli, cyclo, hilbert, points, qalgebra, search
 from qcy.cli import main
 
-from helpers import within
+from helpers import (
+    CRITERION_2_SYSTEMS,
+    manifest_text,
+    reference_second_chart_scalar,
+    within,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path("tests/golden")
@@ -612,3 +617,34 @@ def test_point_scheme_walks_its_supports_once(monkeypatch):
         ["point-scheme", "--input", "tests/golden/manifests/weighted.man"])
     assert (code, out, err) == (0, _golden("point_scheme_weighted.json"), "")
     assert calls == [4]
+
+
+def test_census_second_chart_scalar_on_every_sweep_row(tmp_path):
+    """The q'_32 that qcy census prints equals chart_parameters' on the
+    subalgebra x1, x2, x3, for each of the 238 criterion-2 classes."""
+    rows = search.sweep_census(CRITERION_2_SYSTEMS)
+    assert len(rows) == 238
+    man = tmp_path / "row.man"
+    for row in rows:
+        man.write_text(manifest_text(row.spec))
+        code, out, err = run_cli(["census", "--input", str(man)])
+        assert (code, err) == (0, ""), row.spec
+        scalar = json.loads(out)["result"]["second_chart_scalar"]
+        assert scalar == list(reference_second_chart_scalar(row.spec)), row.spec
+
+
+def test_search_q_tests_the_surface_shape_once(monkeypatch):
+    """The census column of search-q asks once per request whether the
+    weights are a surface's, not once per class."""
+    calls = []
+    is_surface = points._is_surface
+
+    def count_is_surface(weights):
+        calls.append(tuple(weights))
+        return is_surface(weights)
+
+    monkeypatch.setattr(cli, "_is_surface", count_is_surface)
+    code, out, err = run_cli(
+        ["search-q", "--input", "tests/golden/manifests/cube.man"])
+    assert (code, out, err) == (0, _golden("search_q_1111_order2.json"), "")
+    assert calls == [(1, 1, 1, 1)]

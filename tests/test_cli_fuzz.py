@@ -11,8 +11,17 @@ from hypothesis import strategies as st
 
 from qcy.cli import main
 from qcy.hilbert import DEGREE_BOUND
+from qcy.points import INFINITE
+from qcy.qalgebra import AlgebraSpec
+from qcy.search import _cy_lattice
 
-from helpers import within
+from helpers import (
+    CRITERION_2_SYSTEMS,
+    manifest_text,
+    reference_census,
+    reference_second_chart_scalar,
+    within,
+)
 
 COMMANDS = ("certify", "census", "point-scheme", "pi-degree", "hilbert",
             "center", "enumerate-weights", "search-q")
@@ -106,3 +115,47 @@ def test_every_invocation_ends_in_a_named_exit(text, data):
     if structured and code == 0:
         # the report writer writes what json writes with indent=2, sort_keys=True
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def surfaces(draw):
+    """A criterion-2 weight system at an order N in 1..12 d, each upper
+    entry a multiple of the search's stride for its pair: a spec the census
+    must answer, Calabi-Yau or not."""
+    weights = draw(st.sampled_from(CRITERION_2_SYSTEMS))
+    order = draw(st.integers(1, 12 * sum(weights)))
+    pairs, strides, boxes, _ = _cy_lattice(weights, order)
+    exps = [[0] * 4 for _ in range(4)]
+    for (i, j), stride, box in zip(pairs, strides, boxes):
+        exps[i][j] = stride * draw(st.integers(0, box - 1))
+        exps[j][i] = -exps[i][j] % order
+    return AlgebraSpec(weights, order, exps)
+
+
+def _tagged(count):
+    if count is INFINITE:
+        return {"kind": "infinite"}
+    return {"kind": "finite", "value": count}
+
+
+@given(surfaces())
+@settings(max_examples=200, deadline=None)
+def test_census_answers_agree_with_the_chart_by_chart_reference(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "surface.man")
+        with open(path, "w") as fh:
+            fh.write(manifest_text(spec))
+        code, out, err = within(30, lambda: _run(["census", "--input", path]))
+    assert (code, err) == (0, ""), spec
+    got = json.loads(out)["result"]
+    ref = reference_census(spec)
+    assert got["total"] == _tagged(ref.total)
+    assert got["charts"] == [
+        {"chart": c.chart,
+         "description": c.description,
+         "count": _tagged(c.count),
+         "items": [{"support": list(i.support), "count": _tagged(i.count)}
+                   for i in c.items],
+         "trivial_pairs": [list(p) for p in c.trivial_pairs]}
+        for c in ref.charts]
+    assert got["second_chart_scalar"] == list(reference_second_chart_scalar(spec))

@@ -20,9 +20,17 @@ from qcy.points import (
     point_scheme_dim_product,
     two_var_fermat_count,
 )
-from qcy.qalgebra import AlgebraSpec
+from qcy.qalgebra import AlgebraSpec, _chart_exponents
 
-from helpers import SPEC3, SPEC4, antisymmetric, chart_simple_count, within
+from helpers import (
+    SPEC3,
+    SPEC4,
+    antisymmetric,
+    chart_simple_count,
+    record_spec_constructions,
+    reference_second_chart_scalar,
+    within,
+)
 
 
 # -- special parameters and torus strata ------------------------------------
@@ -259,8 +267,21 @@ def test_census_of_running_example():
     assert [(i.support, i.count) for i in report.charts[1].items] == [
         ((2,), 3), ((3,), 3)]
     assert report.charts[2].items[0].count == 6
-    # the chart x0 = 0, x1 inverted has the one scalar q'_32 = zeta_3^2
-    assert report.charts[1].spec.q(1, 0).pair() == (3, 2)
+    # the chart x0 = 0, x1 inverted has the one scalar q'_32 = zeta_3^2, by
+    # the formula qcy census prints it from and by chart_parameters
+    assert RootScalar(3, _chart_exponents(SPEC4, 1, (2, 3))[1][0]).pair() == (3, 2)
+    assert reference_second_chart_scalar(SPEC4) == (3, 2)
+
+
+def test_census_builds_no_spec(monkeypatch):
+    """Finite or infinite, the census reads its chart scalars off the
+    surface's exponents and builds no chart spec."""
+    commutative = AlgebraSpec(weights=(1, 1, 2, 2), order=3,
+                              exponents=antisymmetric(3, (0,) * 6))
+    built = record_spec_constructions(monkeypatch)
+    assert census_weighted_surface(SPEC4).total == 24
+    assert census_weighted_surface(commutative).total is INFINITE
+    assert built == []
 
 
 def test_census_of_commutative_surface_is_infinite():

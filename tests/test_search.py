@@ -28,7 +28,14 @@ from qcy.search import (
 )
 from qcy.qalgebra import AlgebraSpec
 
-from helpers import E4, reference_census, reference_search, within
+from helpers import (
+    CRITERION_2_SYSTEMS,
+    E4,
+    record_spec_constructions,
+    reference_census,
+    reference_search,
+    within,
+)
 
 
 # -- weight systems ---------------------------------------------------------
@@ -323,9 +330,6 @@ def _candidates(weights, order):
     return count
 
 
-CRITERION_2_SYSTEMS = [(1, 1, 1, 1), (1, 1, 1, 3), (1, 1, 2, 2), (1, 1, 2, 4), (1, 1, 4, 6)]
-
-
 @pytest.mark.parametrize("weights, order", [
     *((w, sum(w)) for w in CRITERION_2_SYSTEMS),
     ((1, 1, 1, 1, 2), 3),
@@ -558,6 +562,13 @@ def test_sweep_census_matches_the_chart_by_chart_reference():
     assert len(rows) == 238
     for row in rows:
         assert row.census == reference_census(row.spec), row.spec
+
+
+def test_sweep_census_builds_one_spec_per_row(monkeypatch):
+    """The search builds each row's spec; the census builds no chart spec."""
+    built = record_spec_constructions(monkeypatch)
+    rows = sweep_census(CRITERION_2_SYSTEMS)
+    assert len(built) == len(rows) == 238
 
 
 def test_sweep_census_skips_non_surface_shapes():
