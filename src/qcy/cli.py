@@ -57,7 +57,7 @@ from .qalgebra import (
     center_lattice,
     chart_parameters,
 )
-from .search import _search_certificates, enumerate_cy_weights
+from .search import _search_classes, enumerate_cy_weights
 
 
 def _pair(scalar) -> list[int]:
@@ -155,7 +155,8 @@ def cmd_census(man, args) -> dict:
         "charts": charts,
         # q'_32 on the chart x0 = 0, x1 inverted
         "second_chart_scalar": _pair(
-            RootScalar(spec.order, _chart_exponents(spec, 1, (2, 3))[1][0])),
+            RootScalar(spec.order, _chart_exponents(
+                spec.exponents, spec.weights, spec.order, 1, (2, 3))[1][0])),
     }
 
 
@@ -277,19 +278,16 @@ def cmd_enumerate_weights(man, args) -> dict:
 def cmd_search_q(man, args) -> dict:
     alg = _single_algebra(man)
     order = args.order if args.order is not None else alg.order
-    weights = sorted(alg.weights)  # the search sorts them, so its specs carry these
-    surface = _is_surface(weights)
-    entries = []
-    for cert in _search_certificates(alg.weights, order):
-        spec = cert.specs[0]
-        census_total = _tagged(_census(spec).total) if surface else None
-        entries.append({
-            "exponents": [list(r) for r in spec.exponents],
-            "witness": _pair(cert.witness[0]),
-            "census_total": census_total,
-        })
+    weights = tuple(sorted(alg.weights))  # as the search sorts them
+    matrices, witnesses = _search_classes(weights, order)
+    totals = [None] * len(matrices)
+    if _is_surface(weights):
+        totals = [_tagged(r.total) for r in _census(weights, order, matrices)]
+    entries = [
+        {"exponents": mat, "witness": witness, "census_total": total}
+        for mat, witness, total in zip(matrices, witnesses, totals)]
     return {
-        "weights": weights,
+        "weights": list(weights),
         "order": order,
         "count": len(entries),
         "specs": entries,

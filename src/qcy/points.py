@@ -13,7 +13,6 @@ chart by chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd, isqrt, prod
 
@@ -243,24 +242,6 @@ class CensusReport:
     total: object  # int | INFINITE
 
 
-@lru_cache(maxsize=16)
-def _census_plan(weights: tuple[int, ...]) -> tuple[tuple[CensusChart, ...], CensusChart]:
-    """The two affine charts of a weight system as they read when no pair
-    scalar is trivial, and its closed-stratum chart.  Chart k inverts x_k,
-    sets the generators before it to zero and keeps the ones after it; its
-    singleton items y_j^{h_j} = -1 count h_j points each."""
-    d = sum(weights)
-    h = [d // a for a in weights]
-    finite = tuple(
-        CensusChart(k, description, sum(h[k + 1:]),
-                    tuple(ChartItem((j,), h[j]) for j in range(k + 1, 4)), ())
-        for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted")))
-    tv = two_var_fermat_count(weights[2], weights[3], d)
-    closed = CensusChart(
-        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ())
-    return finite, closed
-
-
 def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     """Closed-point census of Proj for weights (1, 1, a, b) with all a_i | d.
 
@@ -270,8 +251,8 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     q'_jk = 1 admits supports of size two, a positive dimensional solution
     set: infinitely many simples.  Otherwise all simples have singleton
     support and y_j^{h_j} = -1 contributes h_j points.  The total is
-    Infinite as soon as one chart is.  Everything but the chart scalars
-    depends on the weights alone and is planned once per weight system.
+    Infinite as soon as one chart is.  This is _census on one matrix, once
+    the spec's hypotheses and shape are checked.
     """
     bad = validate_spec(spec)
     if bad:
@@ -281,29 +262,45 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     if not _is_surface(spec.weights):
         raise ValueError(
             f"census covers weights (1, 1, a, b), got {spec.weights}")
-    return _census(spec)
+    return _census(spec.weights, spec.order, [spec.exponents])[0]
 
 
-def _census(spec: AlgebraSpec) -> CensusReport:
-    """census_weighted_surface past its checks.  Callers pass a spec of
-    weights (1, 1, a, b) that holds a CY certificate, whose hypotheses
-    include validate_spec's list.  A chart is built anew only when one of
-    its pair scalars q'_jk (qalgebra._chart_exponents) is trivial."""
-    finite, closed = _census_plan(spec.weights)
-    charts = []
-    for chart in finite:
-        kept = range(chart.chart + 1, 4)
-        e = _chart_exponents(spec, chart.chart, kept)
-        trivial = tuple((kept[i], kept[j])
-                        for i, j in combinations(range(len(kept)), 2) if not e[i][j])
-        if trivial:
-            chart = CensusChart(
-                chart.chart, chart.description, INFINITE,
-                chart.items + tuple(ChartItem(p, INFINITE) for p in trivial), trivial)
-        charts.append(chart)
-    charts.append(closed)
-    if any(c.count is INFINITE for c in charts):
-        total = INFINITE
-    else:
-        total = sum(c.count for c in charts)
-    return CensusReport(spec.weights, spec.order, tuple(charts), total)
+def _census(weights: tuple[int, ...], order: int, matrices) -> list[CensusReport]:
+    """census_weighted_surface of each exponent matrix, past its checks:
+    callers pass weights (1, 1, a, b) and matrices meeting validate_spec's
+    hypotheses, as the search's CY classes do.
+
+    The two affine charts as they read when no pair scalar is trivial, and
+    the closed stratum, depend on the weights alone and are built once per
+    call.  Chart k inverts x_k, sets the generators before it to zero and
+    keeps the ones after it; its singleton items y_j^{h_j} = -1 count h_j
+    points each.  A matrix with a trivial pair scalar q'_jk
+    (qalgebra._chart_exponents) gets that chart built anew.
+    """
+    d = sum(weights)
+    h = [d // a for a in weights]
+    finite = [
+        CensusChart(k, description, sum(h[k + 1:]),
+                    tuple(ChartItem((j,), h[j]) for j in range(k + 1, 4)), ())
+        for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted"))]
+    tv = two_var_fermat_count(weights[2], weights[3], d)
+    closed = CensusChart(
+        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ())
+    reports = []
+    for exponents in matrices:
+        charts = []
+        for chart in finite:
+            kept = range(chart.chart + 1, 4)
+            e = _chart_exponents(exponents, weights, order, chart.chart, kept)
+            trivial = tuple((kept[i], kept[j])
+                            for i, j in combinations(range(len(kept)), 2) if not e[i][j])
+            if trivial:
+                chart = CensusChart(
+                    chart.chart, chart.description, INFINITE,
+                    chart.items + tuple(ChartItem(p, INFINITE) for p in trivial), trivial)
+            charts.append(chart)
+        charts.append(closed)
+        total = (INFINITE if any(c.count is INFINITE for c in charts)
+                 else sum(c.count for c in charts))
+        reports.append(CensusReport(weights, order, tuple(charts), total))
+    return reports

@@ -324,19 +324,20 @@ def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
             f"chart requires weight 1 at index {inverted}, "
             f"got {spec.weights[inverted]}")
     kept = tuple(j for j in range(spec.nvars) if j != inverted)
-    chart = AlgebraSpec.unweighted(spec.order, _chart_exponents(spec, inverted, kept))
+    chart = AlgebraSpec.unweighted(spec.order, _chart_exponents(
+        spec.exponents, spec.weights, spec.order, inverted, kept))
     return ChartParams(spec=chart, kept=kept)
 
 
-def _chart_exponents(spec: AlgebraSpec, t: int, kept) -> tuple[tuple[int, ...], ...]:
-    """Exponents of q'_jk = q_tj^{a_k} q_jk q_kt^{a_j} for j, k in `kept`.
+def _chart_exponents(exponents, weights, order: int, t: int,
+                     kept) -> tuple[tuple[int, ...], ...]:
+    """Exponents of q'_jk = q_tj^{a_k} q_jk q_kt^{a_j} for j, k in `kept`,
+    where q_ij = zeta_order^exponents[i][j] and a = weights.
 
     Only x_t and the kept generators enter, so with kept = (t+1, ..,) this
     is the chart at x_t of the subalgebra on x_t, x_{t+1}, ...
     """
-    e = spec.exponents
-    a = spec.weights
-    n = spec.order
+    e, a, n = exponents, weights, order
     return tuple(
         tuple([(a[k] * e[t][j] + e[j][k] + a[j] * e[k][t]) % n for k in kept])
         for j in kept)

@@ -12,11 +12,13 @@ row index is its free lattice digits read as a mixed-radix number, so the
 walk marks each orbit in array steps when it meets its least member,
 which becomes the class representative (isomorph-free generation, McKay
 1998); the permutations are priced against ACTION_BOUND first.  The
-representatives are then certified together as a second route, from their columns and not from the lattice: one array of their
-exponent matrices is checked for certify_weighted's hypotheses, one CRT
-merge over all rows (cyclo.merge_columns) solves their column systems,
-and each certificate equals certify_weighted's.  The census sweep reads
-those certificates and does not recheck the hypotheses.
+representatives are then certified together as a second route, from
+their columns and not from the lattice: one array of their exponent
+matrices is checked for certify_weighted's hypotheses, one CRT merge over
+all rows (cyclo.merge_columns) solves their column systems, and each
+witness equals certify_weighted's.  The classes leave the search as plain
+matrices and witness pairs; the census sweep takes them without
+rechecking the hypotheses.
 """
 
 from __future__ import annotations
@@ -29,20 +31,20 @@ from math import ceil, comb, factorial, gcd, lcm, log, prod
 import numpy as np
 
 from . import _kernels
-from .cycert import CRITERIA, Certificate, Verdict
-from .cyclo import RootScalar, hermite_normal_form, kernel_lattice, merge_columns
+from .cyclo import hermite_normal_form, kernel_lattice, merge_columns
 from .errors import InternalDefect
 from .points import CensusReport, _census, _is_surface
 from .qalgebra import AlgebraSpec
 
 # Most Calabi-Yau exponent matrices one search may enumerate.  With few
 # weight-preserving permutations nearly every matrix is its own class: one
-# step of the walk, one row of the batch certification's arrays, one spec
-# and one certificate.  Over the 17,100 classes of (1,3,5,5,6,10) at order
-# 30 on a 2 vCPU Xeon that is 0.03-0.04 ms per class, and 1.0 KB kept per
-# class (1.8 KB at the peak, the walk's and the certification's arrays
-# included, by tracemalloc).  So the largest accepted search takes seconds
-# and under 200 MB.
+# step of the walk, one row of the batch certification's arrays, and its
+# matrix and witness as lists.  Over the 17,100 classes of (1,3,5,5,6,10)
+# at order 30 on a 2 vCPU Xeon that is 0.015-0.02 ms per class, and 0.8 KB
+# kept per class (1.6 KB at the peak, the walk's and the certification's
+# arrays included, by tracemalloc); search_q_params's spec per class adds
+# about 0.02 ms.  So the largest accepted search takes seconds and under
+# 200 MB.
 SEARCH_BOUND = 10**5
 
 # Most entries, |G| n (n - 1) / 2 at 8 bytes each, of the weight-preserving
@@ -336,8 +338,9 @@ def _signed_actions(pairs, perms) -> np.ndarray:
     return where[perms[:, i], perms[:, j]]
 
 
-def _search_certificates(weights, order: int) -> list[Certificate]:
-    """One CY certificate per class of CY exponent matrices, sorted.
+def _search_classes(weights, order: int) -> tuple[list, list]:
+    """(matrices, witnesses): one CY exponent matrix per class of the
+    sorted weights, in increasing order, and its witness (_certify_classes).
 
     Enumerates the CY matrices directly as lattice points (see _cy_lattice
     and _lattice_points), walks them in increasing order and marks the
@@ -359,7 +362,7 @@ def _search_certificates(weights, order: int) -> list[Certificate]:
     n = len(weights)
     if n < 2:
         # k[x]/(x^h) has empty Proj: certify_weighted refuses every spec.
-        return []
+        return [], []
     actions = prod(map(factorial, Counter(weights).values())) * comb(n, 2)
     if actions > ACTION_BOUND:
         raise ValueError(
@@ -434,9 +437,9 @@ def _violated_hypothesis(exps, order, pairs, strides):
     return None
 
 
-def _certify_classes(weights, order, m, pairs, strides, ks) -> list[Certificate]:
-    """certify_weighted's certificate for each row of lattice digits, all
-    rows in one array pass.
+def _certify_classes(weights, order, m, pairs, strides, ks) -> tuple[list, list]:
+    """The exponent matrix and certify_weighted's witness for each row of
+    lattice digits, all rows in one array pass.
 
     The exponent matrices (_exponent_matrices) are checked against
     certify_weighted's hypotheses: unit diagonal, antisymmetry, and
@@ -445,10 +448,12 @@ def _certify_classes(weights, order, m, pairs, strides, ks) -> list[Certificate]
     merge over all rows (merge_columns): the search modulus m = N lcm(a_j)
     and everything but the residues depend on the weights alone.  The
     arrays keep ks's dtype, which must be int64 only while
-    m < _kernels.MODULUS_BOUND (object past it; see _search_certificates).
-    Each certificate equals certify_weighted's, field for field.  A
-    row failing a hypothesis or its column system raises InternalDefect:
-    the lattice is the CY set, and this derives CY from the columns alone.
+    m < _kernels.MODULUS_BOUND (object past it; see _search_classes).
+    Returns (matrices, witnesses) as nested lists of Python ints; witness
+    [m / g, x / g], g = gcd(x, m), is the reduced pair of c = zeta_m^x that
+    certify_weighted stores.  A row failing a hypothesis or its column
+    system raises InternalDefect: the lattice is the CY set, and this
+    derives CY from the columns alone.
     """
     n = len(weights)
     exps = _exponent_matrices(n, order, pairs, strides, ks)
@@ -466,15 +471,7 @@ def _certify_classes(weights, order, m, pairs, strides, ks) -> list[Certificate]
             f"search class {r} of {weights} at order {order} certifies "
             f"not_CY: columns 0..{first[r]} are jointly unsolvable")
     g = np.gcd(x, m)
-    weighted = CRITERIA["weighted"]
-    out = []
-    # lists for one matrix at a time, never for all of them at once
-    for mat, c_order, c_exponent in zip(exps, (m // g).tolist(), (x // g).tolist()):
-        spec = AlgebraSpec(weights, order, mat.tolist())
-        out.append(Certificate(
-            "weighted", Verdict.CY, (spec,), (RootScalar(c_order, c_exponent),),
-            weighted.dimension(spec), (), weighted.success))
-    return out
+    return exps.tolist(), np.column_stack((m // g, x // g)).tolist()
 
 
 def search_q_params(weights, order: int) -> list[AlgebraSpec]:
@@ -486,7 +483,9 @@ def search_q_params(weights, order: int) -> list[AlgebraSpec]:
     under weight-preserving permutations (the least in lexicographic order)
     is returned, in increasing order.
     """
-    return [cert.specs[0] for cert in _search_certificates(weights, order)]
+    weights = tuple(sorted(weights))
+    return [AlgebraSpec(weights, order, mat)
+            for mat in _search_classes(weights, order)[0]]
 
 
 @dataclass(frozen=True)
@@ -501,17 +500,19 @@ def sweep_census(weight_systems) -> list[SweepRow]:
 
     Only surface-shaped systems (four weights starting 1, 1) are swept;
     others are skipped.  Each system uses its natural root order N = d.
-    Every spec the search returns holds a CY certificate, so the census
-    runs without rechecking its hypotheses (points._census).  It reads only
-    the pair scalars of each class's two affine charts from its exponents,
-    so the sweep builds no spec beyond the search's one per class.
+    Every class the search returns is certified CY, so one census call per
+    system takes all its classes without rechecking their hypotheses
+    (points._census).  The census reads the pair scalars of each class's
+    two affine charts from its exponents, so the sweep builds one spec per
+    row, the one SweepRow carries.
     """
     rows = []
     for entry in weight_systems:
         ws = entry if isinstance(entry, WeightSystem) else weight_system(entry)
-        w = ws.weights
+        w, order = ws.weights, ws.total_degree
         if not _is_surface(w):
             continue
-        for spec in search_q_params(w, ws.total_degree):
-            rows.append(SweepRow(w, spec, _census(spec)))
+        matrices, _ = _search_classes(w, order)
+        for mat, report in zip(matrices, _census(w, order, matrices)):
+            rows.append(SweepRow(w, AlgebraSpec(w, order, mat), report))
     return rows

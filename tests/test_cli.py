@@ -14,10 +14,15 @@ from hypothesis import strategies as st
 
 from qcy import cli, cyclo, hilbert, points, qalgebra, search
 from qcy.cli import main
+from qcy.cycert import Verdict, certify_weighted
+from qcy.qalgebra import AlgebraSpec
 
 from helpers import (
     CRITERION_2_SYSTEMS,
     manifest_text,
+    record_spec_constructions,
+    reference_census,
+    reference_search,
     reference_second_chart_scalar,
     within,
 )
@@ -59,6 +64,8 @@ CASES = [
      ["enumerate-weights", "--vars", "4", "--bound", "25"]),
     ("search_q_1111_order2.json",
      ["search-q", "--input", "tests/golden/manifests/cube.man"]),
+    ("search_q_111_order3.json",
+     ["search-q", "--input", "tests/golden/manifests/cubic.man"]),
 ]
 
 
@@ -648,3 +655,58 @@ def test_search_q_tests_the_surface_shape_once(monkeypatch):
         ["search-q", "--input", "tests/golden/manifests/cube.man"])
     assert (code, out, err) == (0, _golden("search_q_1111_order2.json"), "")
     assert calls == [(1, 1, 1, 1)]
+
+
+def _weights_manifest(tmp_path, weights):
+    """A manifest of weights alone, at order 1, for search-q --order."""
+    man = tmp_path / "weights.man"
+    man.write_text("schema 1\norder 1\nweights " + " ".join(map(str, weights)) + "\n")
+    return str(man)
+
+
+def test_search_q_builds_no_spec(monkeypatch, tmp_path):
+    """search-q writes the search's matrices and witness pairs as they come
+    and builds no AlgebraSpec, on its golden surface and on 72 classes."""
+    surface = _weights_manifest(tmp_path, (1, 1, 2, 4))
+    built = record_spec_constructions(monkeypatch)
+    assert run_cli(["search-q", "--input", "tests/golden/manifests/cube.man"]) == (
+        0, _golden("search_q_1111_order2.json"), "")
+    code, out, err = run_cli(["search-q", "--input", surface, "--order", "8"])
+    assert (code, err, json.loads(out)["result"]["count"]) == (0, "", 72)
+    assert built == []
+
+
+@pytest.mark.parametrize("weights, order", [
+    *((w, k * sum(w)) for w in CRITERION_2_SYSTEMS for k in (1, 2, 3)),
+    # past M = N lcm(a_j) = _kernels.MODULUS_BOUND the search holds Python
+    # ints in object arrays; what reaches the report writer must be ints
+    ((1, 1), 2**31 - 2),
+    ((1, 1), 2**31),
+    ((1, 1), 2**32),
+    ((1, 1, 1, 1), 2**32),
+], ids=str)
+def test_search_q_answers_agree_with_the_references(tmp_path, weights, order):
+    """qcy search-q --order N, each class against the scalar walk
+    (exponents), certify_weighted (witness) and the chart-by-chart census
+    (census_total, null off surfaces)."""
+    argv = ["search-q", "--input", _weights_manifest(tmp_path, weights),
+            "--order", str(order)]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert (result["weights"], result["order"]) == (list(weights), order)
+    assert [s["exponents"] for s in result["specs"]] == [
+        [list(row) for row in mat] for mat in reference_search(weights, order)]
+    assert result["count"] == len(result["specs"])
+    for entry in result["specs"]:
+        spec = AlgebraSpec(weights, order, entry["exponents"])
+        cert = certify_weighted(spec)
+        assert cert.verdict is Verdict.CY
+        assert entry["witness"] == list(cert.witness[0].pair())
+        total = None
+        if points._is_surface(weights):
+            total = reference_census(spec).total
+            total = ({"kind": "infinite"} if total is points.INFINITE
+                     else {"kind": "finite", "value": total})
+        assert entry["census_total"] == total
+

@@ -397,8 +397,8 @@ def test_search_matches_the_reference_walk(weights, order, classes):
 
 def test_search_holds_large_boxes_as_python_ints(monkeypatch):
     """With the search modulus M = N lcm(a_j) at _kernels.MODULUS_BOUND the
-    walk and the merge both leave int64, and the certificates stay equal."""
-    expected = search._search_certificates((1, 1, 2, 2), 6)
+    walk and the merge both leave int64, and the classes stay equal."""
+    expected = search._search_classes((1, 1, 2, 2), 6)
     real_points, real_merge = search._lattice_points, search.merge_columns
     dtypes = []
 
@@ -414,8 +414,10 @@ def test_search_holds_large_boxes_as_python_ints(monkeypatch):
     monkeypatch.setattr(search, "_lattice_points", points)
     monkeypatch.setattr(search, "merge_columns", merge)
     monkeypatch.setattr(_kernels, "MODULUS_BOUND", 12)  # M = 6 * 2
-    assert search._search_certificates((1, 1, 2, 2), 6) == expected
+    classes = search._search_classes((1, 1, 2, 2), 6)
     assert dtypes == [("walk", object), ("merge", object)]
+    assert classes == expected
+    _classes_certify((1, 1, 2, 2), 6, *classes)
 
 
 @pytest.mark.parametrize("weights", [
@@ -463,24 +465,27 @@ SEARCH_CASES = sorted({
 })
 
 
-def _certificates_agree(weights, order):
-    certs = search._search_certificates(weights, order)
-    expected = [certify_weighted(s) for s in search_q_params(weights, order)]
-    assert certs == expected
-    # RootScalar equality is by value; the stored witnesses agree as well
-    assert [repr(c.witness) for c in certs] == [repr(c.witness) for c in expected]
-    assert all(verify_certificate(c) for c in certs)
+def _classes_certify(weights, order, matrices, witnesses):
+    """Each class's spec certifies CY with the batch witness, as stored."""
+    weights = tuple(sorted(weights))
+    assert len(matrices) == len(witnesses)
+    for mat, witness in zip(matrices, witnesses):
+        cert = certify_weighted(AlgebraSpec(weights, order, mat))
+        assert cert.verdict is Verdict.CY
+        # RootScalar equality is by value; compare the stored pair exactly
+        assert [(c.order, c.exponent) for c in cert.witness] == [tuple(witness)]
+        assert verify_certificate(cert)
 
 
 @pytest.mark.parametrize("weights, order", SEARCH_CASES, ids=str)
 def test_batch_certificates_equal_certify_weighted(weights, order):
-    _certificates_agree(weights, order)
+    _classes_certify(weights, order, *search._search_classes(weights, order))
 
 
 @given(st.sampled_from(SMALL_CASES))
 @settings(max_examples=40, deadline=None)
 def test_batch_certificates_equal_certify_weighted_on_small_systems(case):
-    _certificates_agree(*case)
+    _classes_certify(*case, *search._search_classes(*case))
 
 
 @pytest.mark.parametrize("weights, order, dtype", [
@@ -492,7 +497,7 @@ def test_batch_certificates_equal_certify_weighted_on_small_systems(case):
 ], ids=str)
 def test_batch_certification_across_the_int64_bound(monkeypatch, weights, order, dtype):
     """The column merge runs on int64 below the kernels' MODULUS_BOUND and
-    on Python ints from it on, with the same certificates either way."""
+    on Python ints from it on, with certify_weighted's witnesses either way."""
     assert _kernels.MODULUS_BOUND == 2**31
     real = search.merge_columns
     ran = []
@@ -502,11 +507,10 @@ def test_batch_certification_across_the_int64_bound(monkeypatch, weights, order,
         return real(weights, m, targets)
 
     monkeypatch.setattr(search, "merge_columns", spy)
-    certs = search._search_certificates(weights, order)
+    matrices, witnesses = search._search_classes(weights, order)
     assert ran == [np.dtype(dtype)]
-    assert len(certs) > 1
-    assert certs == [certify_weighted(c.specs[0]) for c in certs]
-    assert all(verify_certificate(c) for c in certs)
+    assert len(matrices) > 1
+    _classes_certify(weights, order, matrices, witnesses)
 
 
 def _forge(monkeypatch, edits):
