@@ -66,125 +66,81 @@ def _int_token(token: str, lineno: int, col: int) -> int:
         raise ManifestError(f"expected an integer, got {token!r}", lineno, col)
 
 
-class _Block:
-    def __init__(self, name: str, lineno: int):
-        self.name = name
-        self.lineno = lineno
-        self.order = None
-        self.weights = None
-        self.rows = []
-
-    def finish(self) -> ManifestAlgebra:
-        if self.order is None:
-            raise ManifestError(
-                f"algebra {self.name!r} is missing an order line", self.lineno, 1)
-        if self.weights is None:
-            raise ManifestError(
-                f"algebra {self.name!r} is missing a weights line", self.lineno, 1)
-        if self.rows and len(self.rows) != len(self.weights):
-            raise ManifestError(
-                f"algebra {self.name!r} has {len(self.rows)} matrix rows "
-                f"for {len(self.weights)} weights", self.lineno, 1)
-        return ManifestAlgebra(
-            name=self.name,
-            order=self.order,
-            weights=self.weights,
-            rows=tuple(self.rows) if self.rows else None,
-        )
-
-
 def loads(text: str) -> Manifest:
     digest = hashlib.sha256(text.encode()).hexdigest()
-    schema = None
-    criterion = None
-    blocks: list[_Block] = []
+    schema = criterion = None
+    blocks: list[dict] = []
 
-    def block(lineno) -> _Block:
-        if not blocks:
-            blocks.append(_Block("A", lineno))
-        return blocks[-1]
+    def open_block(name: str):
+        blocks.append(dict(name=name, line=lineno, order=None, weights=None,
+                           rows=[]))
+
+    def fail(message: str, col: int):
+        raise ManifestError(message, lineno, col)
+
+    def ints(positive: bool = False) -> list[int]:
+        """The line's values, in order; one below 1 fails if `positive`."""
+        values = []
+        for token, col in rest:
+            value = _int_token(token, lineno, col)
+            if positive and value < 1:
+                fail(f"{word} must be positive, got {value}", col)
+            values.append(value)
+        return values
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(line)
         if not tokens:
             continue
         (word, col0), rest = tokens[0], tokens[1:]
-        if schema is None:
-            if word != "schema":
-                raise ManifestError(
-                    "manifest must start with a schema line", lineno, col0)
-            if len(rest) != 1:
-                raise ManifestError("schema takes one version number", lineno, col0)
-            version = _int_token(rest[0][0], lineno, rest[0][1])
-            if version != 1:
-                raise ManifestError(
-                    f"unsupported schema version {version}", lineno, rest[0][1])
-            schema = version
-            continue
+        if schema is None and word != "schema":
+            fail("manifest must start with a schema line", col0)
+        if word in ("order", "weights", "row") and not blocks:
+            open_block("A")
         if word == "schema":
-            raise ManifestError("duplicate schema line", lineno, col0)
-        if word == "criterion":
+            if schema is not None:
+                fail("duplicate schema line", col0)
             if len(rest) != 1:
-                raise ManifestError("criterion takes one word", lineno, col0)
+                fail("schema takes one version number", col0)
+            [schema] = ints()
+            if schema != 1:
+                fail(f"unsupported schema version {schema}", rest[0][1])
+        elif word == "criterion":
+            if len(rest) != 1:
+                fail("criterion takes one word", col0)
             value, col = rest[0]
             if value not in CRITERIA:
-                raise ManifestError(
-                    f"criterion must be one of {', '.join(CRITERIA)}; "
-                    f"got {value!r}", lineno, col)
+                fail(f"criterion must be one of {', '.join(CRITERIA)}; "
+                     f"got {value!r}", col)
             if criterion is not None:
-                raise ManifestError("duplicate criterion line", lineno, col0)
+                fail("duplicate criterion line", col0)
             criterion = value
-            continue
-        if word == "algebra":
+        elif word == "algebra":
             if len(rest) != 1:
-                raise ManifestError("algebra takes one name", lineno, col0)
-            blocks.append(_Block(rest[0][0], lineno))
-            continue
-        if word == "order":
-            b = block(lineno)
-            if b.order is not None:
-                raise ManifestError(
-                    f"duplicate order for algebra {b.name!r}", lineno, col0)
-            if len(rest) != 1:
-                raise ManifestError("order takes one integer", lineno, col0)
-            value = _int_token(rest[0][0], lineno, rest[0][1])
-            if value < 1:
-                raise ManifestError(
-                    f"order must be positive, got {value}", lineno, rest[0][1])
-            b.order = value
-            continue
-        if word == "weights":
-            b = block(lineno)
-            if b.weights is not None:
-                raise ManifestError(
-                    f"duplicate weights for algebra {b.name!r}", lineno, col0)
+                fail("algebra takes one name", col0)
+            open_block(rest[0][0])
+        elif word in ("order", "weights"):
+            b = blocks[-1]
+            if b[word] is not None:
+                fail(f"duplicate {word} for algebra {b['name']!r}", col0)
+            if word == "order" and len(rest) != 1:
+                fail("order takes one integer", col0)
             if not rest:
-                raise ManifestError("weights line is empty", lineno, col0)
-            values = []
-            for token, col in rest:
-                a = _int_token(token, lineno, col)
-                if a < 1:
-                    raise ManifestError(
-                        f"weights must be positive, got {a}", lineno, col)
-                values.append(a)
-            b.weights = tuple(values)
-            continue
-        if word == "row":
-            b = block(lineno)
-            if b.weights is None:
-                raise ManifestError(
-                    "matrix rows must come after the weights line", lineno, col0)
-            if len(rest) != len(b.weights):
-                raise ManifestError(
-                    f"row has {len(rest)} entries, expected {len(b.weights)}",
-                    lineno, col0)
-            if len(b.rows) == len(b.weights):
-                raise ManifestError(
-                    f"too many matrix rows for algebra {b.name!r}", lineno, col0)
-            b.rows.append(tuple(
-                _int_token(token, lineno, col) for token, col in rest))
-            continue
-        raise ManifestError(f"unknown directive {word!r}", lineno, col0)
+                fail("weights line is empty", col0)
+            values = ints(positive=True)
+            b[word] = values[0] if word == "order" else tuple(values)
+        elif word == "row":
+            b = blocks[-1]
+            if b["weights"] is None:
+                fail("matrix rows must come after the weights line", col0)
+            width = len(b["weights"])
+            if len(rest) != width:
+                fail(f"row has {len(rest)} entries, expected {width}", col0)
+            if len(b["rows"]) == width:
+                fail(f"too many matrix rows for algebra {b['name']!r}", col0)
+            b["rows"].append(tuple(ints()))
+        else:
+            fail(f"unknown directive {word!r}", col0)
 
     if schema is None:
         raise ManifestError("empty manifest", 1, 1)
@@ -192,13 +148,19 @@ def loads(text: str) -> Manifest:
         raise ManifestError("manifest declares no algebra", 1, 1)
     if len(blocks) > 2:
         raise ManifestError(
-            "at most two algebras per manifest", blocks[2].lineno, 1)
-    return Manifest(
-        schema=schema,
-        criterion=criterion,
-        algebras=tuple(b.finish() for b in blocks),
-        digest=digest,
-    )
+            "at most two algebras per manifest", blocks[2]["line"], 1)
+    for b in blocks:  # fail() reports at the block's opening line
+        lineno, name, rows = b["line"], b["name"], b["rows"]
+        if b["order"] is None:
+            fail(f"algebra {name!r} is missing an order line", 1)
+        if b["weights"] is None:
+            fail(f"algebra {name!r} is missing a weights line", 1)
+        if rows and len(rows) != len(b["weights"]):
+            fail(f"algebra {name!r} has {len(rows)} matrix rows "
+                 f"for {len(b['weights'])} weights", 1)
+    algebras = tuple(ManifestAlgebra(b["name"], b["order"], b["weights"],
+                                     tuple(b["rows"]) or None) for b in blocks)
+    return Manifest(schema, criterion, algebras, digest)
 
 
 def load(path: str) -> Manifest:

@@ -24,15 +24,13 @@ from .cyclo import (
 )
 from .errors import HypothesisViolation, InternalDefect
 
-# Most steps center_lattice's cross-check may take, priced before it starts:
-# C(m + 6, 6) monomials of degree at most 6, each compared with the m
-# generators through m x m exponent products.  The largest accepted chart,
-# m = 10 (800,800 steps), takes about 10 ms when every monomial is central
-# (the worst case) on a 2 vCPU Xeon, 20 ms at N = 10^29 on Python ints, and
-# m = 11 (1,497,496) is refused; the bound was set at 0.9 us a step, for a
-# check that took one monomial at a time, and is kept so that the same
-# inputs are refused.
-CENTER_CHECK_BOUND = 10**6
+# Most cells center_lattice's cross-check may hold, priced before it starts:
+# the C(m + 6, 6) monomials of degree at most 6 in m generators, one row of
+# m exponents each.  Its worst case is the Python-int route (an order past
+# int64) on a chart of large random exponents: on a 2 vCPU Xeon the largest
+# accepted chart, m = 13 (352,716 cells), took 0.60-0.74 s there and 0.05 s
+# at order 7; m = 14 (542,640) took 1.06-1.25 s and is refused.
+CENTER_CHECK_BOUND = 5 * 10**5
 
 
 @dataclass(frozen=True, slots=True)
@@ -377,16 +375,16 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     route's (cyclo.lattice_members, one reduction per basis row over all
     rows), or InternalDefect names the first monomial where they differ.
     Exponent arithmetic only, in int64 where it provably fits and in Python
-    ints past it, so the check is exact at any order.  A cross-check priced
-    above CENTER_CHECK_BOUND steps is refused before any work.
+    ints past it, so the check is exact at any order.  A cross-check of
+    more than CENTER_CHECK_BOUND cells is refused before any work.
     """
     n = spec.order
     e = spec.exponents
     m = spec.nvars
-    cost = comb(m + 6, 6) * m * m
+    cost = comb(m + 6, 6) * m
     if cost > CENTER_CHECK_BOUND:
         raise ValueError(
-            f"centrality cross-check of {m} generators takes {cost} steps, "
+            f"centrality cross-check of {m} generators holds {cost} cells, "
             f"above CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}")
     basis = kernel_lattice([list(r) for r in e], n)
     pure = []

@@ -491,8 +491,13 @@ def search_q_params(weights, order: int) -> list[AlgebraSpec]:
 @dataclass(frozen=True)
 class SweepRow:
     weights: tuple[int, ...]
-    spec: AlgebraSpec
+    order: int
+    exponents: tuple[tuple[int, ...], ...]
     census: CensusReport
+
+    @property
+    def spec(self) -> AlgebraSpec:
+        return AlgebraSpec(self.weights, self.order, self.exponents)
 
 
 def sweep_census(weight_systems) -> list[SweepRow]:
@@ -503,8 +508,9 @@ def sweep_census(weight_systems) -> list[SweepRow]:
     Every class the search returns is certified CY, so one census call per
     system takes all its classes without rechecking their hypotheses
     (points._census).  The census reads the pair scalars of each class's
-    two affine charts from its exponents, so the sweep builds one spec per
-    row, the one SweepRow carries.
+    two affine charts from its exponents, so the sweep builds no spec: a
+    row holds the class's order and exponents, and builds its spec when
+    `row.spec` is read.
     """
     rows = []
     for entry in weight_systems:
@@ -514,5 +520,5 @@ def sweep_census(weight_systems) -> list[SweepRow]:
             continue
         matrices, _ = _search_classes(w, order)
         for mat, report in zip(matrices, _census(w, order, matrices)):
-            rows.append(SweepRow(w, AlgebraSpec(w, order, mat), report))
+            rows.append(SweepRow(w, order, tuple(map(tuple, mat)), report))
     return rows

@@ -437,7 +437,8 @@ def test_point_scheme_above_the_bound_exits_2(tmp_path):
 
 
 def test_center_above_the_bound_exits_2(tmp_path):
-    """Fifteen generators: a chart of 14, cross-check priced at 7,596,960 steps."""
+    """Fifteen generators: a chart of 14, whose cross-check would hold
+    542,640 cells."""
     man = tmp_path / "fifteen.man"
     man.write_text("schema 1\norder 7\nweights" + " 1" * 15 + "\n"
                    + ("row" + " 0" * 15 + "\n") * 15)
@@ -445,7 +446,7 @@ def test_center_above_the_bound_exits_2(tmp_path):
     assert code == 2
     assert out == ""
     assert f"CENTER_CHECK_BOUND = {qalgebra.CENTER_CHECK_BOUND}" in err
-    assert "7596960" in err
+    assert "542640" in err
     assert "Traceback" not in err
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcy.cli import main
+from qcy.cyclo import RootScalar
 from qcy.hilbert import DEGREE_BOUND
 from qcy.points import INFINITE
 from qcy.qalgebra import AlgebraSpec
@@ -20,6 +21,7 @@ from helpers import (
     manifest_text,
     reference_census,
     reference_second_chart_scalar,
+    reference_solve_root_system,
     within,
 )
 
@@ -118,12 +120,12 @@ def test_every_invocation_ends_in_a_named_exit(text, data):
 
 
 @st.composite
-def surfaces(draw):
-    """A criterion-2 weight system at an order N in 1..12 d, each upper
-    entry a multiple of the search's stride for its pair: a spec the census
-    must answer, Calabi-Yau or not."""
+def surfaces(draw, orders=lambda d: st.integers(1, 12 * d)):
+    """A criterion-2 weight system at an order N drawn from orders(d), 1..12 d
+    by default, each upper entry a multiple of the search's stride for its
+    pair: a spec the census must answer, Calabi-Yau or not."""
     weights = draw(st.sampled_from(CRITERION_2_SYSTEMS))
-    order = draw(st.integers(1, 12 * sum(weights)))
+    order = draw(orders(sum(weights)))
     pairs, strides, boxes, _ = _cy_lattice(weights, order)
     exps = [[0] * 4 for _ in range(4)]
     for (i, j), stride, box in zip(pairs, strides, boxes):
@@ -138,14 +140,19 @@ def _tagged(count):
     return {"kind": "finite", "value": count}
 
 
-@given(surfaces())
-@settings(max_examples=200, deadline=None)
-def test_census_answers_agree_with_the_chart_by_chart_reference(spec):
+def _run_on(spec, command):
+    """`command` on a manifest holding spec, through main."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.man")
         with open(path, "w") as fh:
             fh.write(manifest_text(spec))
-        code, out, err = within(30, lambda: _run(["census", "--input", path]))
+        return within(30, lambda: _run([command, "--input", path]))
+
+
+@given(surfaces())
+@settings(max_examples=200, deadline=None)
+def test_census_answers_agree_with_the_chart_by_chart_reference(spec):
+    code, out, err = _run_on(spec, "census")
     assert (code, err) == (0, ""), spec
     got = json.loads(out)["result"]
     ref = reference_census(spec)
@@ -159,3 +166,24 @@ def test_census_answers_agree_with_the_chart_by_chart_reference(spec):
          "trivial_pairs": [list(p) for p in c.trivial_pairs]}
         for c in ref.charts]
     assert got["second_chart_scalar"] == list(reference_second_chart_scalar(spec))
+
+
+@given(surfaces(orders=lambda d: st.integers(1, 6).map(lambda k: k * d)))
+@settings(max_examples=200, deadline=None)
+def test_certify_answers_agree_with_the_column_reference(spec):
+    """At N = k d every draw meets the weighted hypotheses, and the verdict
+    falls either way; each is compared with the column-by-column solver on
+    the pairs (a_j, zeta_N^(sum_i e_ij))."""
+    code, out, err = _run_on(spec, "certify")
+    assert (code, err) == (0, ""), spec
+    got = json.loads(out)["result"]
+    pairs = [(a, RootScalar(spec.order, sum(row[j] for row in spec.exponents)))
+             for j, a in enumerate(spec.weights)]
+    witness, j = reference_solve_root_system(pairs)
+    if witness is None:
+        assert got["verdict"] == "not_CY", spec
+        assert got["detail"] == (
+            f"no root of unity c exists; columns 0..{j} are jointly unsolvable")
+    else:
+        assert got["verdict"] == "CY", spec
+        assert got["witness"] == [list(witness.pair())]

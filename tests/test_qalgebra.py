@@ -379,14 +379,18 @@ def test_center_with_a_forged_lattice_is_a_defect(monkeypatch):
 
 
 def test_center_cross_check_is_priced_by_the_generator_count():
-    """The largest accepted chart has ten generators."""
-    assert comb(16, 6) * 10**2 <= CENTER_CHECK_BOUND < comb(17, 6) * 11**2
-    # q_ij = zeta_7 for i < j: most monomials fail fast, so this stays quick
-    ten = AlgebraSpec.unweighted(7, antisymmetric(7, (1,) * 45))
-    assert center_lattice(ten).pure_powers == (7,) * 10
-    eleven = AlgebraSpec.unweighted(7, antisymmetric(7, (0,) * 55))
+    """The largest accepted chart has thirteen generators and answers within
+    a second: commutative (every monomial central) at an order past int64,
+    so the check runs on Python ints, and noncommutative at order 7."""
+    assert comb(19, 6) * 13 <= CENTER_CHECK_BOUND < comb(20, 6) * 14
+    commutative = AlgebraSpec.unweighted(10**29, antisymmetric(10**29, (0,) * 78))
+    assert within(1, lambda: center_lattice(commutative)).pure_powers == (1,) * 13
+    # q_ij = zeta_7 for i < j
+    thirteen = AlgebraSpec.unweighted(7, antisymmetric(7, (1,) * 78))
+    assert within(1, lambda: center_lattice(thirteen)).pure_powers == (7,) * 13
+    fourteen = AlgebraSpec.unweighted(7, antisymmetric(7, (0,) * 91))
     with pytest.raises(ValueError, match=f"CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}"):
-        within(1, lambda: center_lattice(eleven))
+        within(1, lambda: center_lattice(fourteen))
 
 
 # -- monomial enumeration ---------------------------------------------------

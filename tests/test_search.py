@@ -568,11 +568,15 @@ def test_sweep_census_matches_the_chart_by_chart_reference():
         assert row.census == reference_census(row.spec), row.spec
 
 
-def test_sweep_census_builds_one_spec_per_row(monkeypatch):
-    """The search builds each row's spec; the census builds no chart spec."""
+def test_sweep_census_builds_no_spec(monkeypatch):
+    """Neither the search nor the census builds a spec; each row builds its
+    own when read, equal to the search's spec of that class."""
     built = record_spec_constructions(monkeypatch)
     rows = sweep_census(CRITERION_2_SYSTEMS)
-    assert len(built) == len(rows) == 238
+    assert len(rows) == 238 and built == []
+    expected = [spec for w in CRITERION_2_SYSTEMS
+                for spec in search_q_params(w, sum(w))]
+    assert [row.spec for row in rows] == expected
 
 
 def test_sweep_census_skips_non_surface_shapes():
