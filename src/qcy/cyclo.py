@@ -4,8 +4,10 @@ Scalars are roots of unity stored as (order, exponent) pairs, so every
 product and power is exponent arithmetic.  Sums of roots live in Z[zeta_N],
 represented by residues modulo the N-th cyclotomic polynomial; equality and
 zero tests are therefore exact, never numeric.  The lattice half of the
-module (Smith and Hermite normal forms, kernels and images of exponent
-matrices modulo N) backs the PI-degree and center computations.
+module works modulo N throughout, so no entry outgrows N: the Smith
+diagonal gives image sizes (PI degree), and one Hermite form of a lattice
+containing N Z^k gives the center's kernel and the search's Calabi-Yau
+lattice, each as the rows of one augmented matrix's form.
 """
 
 from __future__ import annotations
@@ -281,16 +283,14 @@ def merge_columns(weights, m: int, targets):
 # Integer matrix normal forms.
 
 
-def smith_normal_form(mat, modulus: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonal of a Smith form of `mat` modulo N, with the right transform V.
+def smith_normal_form(mat, modulus: int) -> list[int]:
+    """Diagonal of a Smith form of `mat` modulo N.
 
-    Returns (diag, V) where diag has min(rows, cols) entries in [0, N) and
-    V is unimodular with U * mat * V = diag(diag) (mod N) for some
-    unimodular U (not tracked).  Entries are reduced mod N during the
-    elimination, which keeps them below N: adding N to an entry changes
-    neither mat . Z^m + N Z^n nor {e : mat . e = 0 (mod N)}, and callers
-    read only gcd(N, d_i) and V.  The diagonal need not form a
-    divisibility chain.
+    Returns min(rows, cols) entries in [0, N) with U * mat * V = diag
+    (mod N) for some unimodular U and V (neither tracked).  Entries are
+    reduced mod N during the elimination, which keeps them below N: adding
+    N to an entry does not change mat . Z^m + N Z^n, and callers read only
+    gcd(N, d_i).  The diagonal need not form a divisibility chain.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -299,19 +299,10 @@ def smith_normal_form(mat, modulus: int) -> tuple[list[int], list[list[int]]]:
     a = [[int(x) % modulus for x in row] for row in mat]
     if n and any(len(row) != m for row in a):
         raise ValueError("ragged matrix")
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(src, dst, k):
-        for row in a:
-            row[dst] = (row[dst] + k * row[src]) % modulus
-        for row in v:
-            row[dst] += k * row[src]
 
     for t in range(min(n, m)):
         best = None
@@ -337,58 +328,51 @@ def smith_normal_form(mat, modulus: int) -> tuple[list[int], list[list[int]]]:
             for j in range(t + 1, m):
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
+                    for row in a:
+                        row[j] = (row[j] - q * row[t]) % modulus
                     if a[t][j]:
                         swap_cols(t, j)
                         again = True
             if not again:
                 break
-    return [a[i][i] for i in range(min(n, m))], v
+    return [a[i][i] for i in range(min(n, m))]
 
 
-def hermite_normal_form(rows) -> list[list[int]]:
-    """Canonical row-style Hermite form of the lattice spanned by `rows`.
+def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
+    """Canonical row-style Hermite form of span(rows) + N Z^k, N = modulus.
 
-    Zero rows are dropped; pivots are positive, entries above a pivot are
-    reduced into [0, pivot).  The output is the unique such basis, so equal
-    lattices produce equal output.
+    That lattice contains N Z^k, so the form has one row per column, row c
+    pivoting on column c with a positive pivot dividing N, and the entries
+    above each pivot reduced into [0, pivot): the unique such basis, so
+    equal lattices give equal output.  The elimination runs modulo N
+    (Cohen, GTM 138, Algorithm 2.4.8; Domich, Kannan and Trotter 1987): at
+    column c, N e_c joins the rows still live, Euclid on column c leaves
+    one pivot row, and every update is reduced mod N, which the later
+    N e_j absorb.  So no entry but a pivot N ever reaches N.
     """
-    work = [list(map(int, r)) for r in rows if any(r)]
-    m = len(work[0]) if work else 0
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    work = [[int(x) % modulus for x in r] for r in rows]
+    k = len(work[0]) if work else 0
     basis: list[list[int]] = []
-    col = 0
-    while work and col < m:
-        live = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
-        if not live:
-            col += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            pivot = live[0]
-            reduced = [pivot]
-            for r in live[1:]:
-                q = r[col] // pivot[col]
-                r = [x - q * y for x, y in zip(r, pivot)]
-                if r[col]:
-                    reduced.append(r)
-                elif any(r):
-                    rest.append(r)
-            live = reduced
-        row = live[0]
-        if row[col] < 0:
-            row = [-x for x in row]
-        basis.append(row)
+    for col in range(k):
+        pivot = [0] * k
+        pivot[col] = modulus
+        rest = []
+        for r in work:
+            while r[col]:
+                q = pivot[col] // r[col]
+                pivot, r = r, [(x - q * y) % modulus for x, y in zip(pivot, r)]
+            if any(r):
+                rest.append(r)
+        basis.append(pivot)
         work = rest
-        col += 1
-    # reduce entries above each pivot
+    # reduce entries above each pivot; columns left of it are final
     for i, row in enumerate(basis):
-        p = next(j for j, x in enumerate(row) if x)
         for upper in basis[:i]:
-            q = upper[p] // row[p]
+            q = upper[i] // row[i]
             if q:
-                for j in range(m):
-                    upper[j] -= q * row[j]
+                upper[i:] = [(x - q * y) % modulus for x, y in zip(upper[i:], row[i:])]
     return basis
 
 
@@ -442,17 +426,14 @@ def lattice_contains(basis: list[list[int]], vec) -> bool:
 def kernel_lattice(mat, modulus: int) -> list[list[int]]:
     """Basis (HNF rows) of {e in Z^m : mat . e = 0 (mod modulus)}.
 
-    Via the Smith form U * mat * V = diag(d) (mod N): writing e = V y, the condition
-    becomes d_i y_i = 0 (mod N), so y_i runs over (N / gcd(N, d_i)) Z.
+    One Hermite form modulo N of the rows (column j of mat | e_j): the rows
+    of its form that pivot on the right-hand block span the vectors (0 | e)
+    of span + N Z^(n+m), which are those with mat . e = 0 (mod N).
     """
-    m = len(mat[0]) if mat else 0
-    diag, v = smith_normal_form(mat, modulus)
-    diag = diag + [0] * (m - len(diag))
-    gens = []
-    for i in range(m):
-        c = modulus // gcd(modulus, diag[i])
-        gens.append([c * v[r][i] for r in range(m)])
-    return hermite_normal_form(gens)
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    rows = [[r[j] for r in mat] + [int(i == j) for i in range(m)] for j in range(m)]
+    return [r[n:] for r in hermite_normal_form(rows, modulus)[n:]]
 
 
 def image_size(mat, modulus: int, method: str = "auto") -> int:
@@ -466,7 +447,7 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
     the second route.
     """
     n = len(mat)
-    diag, _ = smith_normal_form(mat, modulus)
+    diag = smith_normal_form(mat, modulus)
     by_snf = 1
     for d in diag:
         by_snf *= modulus // gcd(modulus, d)

@@ -4,8 +4,8 @@ Weight systems are sorted tuples with gcd 1 whose entries all divide the
 total degree.  For a fixed system and root order, search_q_params lists
 one Calabi-Yau exponent matrix per class under weight-preserving generator
 permutations.  The CY condition is linear in the exponents, so the CY
-matrices are the points of a lattice (Hermite form of a kernel mod M,
-Cohen GTM 138 section 2.4), enumerated directly and in increasing order
+matrices are the points of a lattice (one Hermite form modulo M,
+Cohen GTM 138 Algorithm 2.4.8), enumerated directly and in increasing order
 as the rows of one array; their count is known before the walk, and a
 search of more than SEARCH_BOUND of them is refused up front.  A point's
 row index is its free lattice digits read as a mixed-radix number, so the
@@ -31,7 +31,7 @@ from math import ceil, comb, factorial, gcd, lcm, log, prod
 import numpy as np
 
 from . import _kernels
-from .cyclo import hermite_normal_form, kernel_lattice, merge_columns
+from .cyclo import hermite_normal_form, merge_columns
 from .errors import InternalDefect
 from .points import CensusReport, _census, _is_surface
 from .qalgebra import AlgebraSpec
@@ -267,9 +267,11 @@ def _cy_lattice(weights, order):
     box_p = N / stride_p.  With c = zeta_M^x, M = N * lcm(a_j), the CY
     condition reads (M/N) * sum_p B_jp stride_p k_p - a_j x = 0 (mod M),
     B the signed incidence matrix (column j gains e_ij for i < j and loses
-    e_ji for i > j).  Returns (pairs, strides, boxes, basis), where basis is
-    the upper-triangular Hermite form of the k-projection of that kernel
-    together with the box lattice (+) box_p Z.
+    e_ji for i > j).  One Hermite form modulo M of the rows
+    ((M/N) stride_p B_.p | e_p), (-a | 0) for x and (0 | box_p e_p): its
+    rows that pivot on the right-hand block are the upper-triangular basis
+    of the k with some x meeting the condition, plus the box lattice
+    (+) box_p Z.  Returns (pairs, strides, boxes, basis).
     """
     n = len(weights)
     d = sum(weights)
@@ -279,14 +281,13 @@ def _cy_lattice(weights, order):
                for i, j in pairs]
     boxes = [order // s for s in strides]
     m = order * lcm(*weights)
-    rows = [
-        [(m // order) * s * ((j == col) - (i == col))
-         for (i, j), s in zip(pairs, strides)] + [-weights[col]]
-        for col in range(n)
-    ]
-    gens = [[v % b for v, b in zip(r[:-1], boxes)] for r in kernel_lattice(rows, m)]
-    gens += [[b * (p == q) for q in range(len(boxes))] for p, b in enumerate(boxes)]
-    return pairs, strides, boxes, hermite_normal_form(gens)
+    unit = [[int(p == q) for q in range(len(pairs))] for p in range(len(pairs))]
+    rows = [[(m // order) * s * ((j == col) - (i == col)) for col in range(n)] + e
+            for (i, j), s, e in zip(pairs, strides, unit)]
+    rows.append([-a for a in weights] + [0] * len(pairs))
+    rows += [[0] * n + [b * x for x in e] for b, e in zip(boxes, unit)]
+    basis = [r[n:] for r in hermite_normal_form(rows, m)[n:]]
+    return pairs, strides, boxes, basis
 
 
 def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, np.ndarray]:

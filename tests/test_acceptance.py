@@ -140,7 +140,7 @@ def test_criterion_6_center_lattice_of_the_sign_matrix():
         spec = AlgebraSpec.unweighted(2, antisymmetric(2, (1, 1, 1)))
         lattice = center_lattice(spec)
         claimed = hermite_normal_form(
-            [[2, 0, 0], [0, 2, 0], [1, 1, 1]])
+            [[2, 0, 0], [0, 2, 0], [1, 1, 1]], 2)
         for vec in claimed:
             assert lattice.contains(vec)
         for row in lattice.basis:

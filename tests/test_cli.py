@@ -60,6 +60,9 @@ CASES = [
     ("center_chart0.json",
      ["center", "--input", "tests/golden/manifests/weighted.man",
       "--chart", "0"]),
+    ("center_large_order.json",
+     ["center", "--input", "tests/golden/manifests/large_order.man",
+      "--chart", "0"]),
     ("enumerate_weights_25.json",
      ["enumerate-weights", "--vars", "4", "--bound", "25"]),
     ("search_q_1111_order2.json",

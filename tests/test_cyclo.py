@@ -303,25 +303,18 @@ def random_matrix(rng, n, m, lo=-6, hi=6):
 
 
 def test_smith_normal_form_mod_n_contract(rng):
-    """Diagonal in [0, N), V unimodular, and the image and kernel read off
-    them match enumeration."""
+    """Diagonal in [0, N), and the image size read off it matches
+    enumeration.  The kernel is checked in
+    test_kernel_and_image_against_enumeration."""
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         modulus = rng.randint(2, 6)
         mat = random_matrix(rng, n, m)
-        diag, v = smith_normal_form(mat, modulus)
+        diag = smith_normal_form(mat, modulus)
         assert len(diag) == min(n, m)
         assert all(0 <= d < modulus for d in diag)
-        assert abs(_det(v)) == 1
         steps = [modulus // math.gcd(modulus, d) for d in diag]
         assert math.prod(steps) == len(image_brute(mat, modulus))
-        # e = V y is a kernel vector iff each y_i is a multiple of its step
-        steps += [1] * (m - len(diag))
-        kernel = {
-            tuple(sum(v[r][i] * y[i] for i in range(m)) % modulus
-                  for r in range(m))
-            for y in product(*(range(0, modulus, c) for c in steps))}
-        assert kernel == kernel_brute(mat, modulus)
 
 
 # The 19th 8x8 matrix with entries in [0, 5) drawn from random.Random(0).
@@ -341,58 +334,46 @@ def test_smith_normal_form_finishes_on_former_blow_up():
     assert image_size(BLOW_UP_8X8_MOD_5, 5) == 5 ** 7
 
 
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        total += (-1) ** j * mat[0][j] * _det(sub)
-    return total
+def span_mod_brute(rows, modulus, m):
+    """span(rows) + N Z^m reduced into (Z/N)^m, by every coefficient vector."""
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % modulus
+              for j in range(m))
+        for coeffs in product(range(modulus), repeat=len(rows))}
 
 
 def test_hermite_form_is_canonical(rng):
     for _ in range(60):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
+        modulus = rng.randint(1, 6)
         rows = random_matrix(rng, n, m)
-        h = hermite_normal_form(rows)
-        # pivots positive, entries above each pivot reduced
-        pivots = []
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x != 0]
-            assert nz, "zero rows are dropped"
-            pivots.append(nz[0])
-            assert row[nz[0]] > 0
-        assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-        for i, row in enumerate(h):
-            for k in range(i):
-                assert 0 <= h[k][pivots[i]] < row[pivots[i]]
-        # idempotent and membership-stable
-        assert hermite_normal_form(h) == h
-        for row in rows:
-            assert lattice_contains(h, row)
+        h = hermite_normal_form(rows, modulus)
+        # row c pivots on column c, its pivot divides N, and the entries
+        # above each pivot are reduced into [0, pivot)
+        assert len(h) == m
+        for c, row in enumerate(h):
+            assert not any(row[:c])
+            assert 0 < row[c] and modulus % row[c] == 0
+            assert all(0 <= h[k][c] < row[c] for k in range(c))
+        # the lattice is span(rows) + N Z^m, read mod N
+        members = {v for v in product(range(modulus), repeat=m)
+                   if lattice_contains(h, v)}
+        assert members == span_mod_brute(rows, modulus, m)
+        # idempotent, and equal for another generating set of the lattice
+        assert hermite_normal_form(h, modulus) == h
+        mixed = rows[::-1] + [[sum(r[j] for r in rows) + modulus for j in range(m)]]
+        assert hermite_normal_form(mixed, modulus) == h
 
 
 def test_lattice_contains_brute_force(rng):
     for _ in range(40):
         m = rng.randint(1, 3)
-        basis = hermite_normal_form(random_matrix(rng, rng.randint(1, 3), m))
-        if not basis:
-            continue
-        span = set()
-        for coeffs in product(range(-3, 4), repeat=len(basis)):
-            v = tuple(sum(c * row[j] for c, row in zip(coeffs, basis))
-                      for j in range(m))
-            span.add(v)
-        for v in span:
-            if all(abs(x) <= 5 for x in v):
-                assert lattice_contains(basis, list(v))
-        for _ in range(20):
-            v = [rng.randint(-5, 5) for _ in range(m)]
-            claimed = lattice_contains(basis, v)
-            if tuple(v) in span:
-                assert claimed
+        modulus = rng.randint(1, 6)
+        basis = hermite_normal_form(random_matrix(rng, rng.randint(1, 3), m), modulus)
+        span = span_mod_brute(basis, modulus, m)
+        for v in product(range(-modulus, 2 * modulus), repeat=m):
+            assert lattice_contains(basis, list(v)) == (
+                tuple(x % modulus for x in v) in span)
 
 
 def _contains_by_loop(basis, vec):
@@ -413,10 +394,11 @@ def test_lattice_members_matches_the_vector_loop(data):
     """The array pass answers as the one-vector loop, in int64 and past it."""
     m = data.draw(st.integers(1, 4))
     scale = data.draw(st.sampled_from((6, 10**9, 2**62, 10**30)))
+    modulus = data.draw(st.integers(1, scale))
     entry = st.integers(-scale, scale)
     rows = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                               min_size=1, max_size=3))
-    basis = hermite_normal_form(rows)
+    basis = hermite_normal_form(rows, modulus)
     vecs = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
                               min_size=1, max_size=6))
     # members too: small combinations of the rows

@@ -88,77 +88,16 @@ def _error(text):
     return info.value
 
 
-def test_missing_schema_line():
-    err = _error("order 3\n")
-    assert err.line == 1
-    assert "schema" in str(err)
-
-
-def test_unsupported_schema_version():
-    err = _error("schema 2\n")
-    assert (err.line, err.column) == (1, 8)
-
-
-def test_bad_integer_reports_position():
-    err = _error("schema 1\norder 3\nweights 1 1 x\n")
-    assert (err.line, err.column) == (3, 13)
-    assert "expected an integer" in str(err)
-
-
-def test_row_before_weights():
-    err = _error("schema 1\norder 3\nrow 0 1\n")
-    assert err.line == 3
-    assert "weights" in str(err)
-
-
-def test_row_width_mismatch():
-    err = _error("schema 1\norder 3\nweights 1 1\nrow 0 1 2\n")
-    assert err.line == 4
-
-
-def test_row_count_mismatch():
-    err = _error("schema 1\norder 3\nweights 1 1\nrow 0 1\n")
-    assert "row" in str(err)
-
-
-def test_duplicate_directive():
-    err = _error("schema 1\norder 3\norder 5\nweights 1 1\nrow 0 0\nrow 0 0\n")
-    assert err.line == 3
-
-
-def test_unknown_directive():
-    err = _error("schema 1\nshape weighted\n")
-    assert err.line == 2
-
-
-def test_bad_criterion_value():
-    err = _error("schema 1\ncriterion parabolic\n")
-    assert err.line == 2
-
-
-def test_too_many_algebras():
-    text = "schema 1\n" + "".join(
-        f"algebra {name}\norder 2\nweights 1\n" for name in "XYZ")
-    err = _error(text)
-    assert "two" in str(err) or "algebra" in str(err)
-
-
 def test_comments_and_blank_lines_ignored():
     text = "# lead\n\nschema 1  # trailing\n\norder 2\nweights 1 1\nrow 0 1\nrow 1 0\n"
     man = loads(text)
     assert man.algebras[0].order == 2
 
 
-def test_negative_entries_are_rejected():
-    err = _error("schema 1\norder 3\nweights 1 -1\n")
-    assert err.line == 3
-
-
-
-# One case per error branch of the reader, each pinned to the exact message,
-# line and column the reader gave before its rewrite as one loop.  Leading
-# blanks and tabs move the columns off 1, so a column taken from the wrong
-# token shows.
+# At least one case per error branch of the reader, each pinned to the exact
+# message, line and column the reader gave before its rewrite as one loop.
+# Leading blanks and tabs move the columns off 1, so a column taken from the
+# wrong token shows; the unindented cases pin the same branches at column 1.
 EXACT_ERRORS = [
     pytest.param("# lead\n  order 3\n",
                  "line 2, column 3: manifest must start with a schema line",
@@ -250,6 +189,33 @@ EXACT_ERRORS = [
     pytest.param("schema 1\nalgebra A\norder 2\nweights 1 1\nrow 0 1\n",
                  "line 2, column 1: algebra 'A' has 1 matrix rows for 2 weights",
                  2, 1, id="short-matrix"),
+    # an implicit block opens at its first directive
+    pytest.param("schema 1\norder 3\nweights 1 1\nrow 0 1\n",
+                 "line 2, column 1: algebra 'A' has 1 matrix rows for 2 weights",
+                 2, 1, id="short-matrix-implicit-block"),
+    pytest.param("order 3\n",
+                 "line 1, column 1: manifest must start with a schema line",
+                 1, 1, id="schema-not-first-unindented"),
+    pytest.param("schema 2\n",
+                 "line 1, column 8: unsupported schema version 2",
+                 1, 8, id="schema-version-one-blank"),
+    pytest.param("schema 1\ncriterion parabolic\n",
+                 "line 2, column 11: criterion must be one of segre, mixed, "
+                 "weighted; got 'parabolic'",
+                 2, 11, id="criterion-unknown-one-blank"),
+    pytest.param("schema 1\norder 3\norder 5\nweights 1 1\nrow 0 0\nrow 0 0\n",
+                 "line 3, column 1: duplicate order for algebra 'A'",
+                 3, 1, id="order-duplicate-unindented"),
+    pytest.param("schema 1\norder 3\nweights 1 -1\n",
+                 "line 3, column 11: weights must be positive, got -1",
+                 3, 11, id="weights-below-1-last"),
+    pytest.param("schema 1\norder 3\nrow 0 1\n",
+                 "line 3, column 1: matrix rows must come after the weights "
+                 "line",
+                 3, 1, id="row-before-weights-unindented"),
+    pytest.param("schema 1\nshape weighted\n",
+                 "line 2, column 1: unknown directive 'shape'",
+                 2, 1, id="unknown-directive-unindented"),
 ]
 
 

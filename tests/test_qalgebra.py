@@ -393,6 +393,21 @@ def test_center_cross_check_is_priced_by_the_generator_count():
         within(1, lambda: center_lattice(fourteen))
 
 
+@pytest.mark.parametrize("order", [2**62, 10**29, 10**60],
+                         ids=["2^62", "10^29", "10^60"])
+def test_center_of_a_random_thirteen_generator_chart_answers_quickly(rng, order):
+    """The kernel's Hermite form runs modulo N, so no entry outgrows N: the
+    largest accepted chart, with random exponents, answers within 2 s at
+    orders past int64 too, and every basis row is a kernel vector."""
+    spec = AlgebraSpec.unweighted(
+        order, antisymmetric(order, [rng.randrange(order) for _ in range(78)]))
+    lattice = within(2, lambda: center_lattice(spec))
+    assert len(lattice.basis) == 13
+    for row in lattice.basis:
+        assert all(sum(e * x for e, x in zip(r, row)) % order == 0
+                   for r in spec.exponents)
+
+
 # -- monomial enumeration ---------------------------------------------------
 
 
