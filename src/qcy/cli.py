@@ -38,7 +38,7 @@ from json.encoder import encode_basestring_ascii
 from . import manifest as manifest_mod
 from .cycert import CRITERIA, verify_certificate
 from .cyclo import RootScalar
-from .errors import HypothesisViolation, InternalDefect, ManifestError
+from .errors import HypothesisViolation, InternalDefect
 from .hilbert import quotient_by_regular, segre_coefficients, series_qpoly
 from .points import (
     INFINITE,
@@ -492,21 +492,16 @@ def main(argv=None) -> int:
         doc = {"command": args.command, "input": source, "result": command(man, args)}
         if args.command == "certify":
             doc["criterion"] = _criterion(man)
-    except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # after HypothesisViolation, itself a ValueError; ManifestError lands here
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except InternalDefect as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     sys.stdout.write(render(doc, args.format))
     return 0
 

@@ -4,10 +4,11 @@ Scalars are roots of unity stored as (order, exponent) pairs, so every
 product and power is exponent arithmetic.  Sums of roots live in Z[zeta_N],
 represented by residues modulo the N-th cyclotomic polynomial; equality and
 zero tests are therefore exact, never numeric.  The lattice half of the
-module works modulo N throughout, so no entry outgrows N: the Smith
-diagonal gives image sizes (PI degree), and one Hermite form of a lattice
-containing N Z^k gives the center's kernel and the search's Calabi-Yau
-lattice, each as the rows of one augmented matrix's form.
+module works modulo N throughout, so no entry outgrows N, and runs one
+elimination: the Hermite form of a lattice containing N Z^k.  The Smith
+diagonal, which gives image sizes (PI degree), comes from alternating
+forms of a matrix and its transpose; the center's kernel and the search's
+Calabi-Yau lattice are each the rows of one augmented matrix's form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -284,58 +285,34 @@ def merge_columns(weights, m: int, targets):
 
 
 def smith_normal_form(mat, modulus: int) -> list[int]:
-    """Diagonal of a Smith form of `mat` modulo N.
+    """Diagonal of a Smith form of the n x m matrix `mat` modulo N.
 
-    Returns min(rows, cols) entries in [0, N) with U * mat * V = diag
-    (mod N) for some unimodular U and V (neither tracked).  Entries are
-    reduced mod N during the elimination, which keeps them below N: adding
-    N to an entry does not change mat . Z^m + N Z^n, and callers read only
-    gcd(N, d_i).  The diagonal need not form a divisibility chain.
+    Returns n divisors d_i of N with Z^n / (mat . Z^m + N Z^n) isomorphic
+    to the sum of the Z/d_i, N standing for a zero invariant; so the image
+    of mat on (Z/N)^m has prod_i N / d_i elements.  The diagonal need not
+    form a divisibility chain.  It alternates row Hermite forms modulo N
+    (hermite_normal_form) of mat's columns and of the last form's transpose
+    until the form is diagonal (Kannan and Bachem 1979; Cohen, GTM 138,
+    section 2.4).  Each pass keeps the group: a square form and its
+    transpose have the same invariants, and these divide N, so N Z^n lies
+    in the transpose's row span already.  The loop ends: let t be the
+    first index whose row still has an entry off the diagonal (the rows
+    and columns before it are settled, so the form is diagonal there and
+    the next pass keeps them).  If the pivot h_tt divides its row, the
+    next form's row t is h_tt e_t and t settles; otherwise the next pivot
+    t is gcd(h_tt, row t), a proper divisor of h_tt.  Every pivot divides
+    N, so at most n (1 + Omega(N)) passes follow the first, Omega(N) the
+    number of prime factors of N counted with multiplicity.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
     n = len(mat)
     m = len(mat[0]) if n else 0
-    a = [[int(x) % modulus for x in row] for row in mat]
-    if n and any(len(row) != m for row in a):
+    if any(len(row) != m for row in mat):
         raise ValueError("ragged matrix")
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(n, m)):
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if a[i][j] and (best is None or a[i][j] < a[best[0]][best[1]]):
-                    best = (i, j)
-        if best is None:
-            break
-        a[t], a[best[0]] = a[best[0]], a[t]
-        swap_cols(t, best[1])
-        # Euclid on row and column t: each swap lowers the pivot, which
-        # stays in [1, N), so the loop ends.
-        while True:
-            again = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [(x - q * y) % modulus for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        again = True
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for row in a:
-                        row[j] = (row[j] - q * row[t]) % modulus
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        again = True
-            if not again:
-                break
-    return [a[i][i] for i in range(min(n, m))]
+    # with no columns, one zero row gives the form its width n
+    form = hermite_normal_form(list(zip(*mat)) or [[0] * n], modulus)
+    while any(form[r][c] for c in range(n) for r in range(c)):
+        form = hermite_normal_form(list(zip(*form)), modulus)
+    return [form[i][i] for i in range(n)]
 
 
 def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
@@ -439,7 +416,7 @@ def kernel_lattice(mat, modulus: int) -> list[list[int]]:
 def image_size(mat, modulus: int, method: str = "auto") -> int:
     """Cardinality of {mat . e mod N : e in (Z/N)^m}.
 
-    Two routes: the Smith form gives prod_i N / gcd(N, d_i); the closure of
+    Two routes: the Smith form gives prod_i N / d_i; the closure of
     the column subgroup, coset by coset (_kernels.image_count), recounts it
     at cost |image| * n when that is <= ENUMERATION_BOUND, N is below
     _kernels.MODULUS_BOUND and N^n <= 2**62.
@@ -447,10 +424,7 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
     the second route.
     """
     n = len(mat)
-    diag = smith_normal_form(mat, modulus)
-    by_snf = 1
-    for d in diag:
-        by_snf *= modulus // gcd(modulus, d)
+    by_snf = prod(modulus // d for d in smith_normal_form(mat, modulus))
     if method == "snf":
         return by_snf
     feasible = (by_snf * n <= ENUMERATION_BOUND and modulus < _kernels.MODULUS_BOUND

@@ -416,22 +416,22 @@ def _exponent_matrices(n, order, pairs, strides, ks) -> np.ndarray:
     return exps
 
 
-def _violated_hypothesis(exps, order, pairs, strides):
+def _violated_hypothesis(exps, order, weights):
     """(kind, row): the first of certify_weighted's hypotheses that some
     matrix of exps fails, and the first such matrix; None when all hold.
 
-    The hypothesis q_ij^{h_i} = q_ij^{h_j} = 1 says that the stride of the
-    pair divides e_ij.
+    The hypothesis q_ij^{h_i} = q_ij^{h_j} = 1 is read from h = d / a as
+    validate_spec reads it, not from the strides that built exps.  Its
+    values stay below n M, M = N lcm(a_j), so exps's dtype holds them.
     """
     n = exps.shape[1]
-    period = np.full((n, n), order, exps.dtype)
-    for (i, j), s in zip(pairs, strides):
-        period[i, j] = period[j, i] = s
+    h = np.array([sum(weights) // a for a in weights], exps.dtype)
     idx = np.arange(n)
     for kind, residues in (
             ("diagonal", exps[:, idx, idx] % order),
             ("antisymmetry", (exps + exps.transpose(0, 2, 1)) % order),
-            ("entry-order", exps % period)):
+            ("entry-order", exps * h[:, None] % order),
+            ("entry-order", exps * h % order)):
         rows = np.nonzero(residues)[0]
         if rows.size:
             return kind, rows[0]
@@ -444,9 +444,9 @@ def _certify_classes(weights, order, m, pairs, strides, ks) -> tuple[list, list]
 
     The exponent matrices (_exponent_matrices) are checked against
     certify_weighted's hypotheses: unit diagonal, antisymmetry, and
-    q_ij^{h_i} = q_ij^{h_j} = 1, which says that the pair's stride divides
-    e_ij.  Their column systems c^{a_j} = prod_i q_ij are solved by one
-    merge over all rows (merge_columns): the search modulus m = N lcm(a_j)
+    q_ij^{h_i} = q_ij^{h_j} = 1 (_violated_hypothesis).  Their column
+    systems c^{a_j} = prod_i q_ij are solved by one merge over all rows
+    (merge_columns): the search modulus m = N lcm(a_j)
     and everything but the residues depend on the weights alone.  The
     arrays keep ks's dtype, which must be int64 only while
     m < _kernels.MODULUS_BOUND (object past it; see _search_classes).
@@ -458,7 +458,7 @@ def _certify_classes(weights, order, m, pairs, strides, ks) -> tuple[list, list]
     """
     n = len(weights)
     exps = _exponent_matrices(n, order, pairs, strides, ks)
-    violated = _violated_hypothesis(exps, order, pairs, strides)
+    violated = _violated_hypothesis(exps, order, weights)
     if violated is not None:
         kind, r = violated
         raise InternalDefect(

@@ -53,6 +53,8 @@ CASES = [
       "--chart", "0"]),
     ("pi_degree_ambient.json",
      ["pi-degree", "--input", "tests/golden/manifests/weighted.man"]),
+    ("pi_degree_large_order.json",
+     ["pi-degree", "--input", "tests/golden/manifests/large_order.man"]),
     ("hilbert_12.json",
      ["hilbert", "--input", "tests/golden/manifests/weighted.man"]),
     ("hilbert_segre.json",

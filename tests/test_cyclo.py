@@ -5,6 +5,7 @@ root-of-unity solver against exhaustive search over its sufficient modulus.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -303,7 +304,7 @@ def random_matrix(rng, n, m, lo=-6, hi=6):
 
 
 def test_smith_normal_form_mod_n_contract(rng):
-    """Diagonal in [0, N), and the image size read off it matches
+    """One divisor of N per row, and the image size read off them matches
     enumeration.  The kernel is checked in
     test_kernel_and_image_against_enumeration."""
     for _ in range(60):
@@ -311,10 +312,26 @@ def test_smith_normal_form_mod_n_contract(rng):
         modulus = rng.randint(2, 6)
         mat = random_matrix(rng, n, m)
         diag = smith_normal_form(mat, modulus)
-        assert len(diag) == min(n, m)
-        assert all(0 <= d < modulus for d in diag)
-        steps = [modulus // math.gcd(modulus, d) for d in diag]
-        assert math.prod(steps) == len(image_brute(mat, modulus))
+        assert len(diag) == n
+        assert all(d >= 1 and modulus % d == 0 for d in diag)
+        assert math.prod(modulus // d for d in diag) == len(image_brute(mat, modulus))
+
+
+@given(st.integers(1, 12), st.integers(1, 3), st.integers(0, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_smith_diagonal_is_the_cokernel_group(modulus, n, m, data):
+    """The diagonal names the group (Z/N)^n / image, not only its order:
+    for every divisor t of N, its t-torsion has prod_i gcd(t, d_i)
+    elements, counted by brute force as the v with t v in the image."""
+    mat = [[data.draw(st.integers(-modulus, 2 * modulus)) for _ in range(m)]
+           for _ in range(n)]
+    diag = smith_normal_form(mat, modulus)
+    image = image_brute(mat, modulus)
+    for t in range(1, modulus + 1):
+        if modulus % t == 0:
+            torsion = sum(tuple(t * x % modulus for x in v) in image
+                          for v in product(range(modulus), repeat=n))
+            assert torsion == math.prod(math.gcd(t, d) for d in diag) * len(image)
 
 
 # The 19th 8x8 matrix with entries in [0, 5) drawn from random.Random(0).
@@ -332,6 +349,23 @@ def test_smith_normal_form_finishes_on_former_blow_up():
     # its image 5^7 times 8 rows lies under ENUMERATION_BOUND, so both
     # routes run and agree
     assert image_size(BLOW_UP_8X8_MOD_5, 5) == 5 ** 7
+
+
+def test_image_size_of_a_random_antisymmetric_matrix_at_a_huge_order():
+    """The Smith diagonal's forms run modulo N, so a random 13 x 13
+    antisymmetric matrix at N = 10^1000 answers within a second; the
+    kernel's pivots recount the image (|image| |kernel| = N^13)."""
+    modulus = 10**1000
+    seeded = random.Random(1000)
+    mat = [[0] * 13 for _ in range(13)]
+    for i in range(13):
+        for j in range(i + 1, 13):
+            mat[i][j] = seeded.randrange(modulus)
+            mat[j][i] = -mat[i][j] % modulus
+    size = within(1, lambda: image_size(mat, modulus))
+    pivots = [row[j] for j, row in enumerate(kernel_lattice(mat, modulus))]
+    assert size == math.prod(pivots)
+    assert modulus**12 % size == 0
 
 
 def span_mod_brute(rows, modulus, m):

@@ -254,6 +254,18 @@ def test_search_respects_entry_order_hypotheses():
             assert (2 * e) % 6 == 0
 
 
+def test_search_entry_order_check_reads_the_weights(monkeypatch):
+    """A lattice built from strides of h_i alone admits e_ij that fail
+    q_ij^{h_j} = 1; the batch check reads h from the weights, not from
+    those strides, so it raises."""
+    real = search.lcm
+    # only _cy_lattice's stride lcm takes two arguments in search
+    monkeypatch.setattr(search, "lcm",
+                        lambda *xs: xs[0] if len(xs) == 2 else real(*xs))
+    with pytest.raises(InternalDefect, match="entry-order"):
+        search._search_classes((1, 1, 2, 4), 8)
+
+
 def _relabel(exponents, perm):
     n = len(perm)
     return tuple(tuple(exponents[perm[i]][perm[j]] for j in range(n))
