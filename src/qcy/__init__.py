@@ -4,9 +4,9 @@ The package works over cyclotomic integers throughout: parameters are
 roots of unity given by an exponent matrix, certificates come with
 explicit witnesses, and `qcy certify` re-verifies each before printing
 it.  PI degrees are recounted by a coset closure wherever it is feasible, and
-centers are cross-checked in one array pass: every monomial up to degree
-6 is tested for centrality directly and for membership in the central
-lattice, and the two must agree.  The Hilbert series have
+centers are proved by their index: the central lattice's basis rows are
+central by the reorder exponents, and the product of its pivots equals
+the size of the exponent matrix's image mod N.  The Hilbert series have
 no second route per request: the brute-force oracle checks them only in
 the tests, the acceptance run and the benchmark.
 """

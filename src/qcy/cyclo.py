@@ -323,9 +323,10 @@ def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
     above each pivot reduced into [0, pivot): the unique such basis, so
     equal lattices give equal output.  The elimination runs modulo N
     (Cohen, GTM 138, Algorithm 2.4.8; Domich, Kannan and Trotter 1987): at
-    column c, N e_c joins the rows still live, Euclid on column c leaves
-    one pivot row, and every update is reduced mod N, which the later
-    N e_j absorb.  So no entry but a pivot N ever reaches N.
+    column c, N e_c joins the rows still live, and each meets the pivot row
+    in one unimodular step, from the extended Euclid of their entries in
+    column c, which leaves one pivot row; every update is reduced mod N,
+    which the later N e_j absorb.  So no entry but a pivot N reaches N.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
@@ -337,9 +338,14 @@ def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
         pivot[col] = modulus
         rest = []
         for r in work:
-            while r[col]:
-                q = pivot[col] // r[col]
-                pivot, r = r, [(x - q * y) % modulus for x, y in zip(pivot, r)]
+            a, b, s0, t0, s1, t1 = pivot[col], r[col], 1, 0, 0, 1
+            if b:  # (s0 t0; s1 t1), of determinant +-1, takes (a, b) to (g, 0)
+                while b:
+                    q, rem = divmod(a, b)
+                    a, b, s0, t0, s1, t1 = b, rem, s1, t1, s0 - q * s1, t0 - q * t1
+                pivot, r = ([(s0 * x + t0 * y) % modulus for x, y in zip(pivot, r)]
+                            if s0 else r,  # one quotient: (s0 t0) = (0 1)
+                            [(s1 * x + t1 * y) % modulus for x, y in zip(pivot, r)])
             if any(r):
                 rest.append(r)
         basis.append(pivot)

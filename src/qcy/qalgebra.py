@@ -10,27 +10,24 @@ times a monomial and all identities here are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .cyclo import (
     CycInt,
     RootScalar,
+    image_size,
     int_rows,
     kernel_lattice,
     lattice_contains,
-    lattice_members,
 )
 from .errors import HypothesisViolation, InternalDefect
 
-# Most cells center_lattice's cross-check may hold, priced before it starts:
-# the C(m + 6, 6) monomials of degree at most 6 in m generators, one row of
-# m exponents each.  Its worst case is the Python-int route (an order past
-# int64) on a chart of large random exponents: on a 2 vCPU Xeon the largest
-# accepted chart, m = 13 (352,716 cells), took 0.60-0.74 s there and 0.05 s
-# at order 7; m = 14 (542,640) took 1.06-1.25 s and is refused.
-CENTER_CHECK_BOUND = 5 * 10**5
+# Most generators of a chart center_lattice takes.  Its Hermite and Smith
+# forms mod N grow with N's digits: on a 2 vCPU Xeon, random exponents at
+# order 10^1000 took 0.35-0.48 s with 16 generators and 0.8 s with 20.
+CENTER_GENERATOR_BOUND = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,41 +363,36 @@ class CenterLattice:
 
 
 def center_lattice(spec: AlgebraSpec) -> CenterLattice:
-    """Central-monomial lattice {e : E . e = 0 mod N} of the matrix of spec.
+    """Central-monomial lattice K = {e : E . e = 0 mod N} of the matrix of spec.
 
     Assumes unit diagonal and antisymmetry (a validated spec or a chart
-    matrix).  The kernel route is cross-checked on every monomial of total
-    degree at most 6 at once: the direct route's mask (_central_mask, one
-    integer product mod N over the whole table) must equal the lattice
-    route's (cyclo.lattice_members, one reduction per basis row over all
-    rows), or InternalDefect names the first monomial where they differ.
-    Exponent arithmetic only, in int64 where it provably fits and in Python
-    ints past it, so the check is exact at any order.  A cross-check of
-    more than CENTER_CHECK_BOUND cells is refused before any work.
+    matrix).  The kernel's basis is proved to span K: (1) it is a square
+    Hermite form (upper triangular, positive pivots), so its lattice L has
+    index the pivots' product; (2) its rows are central by the direct route
+    (_central_mask), so L lies in K; (3) that index equals image_size(E, N),
+    which is [Z^m : K], as e -> E e mod N maps Z^m / K onto the image.  A
+    failed item is an InternalDefect.  Exact at any order; charts of more
+    than CENTER_GENERATOR_BOUND generators are refused before any work.
     """
-    n = spec.order
-    e = spec.exponents
-    m = spec.nvars
-    cost = comb(m + 6, 6) * m
-    if cost > CENTER_CHECK_BOUND:
-        raise ValueError(
-            f"centrality cross-check of {m} generators holds {cost} cells, "
-            f"above CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}")
-    basis = kernel_lattice([list(r) for r in e], n)
-    pure = []
-    for i in range(m):
-        col_gcd = gcd(n, *(e[r][i] for r in range(m)))
-        pure.append(n // col_gcd)
-    mixed = None
-    for row in basis:
-        if any(row[i] % pure[i] for i in range(m)):
-            mixed = tuple(row)
-            break
-    exps = monomials_up_to((1,) * m, 6)[0]
-    agree = _central_mask(exps, spec) == lattice_members(basis, exps)
-    if not agree.all():
-        first = tuple(exps[np.argmin(agree)].tolist())
-        raise InternalDefect(f"lattice and direct centrality disagree at {first}")
+    n, e, m = spec.order, spec.exponents, spec.nvars
+    if m > CENTER_GENERATOR_BOUND:
+        raise ValueError(f"center of a chart of {m} generators is above "
+                         f"CENTER_GENERATOR_BOUND = {CENTER_GENERATOR_BOUND}")
+    mat = [list(r) for r in e]
+    basis = kernel_lattice(mat, n)
+    if len(basis) != m or any(r[i] < 1 or any(r[:i]) for i, r in enumerate(basis)):
+        raise InternalDefect(
+            f"kernel basis of {len(basis)} rows is not a {m} x {m} Hermite form")
+    central = _central_mask(basis, spec)
+    if not central.all():
+        row = tuple(basis[np.argmin(central)])
+        raise InternalDefect(f"kernel basis row {row} is not central")
+    index, size = prod(r[i] for i, r in enumerate(basis)), image_size(mat, n)
+    if index != size:
+        raise InternalDefect(f"kernel basis has index {index}, but E has an image of {size}")
+    pure = [n // gcd(n, *(row[i] for row in e)) for i in range(m)]
+    mixed = next((tuple(row) for row in basis
+                  if any(row[i] % pure[i] for i in range(m))), None)
     return CenterLattice(
         order=n,
         basis=tuple(tuple(r) for r in basis),

@@ -442,16 +442,15 @@ def test_point_scheme_above_the_bound_exits_2(tmp_path):
 
 
 def test_center_above_the_bound_exits_2(tmp_path):
-    """Fifteen generators: a chart of 14, whose cross-check would hold
-    542,640 cells."""
-    man = tmp_path / "fifteen.man"
-    man.write_text("schema 1\norder 7\nweights" + " 1" * 15 + "\n"
-                   + ("row" + " 0" * 15 + "\n") * 15)
+    """Eighteen generators: a chart of 17, one past CENTER_GENERATOR_BOUND."""
+    man = tmp_path / "eighteen.man"
+    man.write_text("schema 1\norder 7\nweights" + " 1" * 18 + "\n"
+                   + ("row" + " 0" * 18 + "\n") * 18)
     code, out, err = within(1, lambda: run_cli(["center", "--input", str(man)]))
     assert code == 2
     assert out == ""
-    assert f"CENTER_CHECK_BOUND = {qalgebra.CENTER_CHECK_BOUND}" in err
-    assert "542640" in err
+    assert "chart of 17 generators" in err
+    assert f"CENTER_GENERATOR_BOUND = {qalgebra.CENTER_GENERATOR_BOUND}" in err
     assert "Traceback" not in err
 
 
@@ -465,15 +464,31 @@ def test_certify_failing_verification_exits_4(monkeypatch):
 
 
 def test_center_with_a_forged_lattice_exits_4(monkeypatch):
-    """A kernel lattice missing its row (1, 1, 1) disagrees with the reorder
-    exponents of x0 x1 x2, which is central on chart 0 of weighted.man."""
+    """A kernel lattice missing its row (1, 1, 1) on chart 0 of weighted.man
+    is no square Hermite form."""
     real = qalgebra.kernel_lattice
     monkeypatch.setattr(qalgebra, "kernel_lattice", lambda *a: real(*a)[1:])
     code, out, err = run_cli(
         ["center", "--input", "tests/golden/manifests/weighted.man", "--chart", "0"])
     assert code == 4
     assert out == ""
-    assert "internal defect: lattice and direct centrality disagree at (1, 1, 1)" in err
+    assert "internal defect: kernel basis of 2 rows is not a 3 x 3 Hermite form" in err
+
+
+def test_center_with_a_doubled_pivot_exits_4(monkeypatch, tmp_path):
+    """Chart 0 of this manifest is x1 x0 = zeta_7 x0 x1, whose center x0^7,
+    x1^7 has no monomial of degree 1 to 6; the forged kernel (14, 0),
+    (0, 7) is central but has index 98, and the image of E has 49."""
+    man = tmp_path / "zeta7.man"
+    man.write_text("schema 1\norder 7\nweights 1 1 1\n"
+                   "row 0 0 0\nrow 0 0 6\nrow 0 1 0\n")
+    real = qalgebra.kernel_lattice
+    monkeypatch.setattr(qalgebra, "kernel_lattice",
+                        lambda *a: [[14, 0]] + real(*a)[1:])
+    code, out, err = run_cli(["center", "--input", str(man), "--chart", "0"])
+    assert code == 4
+    assert out == ""
+    assert "internal defect: kernel basis has index 98, but E has an image of 49" in err
 
 
 NOT_ALTERNATING = {

@@ -548,6 +548,14 @@ def test_image_size_skips_the_closure_past_the_kernels_modulus_bound():
         image_size([[0]], n, method="enumerate")
 
 
+def test_image_size_with_a_forged_closure_is_a_defect(monkeypatch):
+    """A coset closure one off from the Smith form's prod N / d_i = 9."""
+    real = _kernels.image_count
+    monkeypatch.setattr(_kernels, "image_count", lambda *a: real(*a) + 1)
+    with pytest.raises(InternalDefect, match="coset closure 10, Smith form 9"):
+        image_size([[0, 2, 1], [1, 0, 2], [2, 1, 0]], 3)
+
+
 # -- cyclotomic field -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcy import points
 from qcy.cyclo import RootScalar
 from qcy.errors import HypothesisViolation, InternalDefect
 from qcy.points import (
@@ -225,6 +226,12 @@ def test_pi_degree_of_quantum_plane():
     # x y = zeta_5 y x: image of the exponent matrix has 25 vectors
     spec = AlgebraSpec.unweighted(5, antisymmetric(5, (1,)))
     assert pi_degree(spec) == 5
+
+
+def test_pi_degree_of_a_non_square_image_is_a_defect(monkeypatch):
+    monkeypatch.setattr(points, "image_size", lambda *a: 8)
+    with pytest.raises(InternalDefect, match="non-square size 8"):
+        pi_degree(SPEC3)
 
 
 # -- two-variable quotients -------------------------------------------------

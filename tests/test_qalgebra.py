@@ -11,7 +11,7 @@ from qcy.cyclo import CycInt, RootScalar
 from qcy import qalgebra
 from qcy.errors import HypothesisViolation, InternalDefect
 from qcy.qalgebra import (
-    CENTER_CHECK_BOUND,
+    CENTER_GENERATOR_BOUND,
     AlgebraSpec,
     _central_mask,
     _reorder_exponent,
@@ -370,35 +370,64 @@ def test_center_of_commutative_is_everything():
 
 
 def test_center_with_a_forged_lattice_is_a_defect(monkeypatch):
-    """Dropping the kernel's row (1, 1, 1) leaves x0 x1 x2 central by its
-    reorder exponents but outside the lattice."""
+    """Dropping the kernel's row (1, 1, 1) leaves two rows, no square
+    Hermite form."""
     real = qalgebra.kernel_lattice
     monkeypatch.setattr(qalgebra, "kernel_lattice", lambda *a: real(*a)[1:])
-    with pytest.raises(InternalDefect, match=r"disagree at \(1, 1, 1\)"):
+    with pytest.raises(InternalDefect, match=r"2 rows is not a 3 x 3 Hermite form"):
         center_lattice(SPEC3)
 
 
-def test_center_cross_check_is_priced_by_the_generator_count():
-    """The largest accepted chart has thirteen generators and answers within
-    a second: commutative (every monomial central) at an order past int64,
-    so the check runs on Python ints, and noncommutative at order 7."""
-    assert comb(19, 6) * 13 <= CENTER_CHECK_BOUND < comb(20, 6) * 14
-    commutative = AlgebraSpec.unweighted(10**29, antisymmetric(10**29, (0,) * 78))
-    assert within(1, lambda: center_lattice(commutative)).pure_powers == (1,) * 13
-    # q_ij = zeta_7 for i < j
-    thirteen = AlgebraSpec.unweighted(7, antisymmetric(7, (1,) * 78))
-    assert within(1, lambda: center_lattice(thirteen)).pure_powers == (7,) * 13
-    fourteen = AlgebraSpec.unweighted(7, antisymmetric(7, (0,) * 91))
-    with pytest.raises(ValueError, match=f"CENTER_CHECK_BOUND = {CENTER_CHECK_BOUND}"):
-        within(1, lambda: center_lattice(fourteen))
+def test_center_with_a_doubled_pivot_is_a_defect(monkeypatch):
+    """On x1 x0 = zeta_7 x0 x1 the central monomials are x0^7a x1^7b, none
+    of degree 1 to 6.  A kernel forged to (14, 0), (0, 7) is a Hermite form
+    of central rows, so only its index, 98 against the image's 49, shows
+    the missing x0^7."""
+    real = qalgebra.kernel_lattice
+    monkeypatch.setattr(qalgebra, "kernel_lattice",
+                        lambda *a: [[14, 0]] + real(*a)[1:])
+    spec = AlgebraSpec.unweighted(7, [[0, 6], [1, 0]])
+    assert real([[0, 6], [1, 0]], 7) == [[7, 0], [0, 7]]
+    with pytest.raises(InternalDefect, match="index 98, but E has an image of 49"):
+        center_lattice(spec)
+
+
+def test_center_with_a_non_central_row_is_a_defect(monkeypatch):
+    """(1, 0, 0) in place of (1, 1, 1) keeps a Hermite form of index 9, the
+    image's size, but x0 does not commute with x1."""
+    real = qalgebra.kernel_lattice
+    monkeypatch.setattr(qalgebra, "kernel_lattice",
+                        lambda *a: [[1, 0, 0]] + real(*a)[1:])
+    with pytest.raises(InternalDefect, match=r"row \(1, 0, 0\) is not central"):
+        center_lattice(SPEC3)
+
+
+def test_center_cross_check_is_priced_by_the_generator_count(rng, monkeypatch):
+    """The largest accepted chart, CENTER_GENERATOR_BOUND = 16 generators of
+    random exponents at order 10^1000, answers within a second; one more
+    generator is refused before the kernel is computed."""
+    assert CENTER_GENERATOR_BOUND == 16
+    order = 10**1000
+    largest = AlgebraSpec.unweighted(
+        order, antisymmetric(order, [rng.randrange(order) for _ in range(120)]))
+    assert len(within(1, lambda: center_lattice(largest)).basis) == 16
+
+    def no_work(*args):
+        raise AssertionError("the kernel was computed")
+
+    monkeypatch.setattr(qalgebra, "kernel_lattice", no_work)
+    seventeen = AlgebraSpec.unweighted(7, antisymmetric(7, (1,) * 136))
+    with pytest.raises(ValueError, match="chart of 17 generators is above "
+                                         "CENTER_GENERATOR_BOUND = 16"):
+        center_lattice(seventeen)
 
 
 @pytest.mark.parametrize("order", [2**62, 10**29, 10**60],
                          ids=["2^62", "10^29", "10^60"])
 def test_center_of_a_random_thirteen_generator_chart_answers_quickly(rng, order):
-    """The kernel's Hermite form runs modulo N, so no entry outgrows N: the
-    largest accepted chart, with random exponents, answers within 2 s at
-    orders past int64 too, and every basis row is a kernel vector."""
+    """The kernel's Hermite form runs modulo N, so no entry outgrows N: a
+    chart of thirteen generators with random exponents answers within 2 s
+    at orders past int64 too, and every basis row is a kernel vector."""
     spec = AlgebraSpec.unweighted(
         order, antisymmetric(order, [rng.randrange(order) for _ in range(78)]))
     lattice = within(2, lambda: center_lattice(spec))

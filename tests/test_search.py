@@ -92,6 +92,14 @@ def test_enumeration_three_variables():
     assert result.reference == ()
 
 
+def test_enumeration_with_a_forged_walk_is_a_defect(monkeypatch):
+    """(1, 1, 1, 2): the weight 2 does not divide the total degree 5."""
+    monkeypatch.setattr(search, "_divisor_multiplicity_walk",
+                        lambda n_vars, bound: iter([(1, 1, 1, 2)]))
+    with pytest.raises(InternalDefect, match=r"inadmissible \(1, 1, 1, 2\)"):
+        enumerate_cy_weights(4, 2)
+
+
 def test_enumeration_validates_arguments():
     with pytest.raises(ValueError):
         enumerate_cy_weights(1, 10)
