@@ -8,7 +8,10 @@ module works modulo N throughout, so no entry outgrows N, and runs one
 elimination: the Hermite form of a lattice containing N Z^k.  The Smith
 diagonal, which gives image sizes (PI degree), comes from alternating
 forms of a matrix and its transpose; the center's kernel and the search's
-Calabi-Yau lattice are each the rows of one augmented matrix's form.
+Calabi-Yau lattice are each the rows of one augmented matrix's form, and
+membership in such a form is one pass over its rows.  All of it runs on
+Python ints, so no size needs a separate route; only merge_columns also
+takes the arrays of many systems that the search passes.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-
-import numpy as np
 
 from . import _kernels
 from .errors import InternalDefect, OrderMismatchError
@@ -359,51 +360,24 @@ def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
     return basis
 
 
-def int_rows(rows) -> tuple[np.ndarray, int]:
-    """Integer vectors as one exact 2-D array, and the largest |entry|.
-
-    An int64 array is kept as it is; anything else becomes Python ints
-    (dtype=object), since numpy would wrap values past int64 or make them
-    unsigned.  Callers cast to int64 once a bound on every value they form
-    is below 2**63.
-    """
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64):
-        width = len(rows[0]) if len(rows) else 0
-        rows = np.array([int(x) for r in rows for x in r],
-                        dtype=object).reshape(len(rows), width)
-    return rows, max(int(rows.max()), -int(rows.min())) if rows.size else 0
-
-
-def lattice_members(basis: list[list[int]], vecs) -> np.ndarray:
-    """Membership of each integer vector in the lattice of HNF basis rows.
-
-    One pass per basis row over all vectors at once: a vector is a member
-    when its entry at each pivot is a multiple of the pivot, and clearing
-    the pivot columns row by row leaves zero.  A step can grow an entry
-    bounded by b to b + (b // |pivot| + 1) max|row|; the arrays are int64
-    when that bound stays below 2**63 through the last row, else Python
-    ints, so the answer is exact at any size.
-    """
-    v, bound = int_rows(vecs)
-    rows = [list(map(int, r)) for r in basis]
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-    for r, p in zip(rows, pivots):
-        bound += (bound // abs(r[p]) + 1) * max(map(abs, r))
-    dtype = np.int64 if bound < 2**63 else object
-    v = v.astype(dtype)
-    member = np.ones(len(v), dtype=bool)
-    for r, p in zip(rows, pivots):
-        column = v[:, p]
-        member &= column % r[p] == 0
-        v -= (column // r[p])[:, None] * np.array(r, dtype)
-    # compare before reducing: numpy < 2 reduces an object array's any()
-    # to one of its elements, not a bool
-    return member & ~(v != 0).any(axis=1)
-
-
 def lattice_contains(basis: list[list[int]], vec) -> bool:
-    """Membership of an integer vector in the lattice given by HNF basis rows."""
-    return bool(lattice_members(basis, [vec])[0])
+    """Membership of an integer vector in the lattice given by HNF basis rows.
+
+    Row by row: the vector's entry at the row's pivot must be a multiple
+    of the pivot, and the row's multiple that clears it is subtracted; the
+    vector is a member when nothing is left.
+    """
+    v = [int(x) for x in vec]
+    width = len(basis[0]) if basis else 0
+    if len(v) != width:
+        raise ValueError(f"vector of length {len(v)} against basis rows of length {width}")
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def kernel_lattice(mat, modulus: int) -> list[list[int]]:

@@ -24,7 +24,7 @@ e.  With a single central element the first prime gives full rank, since
 the ring is a domain and the rows m * f are independent.
 
 The monomials of all degrees up to the top one are built once per call as
-one int64 array (qalgebra.monomials_up_to).  Each gets a mixed-radix code
+one int64 array (monomials_up_to).  Each gets a mixed-radix code
 that orders monomials lexicographically and adds under multiplication, so
 the column of m + e is found for all rows and terms at once by a sorted
 search of code(m) + code(e).  A call priced above ORACLE_CELL_BOUND is
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InternalDefect
-from .qalgebra import AlgebraSpec, SkewPoly, is_central, monomials_up_to
+from .qalgebra import AlgebraSpec, SkewPoly, is_central
 
 # Highest degree a prefix may reach.  The coefficients grow like
 # t^(n-1), so a prefix costs more than linear time and memory in the
@@ -199,6 +199,42 @@ def _root_of_unity_mod(order: int, p: int) -> int:
         if pow(g, order, p) == 1 and all(pow(g, d, p) != 1 for d in proper):
             return g
     raise InternalDefect(f"no order-{order} element found modulo {p}")
+
+
+def monomials_up_to(weights, max_degree: int) -> tuple[np.ndarray, list[int]]:
+    """Exponent vectors of weighted degree 0 .. max_degree >= 0, as int64 rows.
+
+    Rows run by degree, then lexicographically; those of degree t are
+    exps[starts[t]:starts[t + 1]], starts a list of max_degree + 2 ints.
+    From one empty row with max_degree left to spend, one coordinate at a
+    time: a row with r left is repeated once per exponent 0 .. r // a of
+    the next coordinate, in order.  Every row built is a monomial (the
+    coordinates still to come may be 0), so none is dropped and no level
+    has more rows than the result.  The rows come out lexicographic over
+    all degrees; a stable sort of the last level by degree orders them,
+    and the columns, kept apart until then, are gathered once into the
+    table.  With N monomials, M of them in the first n - 1 coordinates,
+    at most n M + (n + 6) N int64 cells are held at once.
+    """
+    columns, left = [], np.array([max_degree], dtype=np.int64)
+    for i, a in enumerate(weights):
+        counts = left // a + 1
+        parent = np.repeat(np.arange(len(left)), counts)
+        digit = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
+        left = left[parent] - a * digit
+        if i < len(weights) - 1:
+            for j in range(len(columns)):
+                columns[j] = columns[j][parent]
+            columns.append(digit)
+    # by degree, max_degree - left; stable, so lexicographic within one
+    order = np.argsort(-left, kind="stable")
+    parent = parent[order]
+    exps = np.empty((len(order), len(weights)), dtype=np.int64)
+    for j, column in enumerate(columns):
+        exps[:, j] = column[parent]
+    exps[:, -1] = digit[order]
+    degrees = max_degree - left[order]
+    return exps, np.searchsorted(degrees, np.arange(max_degree + 2)).tolist()
 
 
 def _setup(spec: AlgebraSpec, quotient, degrees, max_degree: int):

@@ -12,16 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-import numpy as np
-
-from .cyclo import (
-    CycInt,
-    RootScalar,
-    image_size,
-    int_rows,
-    kernel_lattice,
-    lattice_contains,
-)
+from .cyclo import CycInt, RootScalar, image_size, kernel_lattice, lattice_contains
 from .errors import HypothesisViolation, InternalDefect
 
 # Most generators of a chart center_lattice takes.  Its Hermite and Smith
@@ -225,11 +216,6 @@ def reorder_scalar(left, right, spec: AlgebraSpec) -> RootScalar:
     picks up sigma = prod_{i<j} q_ji^{right_i * left_j}; a bicharacter in
     each argument.
     """
-    return RootScalar(spec.order, _reorder_exponent(left, right, spec))
-
-
-def _reorder_exponent(left, right, spec: AlgebraSpec) -> int:
-    """reorder_scalar's exponent of zeta_N, as an unreduced integer."""
     e = 0
     n = spec.nvars
     for i in range(n):
@@ -238,7 +224,7 @@ def _reorder_exponent(left, right, spec: AlgebraSpec) -> int:
             for j in range(i + 1, n):
                 if left[j]:
                     e += spec.exponents[j][i] * r * left[j]
-    return e
+    return RootScalar(spec.order, e)
 
 
 def multiply(p: SkewPoly, r: SkewPoly, spec: AlgebraSpec) -> SkewPoly:
@@ -264,31 +250,28 @@ def fermat(spec: AlgebraSpec) -> SkewPoly:
     return SkewPoly(spec.order, spec.nvars, acc)
 
 
-def _central_mask(exps, spec: AlgebraSpec) -> np.ndarray:
-    """Which rows e of `exps` give a central monomial x^e, as a bool array.
+def _central_mask(exps, spec: AlgebraSpec) -> list[bool]:
+    """Which rows e of `exps` give a central monomial x^e.
 
     x_k x^e and x^e x_k have reorder exponents sum_{i<k} E_ki e_i and
     sum_{j>k} E_jk e_j, whose difference is (M e)_k with M = L - L^T and
     L = tril(E, -1); so x^e is central when M e = 0 (mod N), one integer
-    product for every generator and every row.  Entries of M are below N,
-    so no value formed exceeds N m max|e|: the arrays are int64 when that
-    is below 2**63, else Python ints.
+    product for every generator and every row, exact in Python ints.
     """
     n, m, e = spec.order, spec.nvars, spec.exponents
-    rows, top = int_rows(exps)
-    rows = rows.reshape(len(rows), m)  # no terms: the zero polynomial
-    dtype = np.int64 if n * m * max(top, 1) < 2**63 else object
-    skew = np.array([[e[k][i] if i < k else -e[i][k] if i > k else 0
-                      for i in range(m)] for k in range(m)], dtype)
-    # compare before reducing: numpy < 2 reduces an object array's any()
-    # to one of its elements, not a bool
-    return ~(((rows.astype(dtype) @ skew.T) % n) != 0).any(axis=1)
+    skew = [[e[k][i] if i < k else -e[i][k] if i > k else 0 for i in range(m)]
+            for k in range(m)]
+    return [all(sum(s * x for s, x in zip(row, v)) % n == 0 for row in skew)
+            for v in exps]
 
 
 def is_central(p: SkewPoly, spec: AlgebraSpec) -> bool:
     """Monomial by monomial: x_k p and p x_k have terms at the same e + 1_k, and
     Z[zeta_N] has no zero divisors, so no cyclotomic integer is multiplied."""
-    return bool(_central_mask(list(p.terms), spec).all())
+    if p.nvars != spec.nvars:
+        raise ValueError(
+            f"polynomial in {p.nvars} variables against {spec.nvars} generators")
+    return all(_central_mask(p.terms, spec))
 
 
 @dataclass(frozen=True)
@@ -359,7 +342,7 @@ class CenterLattice:
         return self.mixed_generator is not None
 
     def contains(self, vec) -> bool:
-        return lattice_contains([list(r) for r in self.basis], vec)
+        return lattice_contains(self.basis, vec)
 
 
 def center_lattice(spec: AlgebraSpec) -> CenterLattice:
@@ -384,8 +367,8 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         raise InternalDefect(
             f"kernel basis of {len(basis)} rows is not a {m} x {m} Hermite form")
     central = _central_mask(basis, spec)
-    if not central.all():
-        row = tuple(basis[np.argmin(central)])
+    if not all(central):
+        row = tuple(basis[central.index(False)])
         raise InternalDefect(f"kernel basis row {row} is not central")
     index, size = prod(r[i] for i, r in enumerate(basis)), image_size(mat, n)
     if index != size:
@@ -399,39 +382,3 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
         pure_powers=tuple(pure),
         mixed_generator=mixed,
     )
-
-
-def monomials_up_to(weights, max_degree: int) -> tuple[np.ndarray, list[int]]:
-    """Exponent vectors of weighted degree 0 .. max_degree >= 0, as int64 rows.
-
-    Rows run by degree, then lexicographically; those of degree t are
-    exps[starts[t]:starts[t + 1]], starts a list of max_degree + 2 ints.
-    From one empty row with max_degree left to spend, one coordinate at a
-    time: a row with r left is repeated once per exponent 0 .. r // a of
-    the next coordinate, in order.  Every row built is a monomial (the
-    coordinates still to come may be 0), so none is dropped and no level
-    has more rows than the result.  The rows come out lexicographic over
-    all degrees; a stable sort of the last level by degree orders them,
-    and the columns, kept apart until then, are gathered once into the
-    table.  With N monomials, M of them in the first n - 1 coordinates,
-    at most n M + (n + 6) N int64 cells are held at once.
-    """
-    columns, left = [], np.array([max_degree], dtype=np.int64)
-    for i, a in enumerate(weights):
-        counts = left // a + 1
-        parent = np.repeat(np.arange(len(left)), counts)
-        digit = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent]
-        left = left[parent] - a * digit
-        if i < len(weights) - 1:
-            for j in range(len(columns)):
-                columns[j] = columns[j][parent]
-            columns.append(digit)
-    # by degree, max_degree - left; stable, so lexicographic within one
-    order = np.argsort(-left, kind="stable")
-    parent = parent[order]
-    exps = np.empty((len(order), len(weights)), dtype=np.int64)
-    for j, column in enumerate(columns):
-        exps[:, j] = column[parent]
-    exps[:, -1] = digit[order]
-    degrees = max_degree - left[order]
-    return exps, np.searchsorted(degrees, np.arange(max_degree + 2)).tolist()

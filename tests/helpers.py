@@ -64,7 +64,7 @@ def within(seconds, fn):
 def monomials_of_degree(weights, degree):
     """Exponent vectors of one weighted degree in lexicographic order, by
     recursion over the coordinates: the reference for
-    qalgebra.monomials_up_to."""
+    hilbert.monomials_up_to."""
     weights = tuple(weights)
     out = []
 

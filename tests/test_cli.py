@@ -461,6 +461,7 @@ def test_certify_failing_verification_exits_4(monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal defect" in err
+    assert "certificate with verdict CY fails re-verification" in err
 
 
 def test_center_with_a_forged_lattice_exits_4(monkeypatch):

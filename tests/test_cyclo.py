@@ -25,7 +25,6 @@ from qcy.cyclo import (
     image_size,
     kernel_lattice,
     lattice_contains,
-    lattice_members,
     merge_columns,
     smith_normal_form,
     solve_root_system,
@@ -410,22 +409,12 @@ def test_lattice_contains_brute_force(rng):
                 tuple(x % modulus for x in v) in span)
 
 
-def _contains_by_loop(basis, vec):
-    """Reference: one vector reduced row by row in Python ints."""
-    v = list(map(int, vec))
-    for row in basis:
-        p = next(j for j, x in enumerate(row) if x)
-        if v[p] % row[p]:
-            return False
-        q = v[p] // row[p]
-        v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_lattice_members_matches_the_vector_loop(data):
-    """The array pass answers as the one-vector loop, in int64 and past it."""
+def test_lattice_contains_matches_the_hermite_form(data):
+    """v lies in the lattice L of an HNF basis exactly when adding v to the
+    basis leaves its form unchanged: the form is canonical and L contains
+    N Z^m.  Checked in Python ints from small entries to past int64."""
     m = data.draw(st.integers(1, 4))
     scale = data.draw(st.sampled_from((6, 10**9, 2**62, 10**30)))
     modulus = data.draw(st.integers(1, scale))
@@ -439,13 +428,14 @@ def test_lattice_members_matches_the_vector_loop(data):
     for coeffs in data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows),
                                               max_size=len(rows)), max_size=3)):
         vecs.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)])
-    expected = [_contains_by_loop(basis, v) for v in vecs]
-    members = lattice_members(basis, vecs)
-    assert members.dtype == bool
-    assert members.tolist() == expected
-    assert [lattice_contains(basis, v) for v in vecs] == expected
-    if all(abs(x) < 2**63 for v in vecs for x in v):
-        assert lattice_members(basis, np.array(vecs, dtype=np.int64)).tolist() == expected
+    for v in vecs:
+        assert lattice_contains(basis, v) == (
+            hermite_normal_form(basis + [v], modulus) == basis)
+
+
+def test_lattice_contains_names_a_length_mismatch():
+    with pytest.raises(ValueError, match="length 1 against basis rows of length 2"):
+        lattice_contains([[1, 0], [0, 1]], [1])
 
 
 # -- kernels and image sizes ------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcy import _kernels, hilbert, qalgebra
@@ -33,7 +33,7 @@ from qcy.qalgebra import (
     validate_spec,
 )
 
-from helpers import (SPEC4, antisymmetric, exact_dims, monomials_of_degree,
+from helpers import (SPEC3, SPEC4, antisymmetric, exact_dims, monomials_of_degree,
                      multiply_rows, multiply_rows_mod, within)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
@@ -157,6 +157,46 @@ def test_segre_of_quotients_matches_brute_force(name):
         x * y for x, y in zip(dims_a, dims_b)]
 
 
+# -- monomial enumeration ---------------------------------------------------
+
+
+def _degree_rows(weights, degree, max_degree):
+    exps, starts = hilbert.monomials_up_to(weights, max_degree)
+    return [tuple(e) for e in exps[starts[degree]:starts[degree + 1]].tolist()]
+
+
+def test_monomial_counts_match_binomials():
+    for n in range(1, 5):
+        for d in range(6):
+            got = _degree_rows((1,) * n, d, 5)
+            assert len(got) == comb(n + d - 1, d)
+            assert len(set(got)) == len(got)
+            assert got == sorted(got)
+
+
+def test_weighted_monomials():
+    got = _degree_rows((1, 1, 2, 2), 2, 2)
+    assert set(got) == {(2, 0, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0),
+                        (0, 0, 1, 0), (0, 0, 0, 1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       st.integers(0, 14))
+@example([2, 2, 4], 7)  # even weights: no monomial of odd degree
+@example([2, 4, 4, 2], 11)
+@example([4], 9)
+@example([1], 0)
+def test_monomial_arrays_equal_the_reference_walk(weights, max_degree):
+    exps, starts = hilbert.monomials_up_to(weights, max_degree)
+    assert exps.dtype == np.int64 and exps.shape[1] == len(weights)
+    assert len(starts) == max_degree + 2
+    assert starts[0] == 0 and starts[-1] == len(exps)
+    for t in range(max_degree + 1):
+        rows = exps[starts[t]:starts[t + 1]].tolist()
+        assert list(map(tuple, rows)) == monomials_of_degree(weights, t), t
+
+
 # -- brute force dimensions -------------------------------------------------
 
 
@@ -183,6 +223,12 @@ def test_brute_force_requires_homogeneous_central_input():
         brute_force_dims(SPEC4, x0)  # homogeneous but not central
     with pytest.raises(ValueError):
         brute_force_dims(SPEC4, SkewPoly.zero(SPEC4.order, 4))
+
+
+def test_brute_force_names_a_length_mismatch():
+    # x0 x1 in two variables against three generators
+    with pytest.raises(ValueError, match="2 variables against 3 generators"):
+        brute_force_dims(SPEC3, SkewPoly.monomial(3, (1, 1)))
 
 
 def test_brute_force_accepts_multiple_quotients(monkeypatch):
@@ -258,7 +304,7 @@ def test_brute_force_on_two_cubics_where_nothing_peels(monkeypatch):
 def test_brute_force_builds_no_cyclotomic_integer(monkeypatch):
     counts = {"multiply": 0, "mul": 0, "monomials": []}
     multiply, mul = qalgebra.multiply, CycInt.__mul__
-    monomials = qalgebra.monomials_up_to
+    monomials = hilbert.monomials_up_to
 
     def counted_multiply(*args):
         counts["multiply"] += 1
@@ -378,7 +424,7 @@ def test_cell_bound_admits_the_complete_intersections():
 def _generic(weights, degree, seed):
     """Every monomial of one degree, with coefficients 1 .. 50."""
     rng = random.Random(seed)
-    exps, starts = qalgebra.monomials_up_to(weights, degree)
+    exps, starts = hilbert.monomials_up_to(weights, degree)
     rows = exps[starts[degree]:starts[degree + 1]].tolist()
     return SkewPoly(1, len(weights),
                     {tuple(e): rng.randint(1, 50) for e in rows})
@@ -580,5 +626,5 @@ def test_prime_walk_ends_below_two(order):
 
 def test_missing_root_of_unity_is_an_internal_defect():
     # 3 does not divide 5 - 1, so no element of order 3 exists modulo 5
-    with pytest.raises(InternalDefect):
+    with pytest.raises(InternalDefect, match="no order-3 element found modulo 5"):
         hilbert._root_of_unity_mod(3, 5)
