@@ -200,6 +200,9 @@ class SkewPoly:
 
     def homogeneous_degree(self, weights) -> int | None:
         """The common weighted degree of all terms, or None if mixed/zero."""
+        if len(weights) != self.nvars:
+            raise ValueError(
+                f"polynomial in {self.nvars} variables against {len(weights)} weights")
         degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
         if len(degs) != 1:
             return None

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections import Counter
 from itertools import permutations
-from math import ceil, comb, factorial, gcd, lcm, log, prod
+from math import comb, factorial, gcd, lcm, log, prod
 
 import numpy as np
 
@@ -55,19 +55,18 @@ SEARCH_BOUND = 10**5
 ACTION_BOUND = 15 * 10**6
 _ORBIT_BLOCK = 2**20
 
-# Largest enumerate_cy_weights input, priced in weights before the walk
-# starts (_weight_walk_cost).  The walk costs its stack pushes and the
-# weights it emits; one push takes about as long as emitting and rechecking
-# four weights (about 1 and 0.25 us on a 2 vCPU Xeon), so a push is priced
-# as four weights, and neither the pushes nor the emitted weights may pass
-# the bound.  The largest accepted inputs take about a second: (2, 21762)
-# 0.5 s, (4, 9175) 0.9 s, (5, 2613) 0.7 s, (1999, 2) 0.6 s.
+# Most work one enumerate_cy_weights call may do, counted in weights.  The
+# sieve's size depends only on the input, so it is priced before anything
+# is allocated: D = n (bound - 1) + 1 degree lists holding about
+# D (1 + ln bound) divisors, at 8 weights per unit (an entry takes about
+# 0.35 us, so an admitted sieve takes at most about 0.2 s).  The walk
+# then counts its own work as it goes: 4 weights per stack push (one push
+# takes about as long as emitting and rechecking four weights, about 1 and
+# 0.25 us on a 2 vCPU Xeon) and n per emitted system, before its tuple is
+# built, and stops as soon as the count passes the bound.  The largest
+# accepted inputs take about a second: (2, 22668) 0.35 s, (5, 4269)
+# 0.9 s, (8, 200) 1.0 s, (11, 53) 1.3 s.
 WEIGHT_ENUMERATION_BOUND = 4 * 10**6
-
-# A002966(n) for n <= 6: the number of ways to write 1 as a sum of n unit
-# fractions 1/h_i, which is the number of admissible n-weight systems
-# (a_i = d / h_i with d = lcm(h)), whatever the bound.
-_UNIT_FRACTION_COUNTS = {1: 1, 2: 1, 3: 3, 4: 14, 5: 147, 6: 3462}
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
 # here as the comparison yardstick for the enumeration.  Two entries fail
@@ -131,23 +130,17 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     Emits sorted tuples with gcd 1 and every weight dividing the total
     degree.  The walk (_divisor_multiplicity_walk) builds only such tuples:
     per total degree d, one multiplicity for each divisor of d up to
-    `bound`, so it never visits the C(bound + n - 1, n) sorted tuples; an
-    input whose walk is priced above WEIGHT_ENUMERATION_BOUND is refused
-    before it starts.  Each emitted tuple is rechecked by weight_system;
-    an inadmissible one is an InternalDefect.  For four variables the
-    result is compared entry by entry against the reference surface list:
-    reference entries failing the divisibility requirement are flagged as
-    discrepancies, and emitted systems outside the reference list are
-    returned as extras.
+    `bound`, so it never visits the C(bound + n - 1, n) sorted tuples.  Its
+    sieve is priced before it is built and the walk counts its own work;
+    either passing WEIGHT_ENUMERATION_BOUND is a ValueError.  Each emitted
+    tuple is rechecked by weight_system; an inadmissible one is an
+    InternalDefect.  For four variables the result is compared entry by
+    entry against the reference surface list: reference entries failing
+    the divisibility requirement are flagged as discrepancies, and emitted
+    systems outside the reference list are returned as extras.
     """
     if n_vars < 2 or bound < 1:
         raise ValueError("need at least two variables and a positive bound")
-    cost = _weight_walk_cost(n_vars, bound)
-    if cost is None or cost > WEIGHT_ENUMERATION_BOUND:
-        priced = "over 10^10" if cost is None else f"about {cost}"
-        raise ValueError(
-            f"{n_vars} weights up to {bound} make a walk priced at {priced} "
-            f"weights, above WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
     found = []
     for weights in _divisor_multiplicity_walk(n_vars, bound):
         ws = weight_system(weights)
@@ -177,33 +170,6 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     )
 
 
-def _weight_walk_cost(n_vars: int, bound: int) -> int | None:
-    """Upper estimate of the walk's work in weights; None when over 10^10.
-
-    The walk's leaves are the sorted tuples whose weights divide their sum:
-    at most the C = C(bound + n - 1, n) sorted tuples, and, each being g
-    times an admissible system with g <= bound, at most bound * A002966(n)
-    (admissible systems are the unit-fraction decompositions of 1, see
-    _UNIT_FRACTION_COUNTS).  With D = n (bound - 1) + 1 total degrees, its
-    stack pushes stayed below 2 (D (1 + ln bound) + leaves) on every point
-    measured (n up to 2000, bound up to 4000; at most 0.71 of it on the
-    grid and 0.69 at the largest accepted inputs).  It emits at most
-    min(C, A002966(n)) systems of n weights.  With k = min(n, bound - 1)
-    >= 17, n >= 17 emits up to C >= C(2k, k) > 2 * 10^9 systems, over 10^10
-    weights, and math.comb itself may take minutes: None.
-    """
-    k = min(n_vars, bound - 1)
-    if k > 16:
-        return None
-    tuples = comb(bound + n_vars - 1, k)
-    systems, leaves = tuples, tuples
-    if n_vars in _UNIT_FRACTION_COUNTS:
-        systems = min(tuples, _UNIT_FRACTION_COUNTS[n_vars])
-        leaves = min(tuples, bound * _UNIT_FRACTION_COUNTS[n_vars])
-    pushes = 2 * ((n_vars * (bound - 1) + 1) * (1 + log(bound)) + leaves)
-    return max(ceil(4 * pushes), n_vars * systems)
-
-
 def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]:
     """Sorted n_vars-tuples up to `bound` with gcd 1 and entries dividing the sum.
 
@@ -214,13 +180,21 @@ def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]
     fixes the range of m exactly; the last divisor is 1 and its
     multiplicity is forced.  An explicit stack keeps the depth, the number
     of divisors, off the interpreter's call stack.  One sort at the end
-    puts the tuples in increasing order.
+    puts the tuples in increasing order.  The sieve's price and the walk's
+    count of its pushes and weights are each held to
+    WEIGHT_ENUMERATION_BOUND.
     """
-    sieve: list[list[int]] = [[] for _ in range(n_vars * (bound - 1) + 1)]
+    degrees = n_vars * (bound - 1) + 1
+    # D past the bound is refused before it could overflow a float
+    if (degrees > WEIGHT_ENUMERATION_BOUND
+            or 8 * degrees * (1 + log(bound)) > WEIGHT_ENUMERATION_BOUND):
+        raise _over_bound(n_vars, bound, "the sieve is priced at")
+    sieve: list[list[int]] = [[] for _ in range(degrees)]
     for a in range(bound, 0, -1):
         for d in range(-(-n_vars // a) * a, n_vars * bound + 1, a):
             sieve[d - n_vars].append(a)
     found = []
+    work = 0
     for d, divisors in enumerate(sieve, n_vars):
         if d > n_vars * divisors[0]:
             continue
@@ -230,6 +204,9 @@ def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]
             i, r, s, g, parts = stack.pop()
             if i == last:  # the r weights left are all 1
                 if r or g == 1:
+                    work += n_vars
+                    if work > WEIGHT_ENUMERATION_BOUND:
+                        raise _over_bound(n_vars, bound, "the walk takes")
                     weights = [1] * r
                     for a, m in reversed(parts):
                         weights += [a] * m
@@ -239,12 +216,20 @@ def _divisor_multiplicity_walk(n_vars: int, bound: int) -> list[tuple[int, ...]]
             # r - m <= s - a m <= (r - m) nxt, solved for m
             m_lo = max(0, -((r * nxt - s) // (a - nxt)))
             m_hi = min(r, (s - r) // (a - 1))
+            work += 4 * (m_hi - m_lo + 1)
+            if work > WEIGHT_ENUMERATION_BOUND:
+                raise _over_bound(n_vars, bound, "the walk takes")
             for m in range(m_lo, m_hi + 1):
                 stack.append((i + 1, r - m, s - a * m,
                               gcd(g, a) if m else g,
                               parts + ((a, m),) if m else parts))
     found.sort()
     return found
+
+
+def _over_bound(n_vars: int, bound: int, step: str) -> ValueError:
+    return ValueError(f"{n_vars} weights up to {bound}: {step} more than "
+                      f"WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
 
 
 def _weight_preserving_perms(weights) -> np.ndarray:

@@ -335,11 +335,23 @@ def test_hilbert_above_the_degree_bound_exits_2():
 
 
 def test_enumerate_weights_above_the_bound_exits_2():
+    # a small sieve: the walk's own count passes the bound
     code, out, err = within(5, lambda: run_cli(
-        ["enumerate-weights", "--vars", "7", "--bound", "25"]))
+        ["enumerate-weights", "--vars", "300", "--bound", "6"]))
     assert code == 2
     assert out == ""
     assert f"WEIGHT_ENUMERATION_BOUND = {search.WEIGHT_ENUMERATION_BOUND}" in err
+    assert "Traceback" not in err
+
+
+def test_enumerate_weights_with_a_bound_past_floats_exits_2():
+    # the sieve's price takes a float only below the bound, so 10^400 is
+    # refused by its degree count, not by an OverflowError
+    code, out, err = within(5, lambda: run_cli(
+        ["enumerate-weights", "--vars", "2", "--bound", str(10**400)]))
+    assert code == 2
+    assert out == ""
+    assert "the sieve is priced at more than WEIGHT_ENUMERATION_BOUND" in err
     assert "Traceback" not in err
 
 

@@ -3,7 +3,8 @@
 The sites are read from the source, each named by its module and the
 literal text of its message ("{}" where a value is formatted in).  A new
 site without an entry in FORGERIES or UNREACHABLE fails here, and so does
-an entry whose site is gone or whose test is missing.
+an entry whose site is gone or whose test is missing.  The same holds for
+every way cycert.verify_certificate can reject a certificate (REJECTIONS).
 """
 
 import ast
@@ -51,6 +52,27 @@ UNREACHABLE = {
     ("cyclo.py", "nontrivial gcd against a cyclotomic polynomial"),
 }
 
+# verify_certificate's rejections -> the test in test_cycert.py that forges
+# a certificate reaching it.  Each `return False` is keyed by the condition
+# of its `if`, and each boolean return by its expression, as ast.unparse
+# prints them; `return True` rejects nothing.
+REJECTIONS = {
+    "found != cert.violations or bool(found) != violated":
+        "test_dropped_violation_fails_verification",
+    "cert.expected_dimension != expected":
+        "test_forged_dimension_fails_verification",
+    "not cy and cert.witness is not None":
+        "test_violated_certificate_carrying_a_witness_fails_verification",
+    # the pairwise refusal route
+    "any((_pairwise_unsolvable(pairs) for pairs in systems))":
+        "test_forged_not_cy_fails_verification",
+    # the witness check
+    "isinstance(witness, tuple) and len(witness) == len(systems) and "
+    "all((isinstance(c, RootScalar) and all((c ** a == p for a, p in pairs)) "
+    "for c, pairs in zip(witness, systems)))":
+        "test_forged_witness_fails_verification",
+}
+
 
 def _message_text(node) -> str:
     if isinstance(node, ast.Constant):
@@ -72,6 +94,27 @@ def defect_sites() -> list:
     return sites
 
 
+def rejection_sites() -> list:
+    tree = ast.parse((SRC / "cycert.py").read_text())
+    verify = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "verify_certificate")
+    sites = []
+    for node in ast.walk(verify):
+        if isinstance(node, ast.If):
+            if any(isinstance(s, ast.Return) and isinstance(s.value, ast.Constant)
+                   and s.value.value is False for s in node.body):
+                sites.append(ast.unparse(node.test))
+        elif isinstance(node, ast.Return) and not isinstance(node.value, ast.Constant):
+            sites.append(ast.unparse(node.value))
+    return sites
+
+
+def _functions(name) -> dict:
+    source = (TESTS / name).read_text()
+    return {node.name: ast.get_source_segment(source, node)
+            for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+
+
 def test_every_internal_defect_site_is_mapped():
     found = defect_sites()
     sites = set(found)
@@ -82,12 +125,20 @@ def test_every_internal_defect_site_is_mapped():
 
 
 def test_each_forging_test_exists_and_expects_the_defect():
-    functions = {}
-    for name in {f for f, _ in FORGERIES.values()}:
-        source = (TESTS / name).read_text()
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef):
-                functions[name, node.name] = ast.get_source_segment(source, node)
+    functions = {(name, test): source
+                 for name in {f for f, _ in FORGERIES.values()}
+                 for test, source in _functions(name).items()}
     for site, key in FORGERIES.items():
         assert key in functions, (site, key)
         assert "InternalDefect" in functions[key] or "code == 4" in functions[key], key
+
+
+def test_every_verification_rejection_is_mapped():
+    found = rejection_sites()
+    assert len(set(found)) == len(found), "two rejections share a condition"
+    assert set(found) - REJECTIONS.keys() == set(), "rejections without a forging test"
+    assert REJECTIONS.keys() - set(found) == set(), "entries without a rejection"
+    functions = _functions("test_cycert.py")
+    for site, test in REJECTIONS.items():
+        assert test in functions, (site, test)
+        assert "assert not verify_certificate(" in functions[test], test

@@ -226,9 +226,12 @@ def test_brute_force_requires_homogeneous_central_input():
 
 
 def test_brute_force_names_a_length_mismatch():
-    # x0 x1 in two variables against three generators
-    with pytest.raises(ValueError, match="2 variables against 3 generators"):
+    # x0 x1 in two variables against three generators: the degree is read
+    # first, and a weight tuple of the wrong length is refused, not zipped
+    with pytest.raises(ValueError, match="2 variables against 3 weights"):
         brute_force_dims(SPEC3, SkewPoly.monomial(3, (1, 1)))
+    with pytest.raises(ValueError, match="4 variables against 3 weights"):
+        brute_force_dims(SPEC3, SkewPoly.monomial(3, (3, 0, 0, 0)))
 
 
 def test_brute_force_accepts_multiple_quotients(monkeypatch):

@@ -243,6 +243,16 @@ def test_fermat_of_running_example_is_central():
     assert is_central(f, SPEC4)
 
 
+def test_homogeneous_degree_names_a_length_mismatch():
+    # zipped, (1, 1, 4) against (1, 1) read as degree 2
+    x = SkewPoly.monomial(3, (1, 1, 4))
+    with pytest.raises(ValueError, match="3 variables against 2 weights"):
+        x.homogeneous_degree((1, 1))
+    with pytest.raises(ValueError, match="3 variables against 4 weights"):
+        x.homogeneous_degree((1, 1, 1, 1))
+    assert x.homogeneous_degree((1, 1, 2)) == 10
+
+
 def test_single_generator_not_central():
     x0 = SkewPoly.gen(3, 3, 0)
     assert not is_central(x0, SPEC3)

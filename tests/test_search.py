@@ -1,6 +1,7 @@
 """Weight-system enumeration and exponent-matrix sweeps."""
 
 import random
+import tracemalloc
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -107,23 +108,45 @@ def test_enumeration_validates_arguments():
         enumerate_cy_weights(4, 0)
 
 
+OVER_BOUND = f"more than WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights"
+
+
 @pytest.mark.parametrize("n_vars,bound", [
-    (7, 25), (300, 6), (4, 10**6), (10**7, 1), (10**18, 2), (10**18, 10**18)])
+    (4, 10**6), (10**7, 1), (10**18, 2), (10**18, 10**18),
+    pytest.param(2, 10**400, id="2-10^400")])
 def test_enumeration_above_the_bound_is_refused_before_the_walk(n_vars, bound):
-    with pytest.raises(ValueError, match=f"BOUND = {WEIGHT_ENUMERATION_BOUND}"):
-        within(1, lambda: enumerate_cy_weights(n_vars, bound))
+    """The sieve is priced before it is built, and a system's n weights are
+    counted before its tuple is: nothing of the input's size is allocated."""
+    step = "the walk takes" if bound == 1 else "the sieve is priced at"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{step} {OVER_BOUND}"):
+            within(1, lambda: enumerate_cy_weights(n_vars, bound))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("n_vars,bound", [(300, 6), (9, 200), (2000, 3)])
+def test_enumeration_past_the_bound_is_refused_by_its_walk(n_vars, bound):
+    """The walk stops once its count of pushes and weights passes the bound."""
+    with pytest.raises(ValueError, match=f"the walk takes {OVER_BOUND}"):
+        within(5, lambda: enumerate_cy_weights(n_vars, bound))
 
 
 def test_enumeration_at_the_largest_accepted_bound_runs_within_seconds():
-    # five variables: the walk is priced by its total degrees and by
-    # A002966(5) = 147, not by the C(bound + 4, 5) sorted tuples
-    bound = 903
-    while search._weight_walk_cost(5, bound + 1) <= WEIGHT_ENUMERATION_BOUND:
-        bound += 1
-    assert bound > 2000
-    assert len(within(5, lambda: enumerate_cy_weights(5, bound)).systems) == 147
-    with pytest.raises(ValueError, match=f"BOUND = {WEIGHT_ENUMERATION_BOUND}"):
-        enumerate_cy_weights(5, bound + 1)
+    # five variables: the walk's work grows with its total degrees and the
+    # A002966(5) = 147 systems, not with the C(bound + 4, 5) sorted tuples
+    assert len(within(5, lambda: enumerate_cy_weights(5, 4269)).systems) == 147
+    with pytest.raises(ValueError, match=f"the walk takes {OVER_BOUND}"):
+        within(5, lambda: enumerate_cy_weights(5, 4270))
+
+
+def test_enumeration_admits_cheap_inputs_past_six_variables():
+    """(8, 17) has C(24, 8) = 735,471 sorted tuples, about 6 * 10^6 weights,
+    but its walk counts 18,548."""
+    assert within(5, lambda: enumerate_cy_weights(8, 17)) == _brute_force_weights(8, 17)
 
 
 def test_enumeration_with_unit_bound_needs_no_recursion():
@@ -185,7 +208,6 @@ def test_enumeration_matches_brute_force_on_every_accepted_bound(n_vars):
     """Every bound the brute force affords is accepted, and both agree."""
     bounds = [b for b in range(1, 31) if _brute_force_affordable(n_vars, b)]
     for bound in bounds:
-        assert search._weight_walk_cost(n_vars, bound) <= WEIGHT_ENUMERATION_BOUND
         expected = _brute_force_weights(n_vars, bound, walked=bounds[-1])
         assert enumerate_cy_weights(n_vars, bound) == expected, bound
 
@@ -212,7 +234,6 @@ def _unit_fraction_solutions(n, total=Fraction(1), least=1):
 def test_unit_fraction_counts_match_oeis_a002966():
     counts = [len(_unit_fraction_solutions(n)) for n in range(1, 7)]
     assert counts == [1, 1, 3, 14, 147, 3462]
-    assert search._UNIT_FRACTION_COUNTS == dict(enumerate(counts, 1))
 
 
 @pytest.mark.parametrize("n_vars, bound", [
