@@ -52,7 +52,7 @@ from .points import (
     point_scheme_dim_product,
 )
 from .qalgebra import (
-    _chart_exponents,
+    _chart_exponent,
     alternating_violations,
     center_lattice,
     chart_parameters,
@@ -155,8 +155,8 @@ def cmd_census(man, args) -> dict:
         "charts": charts,
         # q'_32 on the chart x0 = 0, x1 inverted
         "second_chart_scalar": _pair(
-            RootScalar(spec.order, _chart_exponents(
-                spec.exponents, spec.weights, spec.order, 1, (2, 3))[1][0])),
+            RootScalar(spec.order, _chart_exponent(
+                spec.exponents, spec.weights, spec.order, 1, 3, 2))),
     }
 
 

@@ -18,7 +18,7 @@ from math import comb, gcd, isqrt, prod
 
 from .cyclo import image_size
 from .errors import HypothesisViolation, InternalDefect
-from .qalgebra import AlgebraSpec, _chart_exponents, validate_spec
+from .qalgebra import AlgebraSpec, _chart_exponent, validate_spec
 
 
 class _InfiniteType:
@@ -274,8 +274,9 @@ def _census(weights: tuple[int, ...], order: int, matrices) -> list[CensusReport
     the closed stratum, depend on the weights alone and are built once per
     call.  Chart k inverts x_k, sets the generators before it to zero and
     keeps the ones after it; its singleton items y_j^{h_j} = -1 count h_j
-    points each.  A matrix with a trivial pair scalar q'_jk
-    (qalgebra._chart_exponents) gets that chart built anew.
+    points each.  Only the pair scalars q'_jk, j < k, of each chart are
+    evaluated (qalgebra._chart_exponent): three on chart 0, one on chart 1.
+    A matrix with a trivial one gets that chart built anew.
     """
     d = sum(weights)
     h = [d // a for a in weights]
@@ -290,10 +291,9 @@ def _census(weights: tuple[int, ...], order: int, matrices) -> list[CensusReport
     for exponents in matrices:
         charts = []
         for chart in finite:
-            kept = range(chart.chart + 1, 4)
-            e = _chart_exponents(exponents, weights, order, chart.chart, kept)
-            trivial = tuple((kept[i], kept[j])
-                            for i, j in combinations(range(len(kept)), 2) if not e[i][j])
+            trivial = tuple(
+                p for p in combinations(range(chart.chart + 1, 4), 2)
+                if not _chart_exponent(exponents, weights, order, chart.chart, *p))
             if trivial:
                 chart = CensusChart(
                     chart.chart, chart.description, INFINITE,

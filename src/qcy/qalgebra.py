@@ -291,7 +291,7 @@ class ChartParams:
 
 
 def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
-    """Chart scalars q'_jk = q_ij^{a_k} q_jk q_ki^{a_j} after inverting x_i.
+    """Chart scalars q'_jk after inverting x_i, one _chart_exponent per pair.
 
     Requires a generator index in range and weight 1 there (so degree-0
     chart generators exist); everything else is exponent arithmetic on the
@@ -305,23 +305,21 @@ def chart_parameters(spec: AlgebraSpec, inverted: int) -> ChartParams:
             f"chart requires weight 1 at index {inverted}, "
             f"got {spec.weights[inverted]}")
     kept = tuple(j for j in range(spec.nvars) if j != inverted)
-    chart = AlgebraSpec.unweighted(spec.order, _chart_exponents(
-        spec.exponents, spec.weights, spec.order, inverted, kept))
+    args = spec.exponents, spec.weights, spec.order, inverted
+    chart = AlgebraSpec.unweighted(spec.order, [
+        [_chart_exponent(*args, j, k) for k in kept] for j in kept])
     return ChartParams(spec=chart, kept=kept)
 
 
-def _chart_exponents(exponents, weights, order: int, t: int,
-                     kept) -> tuple[tuple[int, ...], ...]:
-    """Exponents of q'_jk = q_tj^{a_k} q_jk q_kt^{a_j} for j, k in `kept`,
-    where q_ij = zeta_order^exponents[i][j] and a = weights.
+def _chart_exponent(exponents, weights, order: int, t: int, j: int, k: int) -> int:
+    """Exponent of the pair scalar q'_jk = q_tj^{a_k} q_jk q_kt^{a_j} of the
+    chart at x_t, where q_ij = zeta_order^exponents[i][j] and a = weights.
 
-    Only x_t and the kept generators enter, so with kept = (t+1, ..,) this
-    is the chart at x_t of the subalgebra on x_t, x_{t+1}, ...
+    Only x_t, x_j and x_k enter, so for j, k > t it is also a pair scalar
+    of the chart at x_t of the subalgebra on x_t, x_{t+1}, ...
     """
-    e, a, n = exponents, weights, order
-    return tuple(
-        tuple([(a[k] * e[t][j] + e[j][k] + a[j] * e[k][t]) % n for k in kept])
-        for j in kept)
+    e, a = exponents, weights
+    return (a[k] * e[t][j] + e[j][k] + a[j] * e[k][t]) % order
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ _ORBIT_BLOCK = 2**20
 # 0.25 us on a 2 vCPU Xeon) and n per emitted system, before its tuple is
 # built, and stops as soon as the count passes the bound.  The largest
 # accepted inputs take about a second: (2, 22668) 0.35 s, (5, 4269)
-# 0.9 s, (8, 200) 1.0 s, (11, 53) 1.3 s.
+# 0.85 s, (8, 209) 0.9 s, (11, 53) 1.2 s.
 WEIGHT_ENUMERATION_BOUND = 4 * 10**6
 
 # Known four-variable weight systems of Fermat hypersurface surfaces, kept
@@ -133,8 +133,8 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
     `bound`, so it never visits the C(bound + n - 1, n) sorted tuples.  Its
     sieve is priced before it is built and the walk counts its own work;
     either passing WEIGHT_ENUMERATION_BOUND is a ValueError.  Each emitted
-    tuple is rechecked by weight_system; an inadmissible one is an
-    InternalDefect.  For four variables the result is compared entry by
+    tuple is rechecked as the walk built it (its sum, each weight dividing
+    it, gcd 1); an inadmissible one is an InternalDefect.  For four variables the result is compared entry by
     entry against the reference surface list: reference entries failing
     the divisibility requirement are flagged as discrepancies, and emitted
     systems outside the reference list are returned as extras.
@@ -143,10 +143,11 @@ def enumerate_cy_weights(n_vars: int, bound: int) -> EnumerationResult:
         raise ValueError("need at least two variables and a positive bound")
     found = []
     for weights in _divisor_multiplicity_walk(n_vars, bound):
-        ws = weight_system(weights)
-        if not ws.admissible:
+        d = sum(weights)
+        divides = tuple([d % a == 0 for a in weights])
+        if not all(divides) or gcd(*weights) != 1:
             raise InternalDefect(f"weight walk emitted inadmissible {weights}")
-        found.append(ws)
+        found.append(WeightSystem(weights, d, divides))
     reference = []
     extras = []
     if n_vars == 4:

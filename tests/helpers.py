@@ -3,13 +3,15 @@ the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
 Hilbert oracle's rows and ranks are tested against, the scalar lattice
 walk and chart-by-chart census (with its second chart's scalar) that the
-search and the census are tested against, a counter of spec constructions,
-a one-algebra manifest writer, and the scalar CRT merge that the column merge is tested against."""
+search and the census are tested against, the chart scalars by their
+definition and the image of a matrix by enumeration, a counter of spec
+constructions, a one-algebra manifest writer, and the scalar CRT merge that
+the column merge is tested against."""
 
 import signal
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
@@ -280,6 +282,26 @@ def reference_census(spec):
     else:
         total = sum(c.count for c in charts)
     return CensusReport(spec.weights, spec.order, tuple(charts), total)
+
+
+def reference_chart(spec, t):
+    """The chart scalars at x_t by their definition, q'_jk = q_tj^{a_k} q_jk
+    q_kt^{a_j} for j, k != t, each multiplied out as RootScalars, so apart
+    from qalgebra's formula."""
+    a, q = spec.weights, spec.q
+    kept = [j for j in range(spec.nvars) if j != t]
+    return [[q(t, j) ** a[k] * q(j, k) * q(k, t) ** a[j] for k in kept] for j in kept]
+
+
+def image_brute(mat, modulus):
+    """The image {mat . v mod N : v in (Z/N)^m}, by enumerating every v."""
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    out = set()
+    for vec in product(range(modulus), repeat=m):
+        out.add(tuple(sum(row[j] * vec[j] for j in range(m)) % modulus
+                      for row in mat))
+    return out
 
 
 def reference_second_chart_scalar(spec):

@@ -18,8 +18,10 @@ from qcy.search import _cy_lattice
 
 from helpers import (
     CRITERION_2_SYSTEMS,
+    image_brute,
     manifest_text,
     reference_census,
+    reference_chart,
     reference_second_chart_scalar,
     reference_solve_root_system,
     within,
@@ -140,13 +142,13 @@ def _tagged(count):
     return {"kind": "finite", "value": count}
 
 
-def _run_on(spec, command):
+def _run_on(spec, command, *options):
     """`command` on a manifest holding spec, through main."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.man")
         with open(path, "w") as fh:
             fh.write(manifest_text(spec))
-        return within(30, lambda: _run([command, "--input", path]))
+        return within(30, lambda: _run([command, "--input", path, *options]))
 
 
 @given(surfaces())
@@ -187,3 +189,23 @@ def test_certify_answers_agree_with_the_column_reference(spec):
     else:
         assert got["verdict"] == "CY", spec
         assert got["witness"] == [list(witness.pair())]
+
+
+@given(surfaces(orders=lambda d: st.integers(1, 7)))
+@settings(max_examples=200, deadline=None)
+def test_pi_degree_answers_agree_with_the_enumerated_image(spec):
+    """At N <= 7 the image of the surface's matrix (N^4 <= 2,401 vectors)
+    and of each chart's (N^3) is enumerated over (Z/N)^m; the chart
+    matrices are the chart scalars by their definition, not qalgebra's."""
+    n = spec.order
+    for chart in (None, 0, 1):
+        options = () if chart is None else ("--chart", str(chart))
+        code, out, err = _run_on(spec, "pi-degree", *options)
+        assert (code, err) == (0, ""), (spec, chart)
+        got = json.loads(out)["result"]
+        if chart is None:
+            mat = spec.exponents
+        else:
+            mat = [[s.exponent for s in row] for row in reference_chart(spec, chart)]
+        size = len(image_brute(mat, n))
+        assert (got["image_size"], got["pi_degree"] ** 2) == (size, size), (spec, chart)

@@ -32,7 +32,7 @@ from qcy.cyclo import (
 from qcy.errors import InternalDefect, OrderMismatchError
 from qcy.search import search_q_params
 
-from helpers import reference_solve_root_system, within
+from helpers import image_brute, reference_solve_root_system, within
 
 
 # -- RootScalar -------------------------------------------------------------
@@ -343,6 +343,19 @@ BLOW_UP_8X8_MOD_5 = [
 ]
 
 
+@given(st.integers(1, 10**30), st.integers(1, 7), st.integers(0, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_image_size_is_the_index_of_the_first_hermite_form(modulus, n, m, data):
+    """The first Hermite form of the columns (one zero row when there are
+    none) has index N^n / |image|, so image_size times its pivots is N^n:
+    the Smith form's later passes keep that index and only diagonalize."""
+    entry = st.integers(-modulus, 2 * modulus)
+    mat = [[data.draw(entry) for _ in range(m)] for _ in range(n)]
+    form = hermite_normal_form(list(zip(*mat)) or [[0] * n], modulus)
+    pivots = math.prod(form[i][i] for i in range(n))
+    assert image_size(mat, modulus) * pivots == modulus**n
+
+
 def test_smith_normal_form_finishes_on_former_blow_up():
     within(2, lambda: smith_normal_form(BLOW_UP_8X8_MOD_5, 5))
     # its image 5^7 times 8 rows lies under ENUMERATION_BOUND, so both
@@ -449,16 +462,6 @@ def kernel_brute(mat, modulus):
         if all(sum(row[j] * vec[j] for j in range(m)) % modulus == 0
                for row in mat):
             out.add(vec)
-    return out
-
-
-def image_brute(mat, modulus):
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    out = set()
-    for vec in product(range(modulus), repeat=m):
-        out.add(tuple(sum(row[j] * vec[j] for j in range(m)) % modulus
-                      for row in mat))
     return out
 
 

@@ -21,7 +21,7 @@ from qcy.points import (
     point_scheme_dim_product,
     two_var_fermat_count,
 )
-from qcy.qalgebra import AlgebraSpec, _chart_exponents
+from qcy.qalgebra import AlgebraSpec, _chart_exponent
 
 from helpers import (
     SPEC3,
@@ -276,7 +276,7 @@ def test_census_of_running_example():
     assert report.charts[2].items[0].count == 6
     # the chart x0 = 0, x1 inverted has the one scalar q'_32 = zeta_3^2, by
     # the formula qcy census prints it from and by chart_parameters
-    q32 = _chart_exponents(SPEC4.exponents, SPEC4.weights, 3, 1, (2, 3))[1][0]
+    q32 = _chart_exponent(SPEC4.exponents, SPEC4.weights, 3, 1, 3, 2)
     assert RootScalar(3, q32).pair() == (3, 2)
     assert reference_second_chart_scalar(SPEC4) == (3, 2)
 

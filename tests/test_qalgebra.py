@@ -24,7 +24,7 @@ from qcy.qalgebra import (
 )
 
 from helpers import (CHART3, E4, SPEC3, SPEC4, antisymmetric,
-                     monomials_of_degree_at_most, within)
+                     monomials_of_degree_at_most, reference_chart, within)
 
 
 # -- validation -------------------------------------------------------------
@@ -343,6 +343,32 @@ def test_chart_of_commutative_stays_commutative():
                        exponents=antisymmetric(4, (0, 0, 0)))
     chart = chart_parameters(spec, 1)
     assert all(e == 0 for row in chart.spec.exponents for e in row)
+
+
+@st.composite
+def chart_inputs(draw):
+    """Any exponent matrix, alternating or not: order <= 12, 2 to 5
+    generators, weights <= 4 with weight 1 at the inverted generator t."""
+    order = draw(st.integers(1, 12))
+    m = draw(st.integers(2, 5))
+    t = draw(st.integers(0, m - 1))
+    weights = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    weights[t] = 1
+    entries = st.lists(st.integers(0, order - 1), min_size=m, max_size=m)
+    exps = draw(st.lists(entries, min_size=m, max_size=m))
+    return AlgebraSpec(tuple(weights), order, exps), t
+
+
+@given(chart_inputs())
+@settings(max_examples=300, deadline=None)
+def test_chart_scalars_follow_their_definition(drawn):
+    """Every chart entry is q'_jk = q_tj^{a_k} q_jk q_kt^{a_j}, multiplied out
+    in RootScalar arithmetic (helpers.reference_chart), apart from the
+    census and qalgebra._chart_exponent, which share one formula."""
+    spec, t = drawn
+    chart = chart_parameters(spec, t).spec
+    got = [[chart.q(j, k) for k in range(chart.nvars)] for j in range(chart.nvars)]
+    assert got == reference_chart(spec, t), (spec, t)
 
 
 # -- center lattice ---------------------------------------------------------
