@@ -12,7 +12,11 @@ The rank takes one of two routes by the density of the matrix mod p.  A
 matrix at least a quarter nonzero is reduced by recursive halving over its
 longer side, with each block update x - coef @ e done as float64 matrix
 products on 16-bit limbs and reduced mod p three times per block, after
-Dumas, Giorgi and Pernet (FFLAS-FFPACK).  Limb products are below 2**32,
+Dumas, Giorgi and Pernet (FFLAS-FFPACK).  As there, an update computes
+only the live columns (those with a nonzero entry in the block) outside
+the pivots found so far: the reduced rows it subtracts hold the identity
+in their pivot columns, so those columns of its result are known in
+advance, 0 or unchanged.  Limb products are below 2**32,
 so float64 sums over an inner size below 2**20 are exact integers; the
 route refuses matrices whose shorter side reaches 2**20.  The halving
 stops at blocks of 16 rows, which the elimination loop reduces in int64.
@@ -57,13 +61,13 @@ def image_count(mat, modulus: int) -> int:
     Vectors are keyed by mixed-radix codes, so the caller keeps N^n within
     int64 (N^n <= 2**62).
     """
-    h = np.asarray(mat, dtype=np.int64) % modulus
+    if not 0 < modulus < MODULUS_BOUND:
+        raise ValueError("modulus must fit comfortably in int64 arithmetic")
+    h = _int64_matrix(mat) % modulus
     if h.size == 0:
         return 1
     if h.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    if not 0 < modulus < MODULUS_BOUND:
-        raise ValueError("modulus must fit comfortably in int64 arithmetic")
     n = h.shape[0]
     weights = modulus ** np.arange(n - 1, -1, -1, dtype=np.int64)
     # The narrowest type holding a sum of two residues.
@@ -84,6 +88,14 @@ def image_count(mat, modulus: int) -> int:
         group -= (group >= modulus) * residue(modulus)
         codes = np.sort(group @ weights)
     return int(codes.size)
+
+
+def _int64_matrix(mat) -> np.ndarray:
+    """`mat` as a new int64 array; ValueError when an entry does not fit."""
+    try:
+        return np.array(mat, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("matrix entries must fit in int64") from None
 
 
 def _divisors(n: int) -> list[int]:
@@ -126,7 +138,7 @@ def modp_rank(mat, p: int) -> int:
     """
     if not 1 < p < MODULUS_BOUND:
         raise ValueError("prime must fit comfortably in int64 arithmetic")
-    a = np.array(mat, dtype=np.int64)
+    a = _int64_matrix(mat)
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, m = a.shape
@@ -226,6 +238,13 @@ def _rref(a: np.ndarray, p: int) -> np.ndarray:
     remaining rows are zero.  Returns cols, whose length r is the rank.
     Rows are ordered as their pivots were found, not by column.  Blocks of
     at most `_LEAF` rows are reduced by the elimination loop in int64.
+
+    Each block update computes, through `_sub_product`, only the live
+    columns outside the pivots found so far.  The reduced rows it subtracts
+    hold the identity in their own pivot columns, which the update sets to
+    0, and 0 in the pivot columns of the rows updated (the bottom's reduced
+    rows in the top's pivots), which it leaves as they are: the same result
+    as the full product.
     """
     n = a.shape[0]
     live = a.any(axis=0)
@@ -239,11 +258,28 @@ def _rref(a: np.ndarray, p: int) -> np.ndarray:
     upper = _rref(top, p)
     r1 = upper.size
     if r1:
-        _sub_product(bottom, bottom[:, upper], top[:r1], p)
+        # bottom -= bottom[:, upper] @ top[:r1]: top[:r1, upper] is the
+        # identity, so the columns `upper` become 0.
+        live[upper] = False
+        rest = np.flatnonzero(live)
+        coef = bottom[:, upper]
+        bottom[:, upper] = 0
+        x = bottom[:, rest]
+        _sub_product(x, coef, top[:r1, rest], p)
+        bottom[:, rest] = x
     lower = _rref(bottom, p)
     r2 = lower.size
     if r2:
-        _sub_product(top[:r1], top[:r1, lower], bottom[:r2], p)
+        # top[:r1] -= top[:r1, lower] @ bottom[:r2]: bottom[:r2, lower] is
+        # the identity and bottom[:r2, upper] is 0, so the columns `lower`
+        # become 0 and the columns `upper` keep their identity.
+        live[lower] = False
+        rest = np.flatnonzero(live)
+        coef = top[:r1, lower]
+        top[:r1, lower] = 0
+        x = top[:r1, rest]
+        _sub_product(x, coef, bottom[:r2, rest], p)
+        top[:r1, rest] = x
         # Rows r1..h-1 are zero.  The two slices overlap when r1 + r2 > h;
         # numpy copies overlapping operands before assigning.
         a[r1 : r1 + r2] = bottom[:r2]
@@ -260,7 +296,9 @@ def _sub_product(x: np.ndarray, coef: np.ndarray, e: np.ndarray, p: int) -> None
     low products, or the 2k cross products) stays below k * 2**32 <= 2**52
     and is an exact integer.  The three sums (high * high, cross, low * low)
     combine by Horner's rule in 2**16 through int64, below 2**53 at every
-    step, with one remainder each.
+    step, with one remainder each.  `_rref` passes only the columns whose
+    result it does not know in advance: the live columns outside the pivots
+    found so far (see there).
     """
     e_lo = (e & 0xFFFF).astype(np.float64)
     e_hi = (e >> 16).astype(np.float64)
