@@ -8,26 +8,28 @@ N^m; it shares no code with the Smith form it cross-checks.  The test
 suite checks both kernels against pure-Python oracles, the image against
 an enumeration of the whole domain.
 
-The rank takes one of two routes by the density of the matrix mod p.  A
-matrix at least a quarter nonzero is reduced by recursive halving over its
-longer side, with each block update x - coef @ e done as float64 matrix
-products on 16-bit limbs and reduced mod p three times per block, after
-Dumas, Giorgi and Pernet (FFLAS-FFPACK).  As there, an update computes
-only the live columns (those with a nonzero entry in the block) outside
-the pivots found so far: the reduced rows it subtracts hold the identity
-in their pivot columns, so those columns of its result are known in
-advance, 0 or unchanged.  Limb products are below 2**32,
-so float64 sums over an inner size below 2**20 are exact integers; the
-route refuses matrices whose shorter side reaches 2**20.  The halving
-stops at blocks of 16 rows, which the elimination loop reduces in int64.
-A sparser matrix, such as the spans of the brute-force Hilbert oracle,
-would fill in under halving.  Its structural pivots, rows alone in some
-column, are peeled in array rounds first, after Faugere and Lachartre
-(PASCO 2010); the elimination loop, one rank-1 update per pivot on the
-rows it hits, takes what is left.  The spans of one element peel whole
-when its leading coefficient is nonzero mod p (the row with the greatest
-leading monomial is alone in that column); the deficient spans of two
-Fermat elements peel nothing.
+The rank takes one of two forms.  `modp_rank` takes a matrix and reduces
+it by recursive halving over its longer side, with each block update
+x - coef @ e done as float64 matrix products on 16-bit limbs and reduced
+mod p three times per block, after Dumas, Giorgi and Pernet
+(FFLAS-FFPACK).  As there, an update computes only the live columns
+(those with a nonzero entry in the block) outside the pivots found so
+far: the reduced rows it subtracts hold the identity in their pivot
+columns, so those columns of its result are known in advance, 0 or
+unchanged.  Limb products are below 2**32, so float64 sums over an inner
+size below 2**20 are exact integers; `modp_rank` refuses matrices whose
+shorter side reaches 2**20.  The halving stops at blocks of 16 rows,
+which the elimination loop reduces in int64.  A sparse matrix would fill
+in under halving.  `coordinate_rank` takes one as its nonzero entries
+(row, column, value), the form in which the brute-force Hilbert oracle
+builds its spans, so that no dense span is built.  Its structural
+pivots, rows alone in some column, are peeled in array rounds, after
+Faugere and Lachartre (PASCO 2010), and by kept column counts once the
+rounds stop paying; only the rows and columns left over are gathered
+into a dense matrix for the elimination loop, one rank-1 update per
+pivot on the rows it hits.  The spans of one element peel whole at every
+prime (the `hilbert` module docstring says why); the deficient spans of
+two Fermat elements peel nothing.
 
 All modular arithmetic assumes a modulus below 2**31 so that products fit
 in int64; the image's mixed-radix codes need N^n <= 2**62.
@@ -91,9 +93,29 @@ def image_count(mat, modulus: int) -> int:
 
 
 def _int64_matrix(mat) -> np.ndarray:
-    """`mat` as a new int64 array; ValueError when an entry does not fit."""
+    """`mat` as a new int64 array; ValueError when an entry is not an
+    integer or does not fit in int64.
+
+    The dtype numpy infers decides: boolean, signed and unsigned arrays are
+    taken, and only unsigned ones have their values scanned.  An object
+    array (Python integers past int64, or mixed entries) is taken only if
+    every entry is an integer.  Every other dtype is refused whole, so is a
+    list numpy reads as floats (integers past 2**63 beside negative ones).
+    """
+    a = np.array(mat)
+    kind = a.dtype.kind
+    if a.size and kind == "O":
+        bad = next((x for x in a.flat if not isinstance(x, (int, np.integer))),
+                   None)
+        if bad is not None:
+            raise ValueError(
+                f"matrix entries must be integers, not {type(bad).__name__}")
+    elif a.size and kind not in "biu":
+        raise ValueError(f"matrix entries must be integers, not {a.dtype}")
+    if a.size and kind == "u" and a.max() >= 2**63:
+        raise ValueError("matrix entries must fit in int64")
     try:
-        return np.array(mat, dtype=np.int64)
+        return a.astype(np.int64, copy=False)
     except OverflowError:
         raise ValueError("matrix entries must fit in int64") from None
 
@@ -120,21 +142,20 @@ _CHUNK = 128
 # too small for block products to pay.
 _LEAF = 16
 
+# Rows the coordinate rank takes: a column's sum of distinct row indices
+# stays below n**2 / 2 <= 2**51, an exact float64 integer (_peel_counted).
+_PEEL_ROW_BOUND = 2**26
+
 
 def modp_rank(mat, p: int) -> int:
     """Rank of an integer matrix over F_p (p a prime below 2**31).
 
-    Two routes, chosen by the density of the matrix reduced mod p.  With at
-    least a quarter of the entries nonzero, `_rref` reduces it by recursive
-    halving with exact float64 block products (see `_sub_product`) down to
-    blocks of `_LEAF` rows, which `_eliminate` reduces: elimination fills a
-    dense matrix in anyway, and one remainder pass per pivot over the whole
-    matrix would be most of its time.  Sparser matrices, such as the spans
-    of the brute-force Hilbert oracle, go to `_pivot_rank`, which peels the
-    rows alone in some column in array rounds and passes the rest to
-    `_eliminate`, touching only the rows a pivot hits, where halving would
-    fill their echelon form in.  The halving route raises ValueError when
-    min(n, m) >= 2**20, past which its float64 sums could be inexact.
+    `_rref` reduces it by recursive halving with exact float64 block
+    products (see `_sub_product`) down to blocks of `_LEAF` rows, which
+    `_eliminate` reduces.  ValueError when min(n, m) >= 2**20, past which
+    the float64 sums could be inexact, and for entries that are not
+    integers or lie outside int64.  A sparse matrix fills in under halving;
+    `coordinate_rank` takes it as its nonzero entries instead.
     """
     if not 1 < p < MODULUS_BOUND:
         raise ValueError("prime must fit comfortably in int64 arithmetic")
@@ -144,53 +165,97 @@ def modp_rank(mat, p: int) -> int:
     n, m = a.shape
     if n == 0 or m == 0:
         return 0
-    # Two comparisons cost less than one int64 remainder pass, and callers
-    # such as the Hilbert oracle pass residues already.
-    if a.min() < 0 or a.max() >= p:
-        a %= p
-    nz = a != 0
-    if 4 * np.count_nonzero(nz) < a.size:
-        return _pivot_rank(a, nz, p)
-    del nz
     if min(n, m) >= _INNER_BOUND:
         raise ValueError(
             f"dense matrices need min(n, m) < {_INNER_BOUND} "
             "for exact float64 block products")
+    # Two comparisons cost less than one int64 remainder pass.
+    if a.min() < 0 or a.max() >= p:
+        a %= p
     if n < m:
         # Halving recurses over rows; more, shorter rows ran faster.
         a = np.ascontiguousarray(a.T)
     return len(_rref(a, p))
 
 
-def _pivot_rank(a: np.ndarray, nz: np.ndarray, p: int) -> int:
-    """Rank of `a` (entries in [0, p)) with nonzero pattern `nz`, both
-    modified in place: structural pivots peeled in array rounds, then the
-    elimination loop on what is left.
+def coordinate_rank(rows, cols, values, shape, p: int) -> int:
+    """Rank over F_p (p a prime below 2**31) of the matrix of `shape` whose
+    entry at (rows[k], cols[k]) is values[k] and which is zero elsewhere.
 
-    Each round counts the nonzeros of every column over the remaining rows.
-    A column with one names a row that is nonzero where no other remaining
-    row is, so that row is independent of the others and rank(a) = 1 +
-    rank(a without it); the distinct named rows are dropped at once.
-    Peeling reads only the nonzero pattern, which dropping rows keeps, so
-    the rounds run on `nz` and the remainder is gathered once, without the
-    columns it has no nonzero in.  When nothing peels, `a` itself is
-    eliminated.
+    The three are int64 arrays of one length, the positions distinct and
+    the values residues in [0, p); entries not in row order are sorted
+    into it, and zero values are dropped.  A column with one entry left
+    names a row that is nonzero where no other remaining row is, so that
+    row is independent of the others and rank = 1 + rank(the matrix
+    without it); such structural pivots are peeled in rounds, the
+    distinct named rows dropped at once.  A round counts the entries of
+    every column over the entries left (`np.bincount`) and keeps the rest.
+    That costs a pass over the entries left, so once a round removes fewer
+    than half of them, `_peel_counted` finishes at a cost per round of the
+    columns and the entries it drops.  Only the rows and columns left with
+    an entry are gathered into a dense matrix, for the elimination loop;
+    when every row peels, none is built.  ValueError when n >= 2**26 (see
+    `_peel_counted`).
     """
-    counts = nz.sum(axis=0, dtype=np.int32)
-    alive = np.ones(a.shape[0], dtype=bool)
-    peeled = 0
+    n, m = shape
+    if n >= _PEEL_ROW_BOUND:
+        raise ValueError(f"the coordinate rank needs fewer than "
+                         f"{_PEEL_ROW_BOUND} rows for exact float64 row sums")
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    keep = values != 0
+    # rounds replace r and c, never write to them
+    r, c = (rows, cols) if keep.all() else (rows[keep], cols[keep])
+    dropped = np.zeros(n, dtype=bool)
+    while r.size:
+        alone = (np.bincount(c, minlength=m) == 1)[c]
+        if not alone.any():
+            break
+        dropped[r[alone]] = True
+        size, left = r.size, ~dropped[r]
+        r, c = r[left], c[left]
+        if 2 * r.size > size:
+            _peel_counted(r, c, m, dropped)
+            left = ~dropped[r]
+            r, c = r[left], c[left]
+            break
+    peeled = int(np.count_nonzero(dropped))
+    if not r.size:
+        return peeled
+    v = values[keep & ~dropped[rows]]
+    live_rows, r = np.unique(r, return_inverse=True)
+    live_cols, c = np.unique(c, return_inverse=True)
+    a = np.zeros((live_rows.size, live_cols.size), dtype=np.int64)
+    a[r, c] = v
+    return peeled + len(_eliminate(a, p, np.arange(live_cols.size), above=False))
+
+
+def _peel_counted(r, c, m: int, dropped) -> None:
+    """Peel the structural pivots of the entries (r, c), in row order over
+    m columns and none in a row set in `dropped`, marking the rows peeled
+    in `dropped`.
+
+    Each column's count of live entries and the sum of their rows are kept,
+    so a column with one entry names its row by the sum.  The entries of
+    the rows a round drops, one run of r each, are taken off both, so a
+    round costs its columns and those entries, not a pass over every entry
+    left.  Sums are float64 (`np.bincount`'s weights), exact below 2**53
+    for n < _PEEL_ROW_BOUND.
+    """
+    counts = np.bincount(c, minlength=m)
+    sums = np.bincount(c, weights=r, minlength=m)
+    row_len = np.bincount(r, minlength=dropped.size)
+    row_end = np.cumsum(row_len)
     while (single := np.flatnonzero(counts == 1)).size:
-        rows = np.unique(nz[:, single].argmax(axis=0))
-        alive[rows] = False
-        counts -= nz[rows].sum(axis=0, dtype=np.int32)
-        nz[rows] = False
-        peeled += rows.size
-    del nz
-    live = np.flatnonzero(counts)
-    if peeled:
-        a = a[np.ix_(alive, live)]
-        live = np.arange(live.size)
-    return peeled + len(_eliminate(a, p, live, above=False))
+        new = np.unique(sums[single].astype(np.int64))
+        dropped[new] = True
+        # the positions of the new rows' entries, run after run
+        lengths = row_len[new]
+        stop = np.cumsum(lengths)
+        at = np.repeat(row_end[new] - stop, lengths) + np.arange(stop[-1])
+        counts -= np.bincount(c[at], minlength=m)
+        sums -= np.bincount(c[at], weights=r[at], minlength=m)
 
 
 def _eliminate(a: np.ndarray, p: int, live, above: bool) -> list[int]:

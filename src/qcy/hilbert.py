@@ -20,8 +20,17 @@ over the row's terms)^(phi(N)/2).  So the primes are tried until one gives
 full rank or their product passes B; then one of them kept the rank.  The
 rows modulo p come from exponent arithmetic alone: the term c x^e of f_j
 lands at m + e with the scalar c zeta^s, s the reorder exponent of m past
-e.  With a single central element the first prime gives full rank, since
-the ring is a domain and the rows m * f are independent.
+e.  A span reaches the rank as coordinates, one entry (row, column, value)
+per row and term, and is never built as a dense matrix: the rank peels
+its rows alone in some column (_kernels.coordinate_rank) and builds a
+dense matrix only of what is left.  The rows of a single element peel
+whole at every prime.  Modulo P row m is nonzero exactly at m + e over the
+terms e whose coefficient is nonzero mod P, as zeta^s is a unit; the
+lexicographic order is preserved by addition, so among any rows left the
+one with the greatest m is alone in column m + e*, e* the greatest such
+term.  So the first prime gives full rank unless it sends every
+coefficient to 0, and only a quotient of two or more elements can leave
+rows for elimination (_price).
 
 The monomials of all degrees up to the top one are built once per call as
 one int64 array (monomials_up_to).  Each gets a mixed-radix code
@@ -50,12 +59,18 @@ DEGREE_BOUND = 10**5
 
 # Most int64 cells brute_force_dims may hold at once, priced from the
 # monomial counts before any work (_price); 1.2 GB.  Peak RSS over the
-# interpreter's near the bound, on a 2 vCPU AMD EPYC: the degree-8 span of
-# four quadrics in eight variables, 6,864 x 6,435 (priced 133 million
-# cells, 1,014 MiB), 729 MiB and 1.0-1.5 s per rank mod p (a deficient
-# span takes one such rank per prime until the norm bound is passed).
-# Tables with spans of one row, priced 134-149 million cells (1,027-1,137
-# MiB): 1,009-1,011 MiB in 0.5-0.8 s for weights (1, 1) to degree 5,751,
+# interpreter's near the bound, on a 2 vCPU Intel Xeon: the degree-8 span
+# of four quadrics in eight variables, 6,864 x 6,435 (priced 133 million
+# cells, 1,016 MiB, nearly all for the dense remainder peeling may leave),
+# 356 MiB and 2.9-3.5 s per rank mod p (a deficient span takes one such
+# rank per prime until the norm bound is passed).  Single elements, the
+# largest degrees admitted: the quintic in five unit variables to 65
+# (priced 1,141 MiB, nearly all the table), 1,064 MiB in 9-11 s; the
+# slowest found, the element with all 861 monomials of degree 40 in three
+# unit variables to 220 (priced 1,138 MiB), 1,067 MiB in 83-122 s, as its
+# spans peel over about 120 rounds.  On a 2 vCPU AMD EPYC, tables with
+# spans of one row, priced 134-149 million cells (1,027-1,137 MiB):
+# 1,009-1,011 MiB in 0.5-0.8 s for weights (1, 1) to degree 5,751,
 # (1, 100) to 57,380 and (100, 1) to 57,402; 1,105 MiB in 1.1 s for
 # (1, 1, 1, 6, 9) to 139 and 1,017 MiB for (9, 6, 1, 1, 1) to 141; 1,030
 # MiB for (1, 1, 2, 2) to 185; 1,010 MiB for eight unit weights to 23.
@@ -287,28 +302,32 @@ def _blocks(t: int, exps: np.ndarray, codes: np.ndarray, starts, elems,
     return blocks
 
 
-def _matrix_mod(blocks, ncols: int, p: int, g: int) -> np.ndarray:
-    """The span matrix modulo p, zeta_N sent to g; one block per element.
+def _matrix_mod(blocks, p: int, g: int):
+    """The span matrix modulo p, zeta_N sent to g, as coordinates: int64
+    arrays (rows, cols, values) with one entry per row and term, the rows
+    numbered through the blocks in order.
 
     Each block is (scalars, cols, coeffs, residues): coeffs the CycInt term
     coefficients of the element, residues its dict from p to their values
     modulo p, filled on first use and shared by all degrees of a call.
     g^s is computed once per exponent that occurs.
     """
-    nrows = sum(len(cols) for _, cols, _, _ in blocks)
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    rows, cols, values = [], [], []
     start = 0
-    for scalars, cols, coeffs, residues in blocks:
-        values = residues.get(p)
-        if values is None:
-            values = residues[p] = np.array(
+    for scalars, block_cols, coeffs, residues in blocks:
+        coeff_values = residues.get(p)
+        if coeff_values is None:
+            coeff_values = residues[p] = np.array(
                 [c.evaluate_mod(g, p) for c in coeffs], dtype=np.int64)
         exponents, where = np.unique(scalars, return_inverse=True)
         powers = np.array([pow(g, int(s), p) for s in exponents], dtype=np.int64)
-        rows = np.arange(start, start + len(cols))[:, None]
-        mat[rows, cols] = powers[where.reshape(scalars.shape)] * values % p
-        start += len(cols)
-    return mat
+        entries = powers[where.reshape(scalars.shape)] * coeff_values % p
+        values.append(entries.ravel())
+        cols.append(block_cols.ravel())
+        rows.append(np.repeat(np.arange(start, start + len(block_cols)),
+                              len(coeffs)))
+        start += len(block_cols)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
 
 
 def _rank(blocks, ncols: int, moduli) -> int:
@@ -318,10 +337,12 @@ def _rank(blocks, ncols: int, moduli) -> int:
     the norm bound B (module docstring), which is computed only after the
     first prime falls short.  ValueError when `moduli` runs out first.
     """
-    full = min(sum(len(cols) for _, cols, _, _ in blocks), ncols)
+    nrows = sum(len(cols) for _, cols, _, _ in blocks)
+    full = min(nrows, ncols)
     best, product, bound = 0, 1, None
     for p, g in moduli:
-        rank = _kernels.modp_rank(_matrix_mod(blocks, ncols, p, g), p)
+        rows, cols, values = _matrix_mod(blocks, p, g)
+        rank = _kernels.coordinate_rank(rows, cols, values, (nrows, ncols), p)
         if rank == full:
             return full
         best, product = max(best, rank), product * p
@@ -371,15 +392,20 @@ def _price(weights, degrees, terms, max_degree: int) -> int:
     more per monomial is kept for small temporaries.  The table then
     stays held, n + 1 cells per monomial (exponents and codes), while the
     spans are built.  Each list or array indexed by degree costs 8 cells
-    per degree.  A span of R rows by C columns whose blocks have R_j rows
-    of T_j terms holds 3 cells per entry (the matrix, the rank's copy, and
-    the rank's own work) and 6 per block entry R_j T_j (scalars, columns
-    and their temporaries).
+    per degree.  A span whose blocks have R_j rows of T_j terms holds 10
+    cells per block entry R_j T_j: the blocks' scalars and columns, the
+    coordinates, and the peeling's copies of them (tracemalloc reads 8.4
+    where the spans outweigh the table, 9.4 where the rank copies the
+    coordinates to drop zero values).  The rows of one element always
+    peel whole (module docstring), so only a quotient of two or more
+    elements may leave a dense remainder; then the span's R rows by C
+    columns are priced at 3 cells per entry, the remainder and the
+    elimination loop's temporaries.
     """
     counts = series_qpoly(weights).prefix(max_degree)
-    n, table = len(weights), sum(counts)
+    n, table, remainder = len(weights), sum(counts), len(degrees) > 1
     head = sum(series_qpoly(weights[:-1]).prefix(max_degree)) if n > 1 else 1
-    spans = max(sum(counts[t - d] * (3 * counts[t] + 6 * k)
+    spans = max(sum(counts[t - d] * (10 * k + 3 * remainder * counts[t])
                     for d, k in zip(degrees, terms) if d <= t)
                 for t in range(max_degree + 1))
     build = n * head + (n + 7) * table
@@ -396,12 +422,13 @@ def brute_force_dims(spec: AlgebraSpec, quotient, max_degree: int = 12) -> list[
     priced above ORACLE_CELL_BOUND cells (_price), all before any monomial
     is built.  The monomials of every degree and each element's term data
     are built once per call (_setup).  The rows m * f_j are built modulo p
-    from reorder exponents, their columns found by mixed-radix codes
-    (_blocks), and each element's coefficients are evaluated once per
-    prime.  Each rank is the largest of the ranks modulo primes p = 1
-    (mod N), proven by a full rank or by primes multiplying past a norm
-    bound (_rank).  The pairs (p, g) are found once per call and shared by
-    all degrees; ValueError when the primes below 2**31 run out first.
+    as coordinates from reorder exponents, their columns found by
+    mixed-radix codes (_blocks, _matrix_mod), and each element's
+    coefficients are evaluated once per prime.  Each rank is the largest
+    of the ranks modulo primes p = 1 (mod N), proven by a full rank or by
+    primes multiplying past a norm bound (_rank).  The pairs (p, g) are
+    found once per call and shared by all degrees; ValueError when the
+    primes below 2**31 run out first.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")

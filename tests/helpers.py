@@ -5,8 +5,8 @@ Hilbert oracle's rows and ranks are tested against, the scalar lattice
 walk and chart-by-chart census (with its second chart's scalar) that the
 search and the census are tested against, the chart scalars by their
 definition and the image of a matrix by enumeration, a counter of spec
-constructions, a one-algebra manifest writer, and the scalar CRT merge that
-the column merge is tested against."""
+constructions, a spy on the rank's elimination loop, a one-algebra manifest
+writer, and the scalar CRT merge that the column merge is tested against."""
 
 import signal
 from bisect import bisect_left
@@ -15,6 +15,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
+from qcy import _kernels
 from qcy.cyclo import CycField, RootScalar
 from qcy.points import INFINITE, CensusChart, CensusReport, ChartItem, two_var_fermat_count
 from qcy.qalgebra import AlgebraSpec, SkewPoly, chart_parameters, multiply
@@ -322,6 +323,19 @@ def record_spec_constructions(monkeypatch):
 
     monkeypatch.setattr(AlgebraSpec, "__post_init__", counting)
     return built
+
+
+def spy_eliminate(monkeypatch):
+    """Record the shape of every matrix the rank's elimination loop receives."""
+    shapes = []
+    eliminate = _kernels._eliminate
+
+    def spy(a, p, live, above):
+        shapes.append(a.shape)
+        return eliminate(a, p, live, above)
+
+    monkeypatch.setattr(_kernels, "_eliminate", spy)
+    return shapes
 
 
 def manifest_text(spec):

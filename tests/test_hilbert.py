@@ -34,7 +34,7 @@ from qcy.qalgebra import (
 )
 
 from helpers import (SPEC3, SPEC4, antisymmetric, exact_dims, monomials_of_degree,
-                     multiply_rows, multiply_rows_mod, within)
+                     multiply_rows, multiply_rows_mod, spy_eliminate, within)
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "manifests"
 
@@ -241,14 +241,14 @@ def test_brute_force_accepts_multiple_quotients(monkeypatch):
     # until their squared product passes B^2 = 2^rows (N = 1, two unit
     # terms a row): one prime near 2^31 for 20 and 40 rows, two for 70.
     calls = []
-    rank = _kernels.modp_rank
+    rank = _kernels.coordinate_rank
 
-    def counted(mat, p):
-        out = rank(mat, p)
-        calls.append((mat.shape, p, out))
+    def counted(rows, cols, values, shape, p):
+        out = rank(rows, cols, values, shape, p)
+        calls.append((shape, p, out))
         return out
 
-    monkeypatch.setattr(_kernels, "modp_rank", counted)
+    monkeypatch.setattr(_kernels, "coordinate_rank", counted)
     spec = AlgebraSpec.unweighted(1, tuple(tuple(0 for _ in range(4))
                                            for _ in range(4)))
     f = SkewPoly.monomial(1, (2, 0, 0, 0)) + SkewPoly.monomial(1, (0, 2, 0, 0))
@@ -274,20 +274,21 @@ def test_brute_force_accepts_multiple_quotients(monkeypatch):
 def test_brute_force_on_two_cubics_where_nothing_peels(monkeypatch):
     # Two commutative cubics in six variables: each column monomial is hit
     # by the rows of both or of neither, so no column has one nonzero and
-    # every span reaches the elimination loop whole.  From degree 6 on the
-    # spans are deficient (f g = g f) and take several primes each.
-    calls = []  # (span shape, shapes the elimination loop received)
-    rank, eliminate = _kernels.modp_rank, _kernels._eliminate
+    # every row of every span reaches the elimination loop, on the columns
+    # the span has an entry in.  From degree 6 on the spans are deficient
+    # (f g = g f) and take several primes each.
+    calls = []  # (rows and hit columns of a span, shapes the loop received)
+    rank, eliminate = _kernels.coordinate_rank, _kernels._eliminate
 
-    def counted_rank(mat, p):
-        calls.append((mat.shape, []))
-        return rank(mat, p)
+    def counted_rank(rows, cols, values, shape, p):
+        calls.append(((shape[0], np.unique(cols).size), []))
+        return rank(rows, cols, values, shape, p)
 
     def counted_eliminate(a, p, live, above):
         calls[-1][1].append(a.shape)
         return eliminate(a, p, live, above)
 
-    monkeypatch.setattr(_kernels, "modp_rank", counted_rank)
+    monkeypatch.setattr(_kernels, "coordinate_rank", counted_rank)
     monkeypatch.setattr(_kernels, "_eliminate", counted_eliminate)
     spec = AlgebraSpec.unweighted(1, ((0,) * 6,) * 6)
     cubes = [tuple(3 * (j == i) for j in range(6)) for i in range(6)]
@@ -352,6 +353,49 @@ def test_brute_force_evaluates_each_coefficient_once_per_prime(monkeypatch):
     assert all(calls.count(p) == 8 for p in primes)
 
 
+@pytest.mark.parametrize("spec, max_degree", [
+    (SPEC4, 24), (AlgebraSpec.unweighted(1, ((0,) * 5,) * 5), 12)],
+    ids=["spec4", "quintic"])
+def test_single_element_spans_peel_whole(spec, max_degree, monkeypatch):
+    shapes = spy_eliminate(monkeypatch)
+    dims = brute_force_dims(spec, fermat(spec), max_degree)
+    series = quotient_by_regular(series_qpoly(spec.weights), spec.total_degree)
+    assert dims == list(series.prefix(max_degree))
+    assert shapes == []
+
+
+def test_single_element_peels_whole_where_its_leading_coefficient_vanishes(
+        monkeypatch):
+    # N = 1 and the leading coefficient is 2^31 - 1, the first prime the walk
+    # tries, so every leading entry is zero there.  The next term leads in
+    # its place, so the rows still peel whole and the first prime gives full
+    # rank; with that term gone as well, every row is zero at the first
+    # prime and peels whole at the second.  Neither element is priced with a
+    # dense remainder, and neither reaches the elimination loop.
+    p1, p2 = (p for p, _ in islice(hilbert._moduli(1), 2))
+    assert p1 == 2**31 - 1
+    spec = AlgebraSpec.unweighted(1, ((0,) * 3,) * 3)
+    lead = SkewPoly.monomial(1, (2, 0, 0), p1)
+    series = quotient_by_regular(series_qpoly(spec.weights), 2)
+    shapes = spy_eliminate(monkeypatch)
+    primes = []
+    rank = _kernels.coordinate_rank
+    monkeypatch.setattr(
+        _kernels, "coordinate_rank",
+        lambda rows, cols, values, shape, p:
+            primes.append(p) or rank(rows, cols, values, shape, p))
+    for f, tried in ((lead + SkewPoly.monomial(1, (0, 2, 0)), [p1]),
+                     (lead, [p1, p2])):
+        # the table's build, 3 C(12, 2) + 10 C(13, 3) cells, sets the price;
+        # a dense remainder would add 3 C(10, 2) C(12, 2) at degree 10
+        assert hilbert._price(spec.weights, (2,), (len(f.terms),), 10) == \
+            3 * comb(12, 2) + 10 * comb(13, 3) + 8 * 12
+        primes.clear()
+        assert brute_force_dims(spec, f, 10) == list(series.prefix(10))
+        assert primes == tried * 9  # degrees 2 .. 10
+    assert shapes == []
+
+
 # -- refusals before any monomial is built ---------------------------------
 
 
@@ -386,13 +430,32 @@ def test_brute_force_refuses_codes_past_int64(monkeypatch):
 
 
 def test_brute_force_refuses_spans_past_the_bound(monkeypatch):
-    # five unit weights to degree 40: the degree-40 span of the quintic has
-    # C(39, 4) rows and C(44, 4) columns, three cells each
+    # two quintics in five unit variables to degree 20: peeling may leave a
+    # dense remainder of the degree-20 span, 2 C(19, 4) rows by C(24, 4)
+    # columns at three cells each.  Their coordinates alone, ten cells per
+    # row and term, are far below the bound.
+    quintic = AlgebraSpec.unweighted(1, ((0,) * 5,) * 5)
+    f = fermat(quintic)
+    g = SkewPoly(1, 5, {e: CycInt.from_int(1, i + 2)
+                        for i, e in enumerate(sorted(f.terms))})
+    price = hilbert._price(quintic.weights, (5, 5), (5, 5), 20)
+    assert price > 3 * 2 * comb(19, 4) * comb(24, 4) > hilbert.ORACLE_CELL_BOUND
+    assert 10 * 5 * 2 * comb(19, 4) < hilbert.ORACLE_CELL_BOUND // 100
+    _refused(monkeypatch, quintic, (f, g), 20,
+             f"ORACLE_CELL_BOUND = {hilbert.ORACLE_CELL_BOUND}")
+
+
+def test_brute_force_admits_the_quintic_to_degree_forty():
+    # one element peels whole, so its spans are priced by their coordinates:
+    # C(39, 4) rows of five terms at degree 40, ten cells each, while the
+    # table of C(45, 5) monomials, built at 12 cells each, sets the price
     quintic = AlgebraSpec.unweighted(1, ((0,) * 5,) * 5)
     price = hilbert._price(quintic.weights, (5,), (5,), 40)
-    assert price > 3 * comb(39, 4) * comb(44, 4) > hilbert.ORACLE_CELL_BOUND
-    _refused(monkeypatch, quintic, fermat(quintic), 40,
-             f"ORACLE_CELL_BOUND = {hilbert.ORACLE_CELL_BOUND}")
+    assert price == 5 * comb(44, 4) + 12 * comb(45, 5) + 8 * 42
+    assert price > 10 * 5 * comb(39, 4)
+    series = quotient_by_regular(series_qpoly(quintic.weights), 5)
+    assert brute_force_dims(quintic, fermat(quintic), 40) == \
+        list(series.prefix(40))
 
 
 def test_brute_force_refuses_tables_past_the_bound(monkeypatch):
@@ -416,9 +479,10 @@ def test_brute_force_refuses_tables_past_the_bound(monkeypatch):
 def test_cell_bound_admits_the_complete_intersections():
     # four quadrics in eight variables to degree 8: 4 C(13, 7) rows of 8
     # terms and C(15, 7) columns, beside the table of C(16, 8) monomials
+    # priced with the dense remainder that peeling may leave
     price = hilbert._price((1,) * 8, (2,) * 4, (8,) * 4, 8)
     assert price == 9 * comb(16, 8) + \
-        4 * comb(13, 7) * (3 * comb(15, 7) + 6 * 8) + 8 * 10
+        4 * comb(13, 7) * (3 * comb(15, 7) + 10 * 8) + 8 * 10
     assert price <= hilbert.ORACLE_CELL_BOUND
     assert hilbert._price((1,) * 6, (3, 3), (6, 6), 8) <= \
         hilbert.ORACLE_CELL_BOUND
@@ -431,6 +495,12 @@ def _generic(weights, degree, seed):
     rows = exps[starts[degree]:starts[degree + 1]].tolist()
     return SkewPoly(1, len(weights),
                     {tuple(e): rng.randint(1, 50) for e in rows})
+
+
+def _zero_at_first_prime(f):
+    """f with its greatest term's coefficient 2^31 - 1, the first prime the
+    walk tries at N = 1, so its coordinates there hold zero values."""
+    return SkewPoly(1, 3, {**f.terms, max(f.terms): CycInt.from_int(1, 2**31 - 1)})
 
 
 def _commutative(weights):
@@ -449,8 +519,13 @@ def _commutative(weights):
     (SPEC4, [fermat(SPEC4)], 30),
     (_commutative((1,) * 5), [fermat(_commutative((1,) * 5))], 14),
     (_commutative((1, 1, 1)), [_generic((1, 1, 1), 20, 1)], 40),
+    # coordinates that outweigh the table: all 861 terms of degree 40, and
+    # zero values, which the rank copies the coordinates to drop
+    (_commutative((1, 1, 1)), [_generic((1, 1, 1), 40, 1)], 60),
+    (_commutative((1, 1, 1)),
+     [_zero_at_first_prime(_generic((1, 1, 1), 20, 1))], 60),
 ], ids=["1,100", "100,1", "1,1,1,6,9", "9,6,1,1,1", "unit8", "spec4",
-        "quintic", "dense"])
+        "quintic", "dense", "many-terms", "zero-values"])
 def test_price_covers_what_brute_force_holds(spec, quotient, max_degree):
     degrees = [f.homogeneous_degree(spec.weights) for f in quotient]
     price = hilbert._price(spec.weights, degrees,
@@ -522,8 +597,15 @@ def _exponent_rows(spec, quotient, degree, p, g):
     degrees = [f.homogeneous_degree(spec.weights) for f in quotient]
     exps, codes, starts, elems = hilbert._setup(spec, quotient, degrees, degree)
     blocks = hilbert._blocks(degree, exps, codes, starts, elems, spec.order)
-    ncols = starts[degree + 1] - starts[degree]
-    return hilbert._matrix_mod(blocks, ncols, p, g).tolist()
+    if not blocks:  # brute_force_dims takes no rank of a span without rows
+        return []
+    rows, cols, values = hilbert._matrix_mod(blocks, p, g)
+    nrows = sum(len(block_cols) for _, block_cols, _, _ in blocks)
+    mat = np.zeros((nrows, starts[degree + 1] - starts[degree]), dtype=np.int64)
+    # one entry per position: a repeated one would be lost here
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    mat[rows, cols] = values
+    return mat.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -596,9 +678,11 @@ def test_rank_stops_once_the_primes_pass_the_norm_bound(monkeypatch):
     # Their product equals the bound |N(D)| <= B = p1 p2, which proves
     # nothing, so a third prime must decide.
     calls = []
-    rank = _kernels.modp_rank
-    monkeypatch.setattr(_kernels, "modp_rank",
-                        lambda mat, p: calls.append(p) or rank(mat, p))
+    rank = _kernels.coordinate_rank
+    monkeypatch.setattr(
+        _kernels, "coordinate_rank",
+        lambda rows, cols, values, shape, p:
+            calls.append(p) or rank(rows, cols, values, shape, p))
     pairs = list(islice(hilbert._moduli(1), 3))
     block = _block(CycInt.from_int(1, pairs[0][0] * pairs[1][0]))
     assert hilbert._rank(block, 1, iter(pairs)) == 1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qcy import _kernels, hilbert
 from qcy.qalgebra import fermat
 
-from helpers import SPEC4, image_brute
+from helpers import SPEC4, image_brute, spy_eliminate
 
 
 def rank_oracle(mat, p):
@@ -75,18 +75,21 @@ def assert_reduced(a, cols):
     assert not a[r:].any()
 
 
-def pivot_rank(mat, p):
-    """The sparse route called directly, on the matrix reduced mod p."""
+def coordinate_rank(mat, p):
+    """The coordinate rank, on the nonzero entries of the matrix reduced
+    mod p."""
     a = np.array(mat, dtype=np.int64) % p
-    return _kernels._pivot_rank(a, a != 0, p)
+    rows, cols = np.nonzero(a)
+    return _kernels.coordinate_rank(rows, cols, a[rows, cols], a.shape, p)
 
 
 def assert_routes_agree(mat, p):
-    """modp_rank, both of its routes called directly and the oracle agree."""
+    """modp_rank, the halving it runs called directly, the coordinate rank
+    and the oracle agree."""
     expected = rank_oracle(mat, p)
     assert _kernels.modp_rank(mat, p) == expected
     reduced = np.array(mat, dtype=np.int64) % p
-    assert pivot_rank(reduced, p) == expected
+    assert coordinate_rank(reduced, p) == expected
     a = reduced.copy()
     cols = _kernels._rref(a, p)
     assert len(cols) == expected
@@ -100,7 +103,7 @@ def assert_routes_agree(mat, p):
 @settings(max_examples=300, deadline=None)
 def test_rank_backends_agree(n, m, p, sparsity, data):
     # entries over all of (-p, 2p), so both 16-bit limbs are exercised;
-    # `sparsity` zeros push some matrices onto the sparse route
+    # `sparsity` zeros leave columns alone for the coordinate rank to peel
     entry = st.integers(-p + 1, 2 * p - 1)
     mat = [[0 if data.draw(st.floats(0, 1)) < sparsity else data.draw(entry)
             for _ in range(m)] for _ in range(n)]
@@ -236,19 +239,6 @@ def test_dense_rank_peak_memory():
 # -- structural pivots --------------------------------------------------------
 
 
-def _spy_eliminate(monkeypatch):
-    """Record the shape of every matrix the elimination loop receives."""
-    shapes = []
-    eliminate = _kernels._eliminate
-
-    def spy(a, p, live, above):
-        shapes.append(a.shape)
-        return eliminate(a, p, live, above)
-
-    monkeypatch.setattr(_kernels, "_eliminate", spy)
-    return shapes
-
-
 def _chain(rng, n, p):
     """n x (n + 1), row i nonzero in columns i and i + 1 only.  Its two end
     columns have one nonzero each, so it peels from both ends, two rows a
@@ -278,28 +268,52 @@ def _shuffled(rng, mat, p):
 
 
 def test_chain_peels_over_several_rounds(monkeypatch):
-    shapes = _spy_eliminate(monkeypatch)
+    shapes = spy_eliminate(monkeypatch)
     p = 2_147_483_629
     rng = np.random.default_rng(5)
     mat = _shuffled(rng, _chain(rng, 40, p), p)
-    assert _kernels.modp_rank(mat, p) == 40 == rank_oracle(mat.tolist(), p)
-    # every row peeled, nothing left for the loop
-    assert shapes == [(0, 0)]
+    assert coordinate_rank(mat, p) == 40 == rank_oracle(mat.tolist(), p)
+    # every row peeled, so the loop is never called
+    assert shapes == []
+    assert _kernels.modp_rank(mat, p) == 40
+
+
+def test_rounds_that_remove_little_hand_over_to_kept_counts(monkeypatch):
+    # The chain's first round drops its two end rows, 4 of its 80 entries,
+    # so the counted peel takes the 76 left and drops the other 38 rows.
+    calls = []
+    peel = _kernels._peel_counted
+
+    def spy(r, c, m, dropped):
+        before = int(np.count_nonzero(dropped))
+        peel(r, c, m, dropped)
+        calls.append((r.size, before, int(np.count_nonzero(dropped))))
+
+    monkeypatch.setattr(_kernels, "_peel_counted", spy)
+    shapes = spy_eliminate(monkeypatch)
+    p = 65537
+    rng = np.random.default_rng(4)
+    mat = _shuffled(rng, _chain(rng, 40, p), p)
+    assert coordinate_rank(mat, p) == 40
+    assert calls == [(76, 2, 40)]
+    assert shapes == []
 
 
 def test_doubled_rows_peel_nothing(monkeypatch):
-    shapes = _spy_eliminate(monkeypatch)
+    shapes = spy_eliminate(monkeypatch)
     p = 65537
     rng = np.random.default_rng(6)
     doubled, base = _doubled(rng, 20, 60, p)
     mat = _shuffled(rng, doubled, p)
     rank = rank_oracle(base.tolist(), p)
-    assert _kernels.modp_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
-    assert shapes == [mat.shape]
+    assert coordinate_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
+    # every row reaches the loop, on the columns that hold a nonzero
+    assert shapes == [(mat.shape[0], np.count_nonzero(doubled.any(axis=0)))]
+    assert _kernels.modp_rank(mat, p) == rank
 
 
 def test_peeled_rows_leave_a_deficient_remainder(monkeypatch):
-    shapes = _spy_eliminate(monkeypatch)
+    shapes = spy_eliminate(monkeypatch)
     p = 2**31 - 1
     rng = np.random.default_rng(8)
     chain = _chain(rng, 30, p)
@@ -310,9 +324,10 @@ def test_peeled_rows_leave_a_deficient_remainder(monkeypatch):
     mat = _shuffled(rng, mat, p)
     rank = 30 + rank_oracle(base.tolist(), p)
     assert rank < mat.shape[0]
-    assert _kernels.modp_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
+    assert coordinate_rank(mat, p) == rank == rank_oracle(mat.tolist(), p)
     # the chain peels; the doubled rows reach the loop, on their own columns
     assert shapes == [(24, np.count_nonzero(doubled.any(axis=0)))]
+    assert _kernels.modp_rank(mat, p) == rank
 
 
 @pytest.mark.parametrize("p", (7, 65537, 2**31 - 1))
@@ -324,7 +339,7 @@ def test_peeling_reads_entries_mod_p(p):
     mat[1, 1] = 1
     mat[2, 0], mat[2, 3] = -p, 2 * p
     assert _kernels.modp_rank(mat, p) == 1 == rank_oracle(mat.tolist(), p)
-    assert pivot_rank(mat, p) == 1
+    assert coordinate_rank(mat, p) == 1
 
 
 @given(st.integers(0, 24), st.integers(0, 10), st.integers(1, 30),
@@ -340,32 +355,63 @@ def test_structured_sparse_ranks(chain, k, m, p, seed):
     mat = _shuffled(rng, mat, p)
     expected = rank_oracle(mat.tolist(), p)
     assert _kernels.modp_rank(mat, p) == expected
-    assert pivot_rank(mat, p) == expected
+    assert coordinate_rank(mat, p) == expected
 
 
 def test_sparse_rank_peak_memory(monkeypatch):
     # the Hilbert oracle's largest span of the running example to degree 24
     spans = []
-    modp_rank = _kernels.modp_rank
+    coordinate_rank = _kernels.coordinate_rank
 
-    def spy(mat, p):
-        spans.append((mat, p))
-        return modp_rank(mat, p)
+    def spy(rows, cols, values, shape, p):
+        spans.append((rows, cols, values, shape, p))
+        return coordinate_rank(rows, cols, values, shape, p)
 
-    monkeypatch.setattr(_kernels, "modp_rank", spy)
+    monkeypatch.setattr(_kernels, "coordinate_rank", spy)
     hilbert.brute_force_dims(SPEC4, fermat(SPEC4), 24)
     monkeypatch.undo()
-    span, p = spans[-1]
-    assert span.shape == (385, 819)
-    assert 4 * np.count_nonzero(span) < span.size
+    rows, cols, values, shape, p = spans[-1]
+    assert shape == (385, 819)
+    assert 4 * np.count_nonzero(values) < shape[0] * shape[1]
     tracemalloc.start()
     try:
-        rank = _kernels.modp_rank(span, p)
+        rank = _kernels.coordinate_rank(rows, cols, values, shape, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rank == 385
-    assert peak <= 2.5 * span.nbytes
+    held = rows.nbytes + cols.nbytes + values.nbytes
+    assert peak <= 1.5 * held
+    # a fiftieth of the span as a dense int64 matrix
+    assert 50 * peak < 8 * shape[0] * shape[1]
+
+
+@given(st.integers(0, 24), st.integers(0, 8), st.integers(1, 20),
+       st.integers(0, 6), st.integers(0, 12), st.sampled_from(PRIMES),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_coordinate_rank_equals_the_dense_rank(chain, k, m, empty, zeros, p,
+                                               seed):
+    # A chain that peels over several rounds beside doubled rows that do
+    # not, and `empty` rows without a nonzero, shuffled; given as
+    # coordinates in shuffled order, with `zeros` zero values among them.
+    rng = np.random.default_rng(seed)
+    doubled, _ = _doubled(rng, k, m, p)
+    mat = np.zeros((chain + 2 * k + empty, chain + 1 + m), dtype=np.int64)
+    mat[:chain, : chain + 1] = _chain(rng, chain, p)
+    mat[chain : chain + 2 * k, chain + 1 :] = doubled
+    mat = mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+    rows, cols = np.nonzero(mat)
+    zero_rows, zero_cols = np.nonzero(mat == 0)
+    pick = rng.choice(zero_rows.size, size=min(zeros, zero_rows.size),
+                      replace=False)
+    rows = np.concatenate((rows, zero_rows[pick]))
+    cols = np.concatenate((cols, zero_cols[pick]))
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    values = mat[rows, cols]
+    rank = _kernels.coordinate_rank(rows, cols, values, mat.shape, p)
+    assert rank == _kernels.modp_rank(mat, p) == rank_oracle(mat.tolist(), p)
 
 
 def test_dense_route_refuses_past_its_exactness_bound(monkeypatch):
@@ -373,8 +419,18 @@ def test_dense_route_refuses_past_its_exactness_bound(monkeypatch):
     dense = [[1, 2, 3, 4], [5, 6, 7, 8], [1, 1, 2, 3], [2, 1, 1, 1]]
     with pytest.raises(ValueError, match="min"):
         _kernels.modp_rank(dense, 97)
-    # a sparser matrix (a fifth nonzero) takes the sparse route
-    assert _kernels.modp_rank(np.eye(4, 5, dtype=np.int64), 97) == 4
+    # a sparse one as well: the coordinate rank takes it, with no such bound
+    eye = np.eye(4, 5, dtype=np.int64)
+    with pytest.raises(ValueError, match="min"):
+        _kernels.modp_rank(eye, 97)
+    assert coordinate_rank(eye, 97) == 4
+
+
+def test_coordinate_rank_refuses_rows_past_its_exactness_bound():
+    # the column sums of row indices must stay exact float64 integers
+    empty = np.zeros(0, dtype=np.int64)
+    with pytest.raises(ValueError, match="fewer than 67108864 rows"):
+        _kernels.coordinate_rank(empty, empty, empty, (2**26, 1), 97)
 
 
 def test_modp_rank_validates_modulus():
@@ -384,6 +440,36 @@ def test_modp_rank_validates_modulus():
         _kernels.modp_rank([[1]], 2 ** 31)
     with pytest.raises(ValueError, match="entries must fit in int64"):
         _kernels.modp_rank([[2 ** 64]], 7)
+
+
+@pytest.mark.parametrize("kernel", [_kernels.modp_rank, _kernels.image_count])
+def test_kernels_refuse_entries_that_are_not_int64(kernel):
+    # floats were truncated (modp_rank([[0.5]], 7) read 0, image_count of
+    # [[0.5, 1.5]] mod 4 counted [[0, 1]]) and unsigned values past 2^63
+    # wrapped to negatives
+    for mat in ([[0.5]], [[0.5, 1.5]], np.array([[1.0, 2.0]]), [[1j]]):
+        with pytest.raises(ValueError, match="must be integers, not"):
+            kernel(mat, 7)
+    for mat in ([[2**63 + 5]], np.array([[3, 2**63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="entries must fit in int64"):
+            kernel(mat, 7)
+    # a list numpy reads as floats, an entry past 2^63 beside a negative one
+    with pytest.raises(ValueError, match="must be integers, not float64"):
+        kernel([[2**63 + 5, -1]], 7)
+    # an object array is read entry by entry: floats are refused, and
+    # integers past int64 as well
+    with pytest.raises(ValueError, match="must be integers, not float"):
+        kernel(np.array([[1, 0.5]], dtype=object), 7)
+    with pytest.raises(ValueError, match="entries must fit in int64"):
+        kernel(np.array([[1, 2**70]], dtype=object), 7)
+    # and strings are refused whole
+    with pytest.raises(ValueError, match="must be integers, not <U1"):
+        kernel(np.array([["1"]]), 7)
+    # unsigned, boolean and object input below the bound is accepted
+    assert kernel(np.array([[2**63 - 1, 1]], dtype=np.uint64), 7) == \
+        kernel([[2**63 - 1, 1]], 7)
+    assert kernel(np.array([[True, False]]), 7) == kernel([[1, 0]], 7)
+    assert kernel(np.array([[3, 1]], dtype=object), 7) == kernel([[3, 1]], 7)
 
 
 def test_image_count_validates_modulus():
