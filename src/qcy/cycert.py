@@ -320,7 +320,7 @@ def _pairwise_unsolvable(pairs) -> bool:
     m = lcm(*[p.order for _, p in pairs]) * lcm(*[a for a, _ in pairs])
     congruences = []
     for a, p in pairs:
-        t = p.rescale(m).exponent
+        t = p.exponent_over(m)
         g = gcd(a, m)
         if t % g:
             return True

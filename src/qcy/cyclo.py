@@ -1,7 +1,8 @@
 """Exact arithmetic with roots of unity and integer lattice routines.
 
-Scalars are roots of unity stored as (order, exponent) pairs, so every
-product and power is exponent arithmetic.  Sums of roots live in Z[zeta_N],
+Scalars are roots of unity stored as (order, exponent) pairs in lowest
+terms, so equal roots have equal fields and every product and power is
+exponent arithmetic.  Sums of roots live in Z[zeta_N],
 represented by residues modulo the N-th cyclotomic polynomial; equality and
 zero tests are therefore exact, never numeric.  The lattice half of the
 module works modulo N throughout, so no entry outgrows N, and runs one
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import index
 
 from . import _kernels
 from .errors import InternalDefect, OrderMismatchError
@@ -31,34 +33,44 @@ from .errors import InternalDefect, OrderMismatchError
 ENUMERATION_BOUND = 10**6
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class RootScalar:
-    """A root of unity zeta_order^exponent.
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integer (int, bool or a
+    numpy integer), so no float or string is truncated silently."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(
+            f"{what} must be an integer, not {type(value).__name__}") from None
 
-    Equality is by value: (6, 2) and (3, 1) are the same scalar.  The stored
-    order is kept as constructed; rescale() moves to a larger compatible
-    order and reduced() drops to the minimal one.
+
+@dataclass(frozen=True, slots=True)
+class RootScalar:
+    """A root of unity zeta_order^exponent, stored in lowest terms.
+
+    Construction divides the order and the exponent (taken modulo the
+    order) by their gcd, so (6, 2) is stored as (3, 1): equal scalars have
+    equal fields, and the dataclass equality and hash compare values.
     """
 
     order: int
     exponent: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be positive, got {self.order}")
-        object.__setattr__(self, "exponent", self.exponent % self.order)
+        order = _integer(self.order, "root order")
+        exponent = _integer(self.exponent, "root exponent")
+        if order < 1:
+            raise ValueError(f"order must be positive, got {order}")
+        g = gcd(exponent, order)
+        object.__setattr__(self, "order", order // g)
+        object.__setattr__(self, "exponent", exponent % order // g)
 
-    def rescale(self, order: int) -> "RootScalar":
-        """The same value written with the given order (stored order must divide it)."""
+    def exponent_over(self, order: int) -> int:
+        """The e with zeta_order^e equal to this root; order must be a
+        multiple of the stored (lowest) order."""
         if order % self.order:
             raise OrderMismatchError(
-                f"cannot rescale order {self.order} to non-multiple {order}")
-        return RootScalar(order, self.exponent * (order // self.order))
-
-    def reduced(self) -> "RootScalar":
-        """Canonical form of minimal order."""
-        g = gcd(self.exponent, self.order)
-        return RootScalar(self.order // g, self.exponent // g)
+                f"root of order {self.order} has no exponent over {order}")
+        return self.exponent * (order // self.order)
 
     def __mul__(self, other: "RootScalar") -> "RootScalar":
         n = lcm(self.order, other.order)
@@ -70,24 +82,12 @@ class RootScalar:
     def __pow__(self, k: int) -> "RootScalar":
         return RootScalar(self.order, self.exponent * k)
 
-    def inverse(self) -> "RootScalar":
-        return RootScalar(self.order, -self.exponent)
-
     def is_one(self) -> bool:
         return self.exponent == 0
 
     def pair(self) -> tuple[int, int]:
-        """(order, exponent) of the reduced form; the canonical printed shape."""
-        r = self.reduced()
-        return (r.order, r.exponent)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RootScalar):
-            return NotImplemented
-        return self.pair() == other.pair()
-
-    def __hash__(self):
-        return hash(self.pair())
+        """(order, exponent); the canonical printed shape."""
+        return (self.order, self.exponent)
 
 
 @lru_cache(maxsize=None)
@@ -160,24 +160,18 @@ class CycInt:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "CycInt":
-        deg = len(cyclotomic_poly(order)) - 1
-        return cls(order, (0,) * deg)
-
-    @classmethod
     def from_int(cls, order: int, value: int) -> "CycInt":
         deg = len(cyclotomic_poly(order)) - 1
         return cls(order, (value,) + (0,) * (deg - 1))
 
     @classmethod
-    def from_root(cls, root: RootScalar, order: int | None = None) -> "CycInt":
-        """Embed a root of unity (rescaled to `order` if given)."""
-        if order is not None:
-            root = root.rescale(order)
-        e = root.exponent
+    def from_root(cls, root: RootScalar, order: int) -> "CycInt":
+        """Embed a root of unity in Z[zeta_order]; its lowest order must
+        divide `order`."""
+        e = root.exponent_over(order)
         mono = [0] * (e + 1)
         mono[e] = 1
-        return cls(root.order, _reduce_mod_phi(mono, root.order))
+        return cls(order, _reduce_mod_phi(mono, order))
 
     def _check(self, other: "CycInt"):
         if self.order != other.order:
@@ -233,8 +227,9 @@ def solve_root_system(pairs) -> tuple[RootScalar | None, int]:
     suffices: any solution has order dividing M = N * lcm(a_j) where N is
     the lcm of the target orders, so the problem is a congruence system
     a_j x = t_j (mod M), merged column by column (merge_columns, one
-    system of Python ints).  Returns (c, len(pairs))
-    with the reduced witness c, or (None, j) when pairs[:j] has a common
+    system of Python ints).  Returns (c, len(pairs)) with the witness c of
+    least angle (merge_columns's least solution x, the same root over any
+    sufficient modulus), or (None, j) when pairs[:j] has a common
     solution and pairs[:j+1] has none: every prefix's own sufficient
     modulus divides M, so the first failing merge marks the shortest
     unsolvable prefix.
@@ -244,10 +239,10 @@ def solve_root_system(pairs) -> tuple[RootScalar | None, int]:
         raise ValueError("exponents a_j must be positive")
     weights = [a for a, _ in pairs]
     m = lcm(*[p.order for _, p in pairs]) * lcm(*weights)
-    x, first = merge_columns(weights, m, [p.rescale(m).exponent for _, p in pairs])
+    x, first = merge_columns(weights, m, [p.exponent_over(m) for _, p in pairs])
     if first < len(pairs):
         return None, first
-    return RootScalar(m, x).reduced(), len(pairs)
+    return RootScalar(m, x), len(pairs)
 
 
 def merge_columns(weights, m: int, targets):

@@ -2,7 +2,8 @@
 
 
 class OrderMismatchError(ValueError):
-    """Mixed-order scalar arithmetic without an explicit rescale."""
+    """Cyclotomic integers of different orders combined, or a root of unity
+    written over an order that its lowest order does not divide."""
 
 
 class HypothesisViolation(ValueError):

@@ -47,6 +47,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels
+from .cyclo import _integer
 from .errors import InternalDefect
 from .qalgebra import AlgebraSpec, SkewPoly, is_central
 
@@ -81,18 +82,21 @@ class HilbertSeries:
     """numerator / prod (1 - t^a) over the factors a of the denominator.
 
     `numerator` maps exponents e >= 0 to nonzero integer coefficients;
-    `denominator` is the sorted tuple of factors a, each a >= 1.
+    `denominator` is the sorted tuple of factors a, each a >= 1.  Every
+    exponent, coefficient and factor must be an integer (ValueError
+    otherwise), so distinct keys are distinct exponents, and zero
+    coefficients are dropped.
     """
 
     def __init__(self, numerator, denominator):
         num = {}
         for e, c in dict(numerator).items():
-            e = int(e)
+            e, c = _integer(e, "numerator exponent"), _integer(c, "numerator coefficient")
             if e < 0:
                 raise ValueError(f"bad numerator exponent {e}")
             if c:
-                num[e] = num.get(e, 0) + int(c)
-        den = tuple(sorted(int(a) for a in denominator))
+                num[e] = c
+        den = tuple(sorted(_integer(a, "denominator factor") for a in denominator))
         if den and den[0] < 1:
             raise ValueError(f"bad denominator factor {den[0]}")
         self.numerator = num
@@ -119,7 +123,7 @@ def series_qpoly(weights) -> HilbertSeries:
 
     The parameters do not enter; only the weights do.
     """
-    weights = tuple(int(a) for a in weights)
+    weights = tuple(_integer(a, "weight") for a in weights)
     if not weights or any(a < 1 for a in weights):
         raise ValueError(f"weights must be positive, got {weights}")
     return HilbertSeries({0: 1}, weights)

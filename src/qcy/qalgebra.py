@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .cyclo import CycInt, RootScalar, image_size, kernel_lattice, lattice_contains
+from .cyclo import CycInt, RootScalar, _integer, image_size, kernel_lattice, lattice_contains
 from .errors import HypothesisViolation, InternalDefect
 
 # Most generators of a chart center_lattice takes.  Its Hermite and Smith
@@ -25,10 +25,10 @@ CENTER_GENERATOR_BOUND = 16
 class AlgebraSpec:
     """Weights, root order and the exponent matrix of the q parameters.
 
-    q_ij = zeta_order ** exponents[i][j].  Construction checks shape only;
-    the algebraic hypotheses (unit diagonal, antisymmetry, Fermat orders)
-    are examined by validate_spec so that violating inputs can still be
-    represented and reported.
+    q_ij = zeta_order ** exponents[i][j].  Construction checks shape and
+    integer entries only; the algebraic hypotheses (unit diagonal,
+    antisymmetry, Fermat orders) are examined by validate_spec so that
+    violating inputs can still be represented and reported.
     """
 
     weights: tuple[int, ...]
@@ -36,11 +36,12 @@ class AlgebraSpec:
     exponents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        order = self.order
+        order = _integer(self.order, "root order")
         if order < 1:
             raise ValueError("root order must be positive")
-        weights = tuple(map(int, self.weights))
-        exps = tuple([tuple([int(e) % order for e in row]) for row in self.exponents])
+        weights = tuple([_integer(a, "weight") for a in self.weights])
+        exps = tuple([tuple([_integer(e, "exponent") % order for e in row])
+                      for row in self.exponents])
         n = len(weights)
         if not n:
             raise ValueError("need at least one generator")
@@ -48,6 +49,7 @@ class AlgebraSpec:
             raise ValueError(f"weights must be positive, got {weights}")
         if list(map(len, exps)) != [n] * n:
             raise ValueError("exponent matrix shape must match the weight count")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "exponents", exps)
 
@@ -75,15 +77,6 @@ class AlgebraSpec:
                 raise HypothesisViolation(
                     f"weight {a} at index {i} does not divide the total degree {d}")
         return tuple(d // a for a in self.weights)
-
-    def subspec(self, indices) -> "AlgebraSpec":
-        """Restriction to a subset of generators, in the given index order."""
-        idx = tuple(indices)
-        return AlgebraSpec(
-            tuple(self.weights[i] for i in idx),
-            self.order,
-            tuple(tuple(self.exponents[i][j] for j in idx) for i in idx),
-        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +143,7 @@ class SkewPoly:
     def __post_init__(self):
         clean = {}
         for exps, coeff in dict(self.terms).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple([_integer(e, "monomial exponent") for e in exps])
             if len(exps) != self.nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps}")
             if isinstance(coeff, int):
@@ -164,18 +157,8 @@ class SkewPoly:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def zero(cls, order: int, nvars: int) -> "SkewPoly":
-        return cls(order, nvars, {})
-
-    @classmethod
     def monomial(cls, order: int, exps, coeff=1) -> "SkewPoly":
         return cls(order, len(tuple(exps)), {tuple(exps): coeff})
-
-    @classmethod
-    def gen(cls, order: int, nvars: int, i: int) -> "SkewPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(order, nvars, {tuple(exps): 1})
 
     def _check(self, other: "SkewPoly"):
         if self.order != other.order or self.nvars != other.nvars:

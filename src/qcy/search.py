@@ -31,7 +31,7 @@ from math import comb, factorial, gcd, lcm, log, prod
 import numpy as np
 
 from . import _kernels
-from .cyclo import hermite_normal_form, merge_columns
+from .cyclo import _integer, hermite_normal_form, merge_columns
 from .errors import InternalDefect
 from .points import CensusReport, _census, _is_surface
 from .qalgebra import AlgebraSpec
@@ -94,13 +94,9 @@ class WeightSystem:
     total_degree: int
     divides: tuple[bool, ...]
 
-    @property
-    def admissible(self) -> bool:
-        return all(self.divides) and gcd(*self.weights) == 1
-
 
 def weight_system(weights) -> WeightSystem:
-    weights = tuple(sorted(int(a) for a in weights))
+    weights = tuple(sorted(_integer(a, "weight") for a in weights))
     if not weights or any(a < 1 for a in weights):
         raise ValueError(f"weights must be positive, got {weights}")
     d = sum(weights)

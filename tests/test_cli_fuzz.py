@@ -206,6 +206,6 @@ def test_pi_degree_answers_agree_with_the_enumerated_image(spec):
         if chart is None:
             mat = spec.exponents
         else:
-            mat = [[s.exponent for s in row] for row in reference_chart(spec, chart)]
+            mat = [[s.exponent_over(n) for s in row] for row in reference_chart(spec, chart)]
         size = len(image_brute(mat, n))
         assert (got["image_size"], got["pi_degree"] ** 2) == (size, size), (spec, chart)

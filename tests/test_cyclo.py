@@ -30,6 +30,7 @@ from qcy.cyclo import (
     solve_root_system,
 )
 from qcy.errors import InternalDefect, OrderMismatchError
+from qcy.qalgebra import SkewPoly
 from qcy.search import search_q_params
 
 from helpers import image_brute, reference_solve_root_system, within
@@ -39,6 +40,8 @@ from helpers import image_brute, reference_solve_root_system, within
 
 
 def test_root_scalar_reduction():
+    r = RootScalar(6, 2)
+    assert (r.order, r.exponent) == (3, 1)
     assert RootScalar(6, 2).pair() == (3, 1)
     assert RootScalar(6, 0).pair() == (1, 0)
     assert RootScalar(4, 2).pair() == (2, 1)
@@ -49,9 +52,9 @@ def test_root_scalar_products_cross_order():
     a = RootScalar(4, 1)
     b = RootScalar(6, 1)
     assert (a * b).pair() == (12, 5)
-    assert (a * a.inverse()).is_one()
+    assert (a * a ** -1).is_one()
     assert (b ** 6).is_one()
-    assert (b ** -1).pair() == b.inverse().pair()
+    assert (b ** -1).pair() == (6, 5)
 
 
 def test_root_scalar_equality_ignores_presentation():
@@ -60,14 +63,48 @@ def test_root_scalar_equality_ignores_presentation():
     assert RootScalar(6, 2) != RootScalar(6, 1)
 
 
-def test_rescale_requires_divisible_target():
+def test_exponent_over_requires_a_multiple_of_the_lowest_order():
     r = RootScalar(6, 2)
-    assert r.rescale(6).exponent == 2
-    assert r.rescale(12).exponent == 4
+    assert r.exponent_over(3) == 1
+    assert r.exponent_over(6) == 2
+    assert r.exponent_over(12) == 4
     with pytest.raises(OrderMismatchError):
-        r.rescale(4)
+        r.exponent_over(4)
     with pytest.raises(OrderMismatchError):
-        RootScalar(6, 2).reduced().rescale(2)
+        r.exponent_over(2)
+
+
+@given(st.integers(1, 30), st.integers(-60, 60), st.integers(1, 6))
+@example(3, 1, 2)
+@settings(max_examples=300)
+def test_equal_scalars_stand_in_for_one_another(order, exponent, k):
+    """RootScalar(k * o, k * e) and RootScalar(o, e) are stored alike, in
+    lowest terms, hash alike and give the same exponent over each multiple
+    of the lowest order."""
+    small, big = RootScalar(order, exponent), RootScalar(k * order, k * exponent)
+    assert (big.order, big.exponent) == (small.order, small.exponent)
+    assert math.gcd(small.order, small.exponent) == 1
+    assert big == small and hash(big) == hash(small)
+    for m in range(small.order, 7 * small.order, small.order):
+        assert big.exponent_over(m) == small.exponent_over(m)
+        assert RootScalar(m, big.exponent_over(m)) == small
+
+
+def test_skew_poly_takes_an_equal_scalar_of_larger_stored_order():
+    built = SkewPoly(3, 2, {(1, 0): RootScalar(6, 2)})
+    assert built == SkewPoly(3, 2, {(1, 0): RootScalar(3, 1)})
+    assert SkewPoly.monomial(3, (1, 0), RootScalar(6, 2)) == built
+
+
+@pytest.mark.parametrize("args", [(3, 1.5), (3.0, 1), ("3", 1), (3, Fraction(1))])
+def test_root_scalar_refuses_entries_that_are_not_integers(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        RootScalar(*args)
+
+
+def test_root_scalar_takes_numpy_integers_as_ints():
+    r = RootScalar(np.int64(6), np.int32(2))
+    assert type(r.order) is int and type(r.exponent) is int and r.pair() == (3, 1)
 
 
 def test_root_scalar_is_immutable():
@@ -82,7 +119,7 @@ def test_root_scalar_is_immutable():
 def test_root_scalar_group_laws(n1, e1, n2, e2):
     a, b = RootScalar(n1, e1), RootScalar(n2, e2)
     assert (a * b) == (b * a)
-    assert (a * b) * a.inverse() == b
+    assert (a * b) * a ** -1 == b
     assert ((a * b) ** 3) == (a ** 3) * (b ** 3)
 
 
@@ -118,15 +155,19 @@ def test_cyclotomic_poly_degree_is_totient():
 def test_cycint_root_relations():
     # 1 + zeta_3 + zeta_3^2 = 0
     z = RootScalar(3, 1)
-    total = CycInt.from_int(3, 1) + CycInt.from_root(z) + CycInt.from_root(z * z)
+    total = CycInt.from_int(3, 1) + CycInt.from_root(z, 3) + CycInt.from_root(z * z, 3)
     assert total.is_zero()
     # zeta_6 = 1 + zeta_6^4 (since zeta_6^2 - zeta_6 + 1 = 0 gives x = 1 + x^-1... )
-    z6 = CycInt.from_root(RootScalar(6, 1))
+    z6 = CycInt.from_root(RootScalar(6, 1), 6)
     assert z6 * z6 * z6 == CycInt.from_int(6, -1)
+    # a root embeds over any multiple of its lowest order
+    assert CycInt.from_root(RootScalar(6, 2), 6) == z6 * z6
+    with pytest.raises(OrderMismatchError):
+        CycInt.from_root(RootScalar(6, 1), 3)
 
 
 def test_cycint_mixed_multiplication():
-    z = CycInt.from_root(RootScalar(4, 1))
+    z = CycInt.from_root(RootScalar(4, 1), 4)
     assert z * 2 + z == z * 3
     assert z * RootScalar(4, 1) == CycInt.from_int(4, -1)
     assert (z - z).is_zero()
@@ -135,7 +176,7 @@ def test_cycint_mixed_multiplication():
 
 def test_cycint_evaluate_mod():
     # order 4 over p = 13: i -> 5 or 8 (5^2 = 25 = -1 mod 13)
-    z = CycInt.from_root(RootScalar(4, 1))
+    z = CycInt.from_root(RootScalar(4, 1), 4)
     assert (z * z).evaluate_mod(5, 13) == 12
     three = CycInt.from_int(4, 3)
     assert three.evaluate_mod(5, 13) == 3
@@ -183,7 +224,7 @@ def test_solve_root_system_roundtrip_and_refutation(pairs):
     m = (math.lcm(*(r.order for _, r in pairs))
          * math.lcm(*(a for a, _ in pairs)))
     assert m <= 720
-    targets = [(a, r.rescale(m).exponent) for a, r in pairs]
+    targets = [(a, r.exponent_over(m)) for a, r in pairs]
 
     def solved_prefix(x):
         count = 0
@@ -239,7 +280,7 @@ def test_merge_columns_matches_the_scalar_reference(batch):
     for dtype in (np.int64, object):
         targets = np.array(rows, dtype).T * (m // order)
         x, first = merge_columns(weights, m, list(targets))
-        got = [_key((RootScalar(m, int(xr)).reduced() if j == n else None, j))
+        got = [_key((RootScalar(m, int(xr)) if j == n else None, j))
                for xr, j in zip(x.tolist(), first.tolist())]
         assert got == expected
 
@@ -554,7 +595,7 @@ def test_image_size_with_a_forged_closure_is_a_defect(monkeypatch):
 
 def test_cycfield_inverse():
     field = CycField(5)
-    z = field.from_cycint(CycInt.from_root(RootScalar(5, 1)))
+    z = field.from_cycint(CycInt.from_root(RootScalar(5, 1), 5))
     one = field.from_cycint(CycInt.from_int(5, 1))
     x = field.sub(z, field.from_cycint(CycInt.from_int(5, 3)))
     inv = field.inv(x)

@@ -77,6 +77,25 @@ def test_series_rejects_malformed_rational_form():
         HilbertSeries({0: 1}, (0,))
 
 
+@pytest.mark.parametrize("numerator, denominator", [
+    ({0: 1, "0": -1}, (1,)),
+    ({0.5: 1, 2: 1}, (1,)),
+    ({0: 1, 2: 1.7}, (1,)),
+    ({0: 1}, (1.5,)),
+])
+def test_series_refuses_entries_that_are_not_integers(numerator, denominator):
+    with pytest.raises(ValueError, match="must be an integer"):
+        HilbertSeries(numerator, denominator)
+
+
+def test_series_keeps_no_zero_coefficient():
+    series = HilbertSeries({0: 0, 1: 1, 3: 0}, (1,))
+    assert series.numerator == {1: 1}
+    assert within(1, lambda: pole_order_at_one(series)) == 1
+    with pytest.raises(ValueError, match="zero series"):
+        within(1, lambda: pole_order_at_one(HilbertSeries({0: 0}, (1,))))
+
+
 # -- quotients --------------------------------------------------------------
 
 
@@ -215,14 +234,14 @@ def test_brute_force_on_small_commutative_cubic():
 
 
 def test_brute_force_requires_homogeneous_central_input():
-    x0 = SkewPoly.gen(SPEC4.order, 4, 0)
-    x2 = SkewPoly.gen(SPEC4.order, 4, 2)
+    x0 = SkewPoly.monomial(SPEC4.order, (1, 0, 0, 0))
+    x2 = SkewPoly.monomial(SPEC4.order, (0, 0, 1, 0))
     with pytest.raises(ValueError):
         brute_force_dims(SPEC4, x0 + x2)  # not homogeneous
     with pytest.raises(ValueError):
         brute_force_dims(SPEC4, x0)  # homogeneous but not central
     with pytest.raises(ValueError):
-        brute_force_dims(SPEC4, SkewPoly.zero(SPEC4.order, 4))
+        brute_force_dims(SPEC4, SkewPoly(SPEC4.order, 4, {}))
 
 
 def test_brute_force_names_a_length_mismatch():
@@ -582,9 +601,9 @@ def central_quotients(draw, elements=(1, 3)):
         terms = {}
         for mono in draw(st.lists(st.sampled_from(central[degree]),
                                   min_size=1, max_size=3, unique=True)):
-            root = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))))
+            root = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))), order)
             coeff = root * draw(st.sampled_from((1, 2, -1, 3)))
-            extra = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))))
+            extra = CycInt.from_root(RootScalar(order, draw(st.integers(0, order - 1))), order)
             if draw(st.booleans()) and not (coeff + extra).is_zero():
                 coeff = coeff + extra
             terms[mono] = coeff

@@ -2,6 +2,7 @@
 
 from math import comb, gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from qcy.qalgebra import (
 )
 
 from helpers import (CHART3, E4, SPEC3, SPEC4, antisymmetric,
-                     monomials_of_degree_at_most, reference_chart, within)
+                     monomials_of_degree_at_most, reference_chart, subspec, within)
 
 
 # -- validation -------------------------------------------------------------
@@ -100,10 +101,10 @@ def test_value_types_compare_and_hash_by_value():
 
 
 def test_spec_normalizes_entries_mod_the_order():
-    spec = AlgebraSpec([True, 1.0], 3, [[3, -1], [4, 0]])
+    spec = AlgebraSpec([True, np.int64(1)], np.int32(3), [[3, -1], [4, 0]])
     assert spec.weights == (1, 1)
     assert spec.exponents == ((0, 2), (1, 0))
-    assert all(type(x) is int for x in spec.weights + spec.exponents[0])
+    assert all(type(x) is int for x in (spec.order, *spec.weights, *spec.exponents[0]))
 
 
 def test_spec_equality_and_hash_follow_the_normalized_fields():
@@ -120,14 +121,26 @@ def test_spec_equality_and_hash_follow_the_normalized_fields():
     ((1, 0), 3, ((0, 0), (0, 0)), "weights must be positive"),
     ((1, 1), 3, ((0, 0),), "shape must match"),
     ((1, 1), 3, ((0, 0), (0,)), "shape must match"),
+    ((1.9, 1), 3, ((0, 1), (2, 0)), "weight must be an integer, not float"),
+    ((1, 1), 3.0, ((0, 1), (2, 0)), "root order must be an integer, not float"),
+    ((1, 1), 3, ((0, 1.5), (2.2, 0)), "exponent must be an integer, not float"),
+    ((1, 1), 3, ((0, "1"), (2, 0)), "exponent must be an integer, not str"),
 ])
 def test_spec_shape_errors(weights, order, exponents, message):
     with pytest.raises(ValueError, match=message):
         AlgebraSpec(weights, order, exponents)
 
 
+def test_skew_poly_refuses_exponents_that_are_not_integers():
+    with pytest.raises(ValueError, match="monomial exponent must be an integer"):
+        SkewPoly(3, 2, {(1.5, 0): 1})
+    p = SkewPoly(3, 2, {(np.int64(1), 0): 1})
+    assert p == SkewPoly.monomial(3, (1, 0))
+    assert all(type(e) is int for e in next(iter(p.terms)))
+
+
 def test_subspec_restricts_generators():
-    sub = SPEC4.subspec((1, 2, 3))
+    sub = subspec(SPEC4, (1, 2, 3))
     assert sub.weights == (1, 2, 2)
     assert sub.exponents == ((0, 2, 0), (1, 0, 0), (0, 0, 0))
 
@@ -145,8 +158,8 @@ def test_reorder_scalar_on_single_swap():
 def test_multiply_difference_of_squares():
     # with x_1 x_0 = -x_0 x_1: (x_0 + x_1)(x_0 - x_1) = x_0^2 - 2 x_0 x_1 - x_1^2
     spec = AlgebraSpec.unweighted(2, antisymmetric(2, (1,)))
-    x0 = SkewPoly.gen(2, 2, 0)
-    x1 = SkewPoly.gen(2, 2, 1)
+    x0 = SkewPoly.monomial(2, (1, 0))
+    x1 = SkewPoly.monomial(2, (0, 1))
     got = multiply(x0 + x1, x0 - x1, spec)
     expected = (SkewPoly.monomial(2, (2, 0))
                 + SkewPoly.monomial(2, (1, 1), -2)
@@ -156,8 +169,8 @@ def test_multiply_difference_of_squares():
 
 def test_multiply_commutative_binomial():
     spec = AlgebraSpec.unweighted(5, antisymmetric(5, (0,)))
-    x0 = SkewPoly.gen(5, 2, 0)
-    x1 = SkewPoly.gen(5, 2, 1)
+    x0 = SkewPoly.monomial(5, (1, 0))
+    x1 = SkewPoly.monomial(5, (0, 1))
     s = x0 + x1
     cube = multiply(multiply(s, s, spec), s, spec)
     for k in range(4):
@@ -254,7 +267,7 @@ def test_homogeneous_degree_names_a_length_mismatch():
 
 
 def test_single_generator_not_central():
-    x0 = SkewPoly.gen(3, 3, 0)
+    x0 = SkewPoly.monomial(3, (1, 0, 0))
     assert not is_central(x0, SPEC3)
 
 
@@ -299,7 +312,7 @@ def any_matrix_and_poly(draw):
         order, [[draw(entry) for _ in range(n)] for _ in range(n)])
     vec = st.sampled_from((1, order)).flatmap(
         lambda step: st.tuples(*[st.integers(0, 3).map(lambda k: k * step)] * n))
-    deg = len(CycInt.zero(order).coeffs)
+    deg = len(CycInt.from_int(order, 0).coeffs)
     coeff = st.lists(st.integers(-2, 2), min_size=deg, max_size=deg).map(
         lambda c: CycInt(order, c))
     terms = draw(st.dictionaries(vec, coeff, min_size=1, max_size=4))
@@ -310,15 +323,14 @@ def any_matrix_and_poly(draw):
 @settings(max_examples=500, deadline=None)
 def test_is_central_agrees_with_products_by_every_generator(data):
     spec, p = data
-    by_products = all(
-        multiply(SkewPoly.gen(spec.order, spec.nvars, k), p, spec)
-        == multiply(p, SkewPoly.gen(spec.order, spec.nvars, k), spec)
-        for k in range(spec.nvars))
+    gens = [SkewPoly.monomial(spec.order, [int(i == k) for i in range(spec.nvars)])
+            for k in range(spec.nvars)]
+    by_products = all(multiply(x, p, spec) == multiply(p, x, spec) for x in gens)
     assert is_central(p, spec) == by_products
 
 
 def test_is_central_names_a_length_mismatch():
-    x0 = SkewPoly.gen(3, 2, 0)
+    x0 = SkewPoly.monomial(3, (1, 0))
     with pytest.raises(ValueError, match="2 variables against 3 generators"):
         is_central(x0, SPEC3)
 

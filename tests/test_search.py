@@ -47,15 +47,13 @@ def test_weight_system_sorts_and_checks_divisibility():
     assert ws.weights == (1, 1, 2, 2)
     assert ws.total_degree == 6
     assert ws.divides == (True, True, True, True)
-    assert ws.admissible
 
 
 def test_weight_system_flags_failures():
     ws = weight_system((1, 1, 2, 5))
     assert ws.total_degree == 9
     assert ws.divides == (True, True, False, False)
-    assert not ws.admissible
-    assert not weight_system((2, 2, 4)).admissible  # gcd 2
+    assert weight_system((2, 2, 4)).divides == (True, True, True)  # but gcd 2
 
 
 def test_enumeration_finds_the_divisible_reference_entries():
@@ -83,7 +81,7 @@ def test_enumeration_systems_are_admissible_and_sorted():
     seen = [ws.weights for ws in result.systems]
     assert seen == sorted(seen)
     for ws in result.systems:
-        assert ws.admissible
+        assert all(ws.divides) and gcd(*ws.weights) == 1
         assert ws.weights == tuple(sorted(ws.weights))
 
 
