@@ -153,7 +153,7 @@ class CycInt:
 
     def __post_init__(self):
         deg = len(cyclotomic_poly(self.order)) - 1
-        coeffs = tuple(self.coeffs)
+        coeffs = tuple([_integer(c, "CycInt coefficient") for c in self.coeffs])
         if len(coeffs) != deg:
             raise ValueError(
                 f"need {deg} coefficients for order {self.order}, got {len(coeffs)}")

@@ -265,42 +265,52 @@ def census_weighted_surface(spec: AlgebraSpec) -> CensusReport:
     return _census(spec.weights, spec.order, [spec.exponents])[0]
 
 
+# The pairs j < k of the generators each affine chart keeps: x_1, x_2, x_3
+# on chart 0 and x_2, x_3 on chart 1.
+_CHART_PAIRS = tuple(tuple(combinations(range(k + 1, 4), 2)) for k in (0, 1))
+
+
 def _census(weights: tuple[int, ...], order: int, matrices) -> list[CensusReport]:
     """census_weighted_surface of each exponent matrix, past its checks:
     callers pass weights (1, 1, a, b) and matrices meeting validate_spec's
     hypotheses, as the search's CY classes do.
 
-    The two affine charts as they read when no pair scalar is trivial, and
-    the closed stratum, depend on the weights alone and are built once per
-    call.  Chart k inverts x_k, sets the generators before it to zero and
-    keeps the ones after it; its singleton items y_j^{h_j} = -1 count h_j
-    points each.  Only the pair scalars q'_jk, j < k, of each chart are
-    evaluated (qalgebra._chart_exponent): three on chart 0, one on chart 1.
-    A matrix with a trivial one gets that chart built anew.
+    A report depends on a matrix only through the trivial pair scalars
+    q'_jk = 1, j < k, of its two affine charts (qalgebra._chart_exponent):
+    three pairs on chart 0, one on chart 1.  Those are the key; each
+    distinct key's report is built the first time it appears, and every
+    matrix with that key shares the one frozen report.
     """
+    first, second = _CHART_PAIRS
+    reports = {}
+    out = []
+    for e in matrices:
+        key = (tuple([p for p in first if not _chart_exponent(e, weights, order, 0, *p)]),
+               tuple([p for p in second if not _chart_exponent(e, weights, order, 1, *p)]))
+        report = reports.get(key)
+        if report is None:
+            report = reports[key] = _census_report(weights, order, key)
+        out.append(report)
+    return out
+
+
+def _census_report(weights, order, trivial) -> CensusReport:
+    """The census report of a matrix whose two affine charts have the given
+    trivial pairs.  Chart k inverts x_k, sets the generators before it to
+    zero and keeps the ones after it; its singleton items y_j^{h_j} = -1
+    count h_j points each, and a trivial pair adds an infinite item and
+    makes the chart infinite.  The closed stratum x0 = x1 = 0 is the
+    two-variable count."""
     d = sum(weights)
     h = [d // a for a in weights]
-    finite = [
-        CensusChart(k, description, sum(h[k + 1:]),
-                    tuple(ChartItem((j,), h[j]) for j in range(k + 1, 4)), ())
-        for k, description in ((0, "x0 inverted"), (1, "x0 = 0, x1 inverted"))]
+    singles = [ChartItem((j,), h[j]) for j in (1, 2, 3)]
+    charts = [
+        CensusChart(k, description, INFINITE if pairs else sum(h[k + 1:]),
+                    (*singles[k:], *[ChartItem(p, INFINITE) for p in pairs]), pairs)
+        for k, description, pairs in (
+            (0, "x0 inverted", trivial[0]), (1, "x0 = 0, x1 inverted", trivial[1]))]
     tv = two_var_fermat_count(weights[2], weights[3], d)
-    closed = CensusChart(
-        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ())
-    reports = []
-    for exponents in matrices:
-        charts = []
-        for chart in finite:
-            trivial = tuple(
-                p for p in combinations(range(chart.chart + 1, 4), 2)
-                if not _chart_exponent(exponents, weights, order, chart.chart, *p))
-            if trivial:
-                chart = CensusChart(
-                    chart.chart, chart.description, INFINITE,
-                    chart.items + tuple(ChartItem(p, INFINITE) for p in trivial), trivial)
-            charts.append(chart)
-        charts.append(closed)
-        total = (INFINITE if any(c.count is INFINITE for c in charts)
-                 else sum(c.count for c in charts))
-        reports.append(CensusReport(weights, order, tuple(charts), total))
-    return reports
+    charts.append(CensusChart(
+        2, "x0 = x1 = 0", tv.count, (ChartItem((2, 3), tv.count),), ()))
+    total = INFINITE if any(trivial) else sum(c.count for c in charts)
+    return CensusReport(weights, order, tuple(charts), total)

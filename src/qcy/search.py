@@ -6,12 +6,17 @@ one Calabi-Yau exponent matrix per class under weight-preserving generator
 permutations.  The CY condition is linear in the exponents, so the CY
 matrices are the points of a lattice (one Hermite form modulo M,
 Cohen GTM 138 Algorithm 2.4.8), enumerated directly and in increasing order
-as the rows of one array; their count is known before the walk, and a
-search of more than SEARCH_BOUND of them is refused up front.  A point's
-row index is its free lattice digits read as a mixed-radix number, so the
-walk marks each orbit in array steps when it meets its least member,
-which becomes the class representative (isomorph-free generation, McKay
-1998); the permutations are priced against ACTION_BOUND first.  The
+as the columns of one array; their count is known before the walk, and a
+search of more than SEARCH_BOUND of them is refused up front.  The group
+needs no table: a transposition and a cycle per class of equal weights
+generate it (Seress, Permutation Group Algorithms, 2003).  A point's row
+index is its free lattice digits read as a mixed-radix number, so each
+generator moves all points at once to the indices of their images, and
+each image is checked to be the point found there.  Min-propagation with
+pointer jumping over those moves labels every point with the least index
+in its orbit; the points that are their own label are the class
+representatives, each the least of its orbit (isomorph-free generation,
+McKay 1998).  The group's order is priced against ACTION_BOUND first.  The
 representatives are then certified together as a second route, from
 their columns and not from the lattice: one array of their exponent
 matrices is checked for certify_weighted's hypotheses, one CRT merge over
@@ -25,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from itertools import permutations
 from math import comb, factorial, gcd, lcm, log, prod
 
 import numpy as np
@@ -38,22 +42,23 @@ from .qalgebra import AlgebraSpec
 
 # Most Calabi-Yau exponent matrices one search may enumerate.  With few
 # weight-preserving permutations nearly every matrix is its own class: one
-# step of the walk, one row of the batch certification's arrays, and its
-# matrix and witness as lists.  Over the 17,100 classes of (1,3,5,5,6,10)
-# at order 30 on a 2 vCPU Xeon that is 0.015-0.02 ms per class, and 0.8 KB
-# kept per class (1.6 KB at the peak, the walk's and the certification's
-# arrays included, by tracemalloc); search_q_params's spec per class adds
-# about 0.02 ms.  So the largest accepted search takes seconds and under
-# 200 MB.
+# point of the walk and of each generator's moves, one row of the batch
+# certification's arrays, and its matrix and witness as lists.  Over the
+# 17,100 classes of (1,3,5,5,6,10) at order 30 on a 2 vCPU Xeon that is
+# 0.005-0.007 ms per class, and 0.8 KB kept per class (1.9 KB at the peak,
+# the walk's, the moves' and the certification's arrays included, by
+# tracemalloc); search_q_params's spec per class adds about 0.01 ms.  So
+# the largest accepted search takes about a second and under 200 MB.
 SEARCH_BOUND = 10**5
 
-# Most entries, |G| n (n - 1) / 2 at 8 bytes each, of the weight-preserving
+# Most entries, |G| n (n - 1) / 2, of a table of the weight-preserving
 # permutations' actions on the pairs, priced from the multiplicities of the
-# weights; each orbit is marked in steps of at most _ORBIT_BLOCK entries.
-# Nine equal weights (9! * 36 entries) take 0.8 s and 190 MB peak RSS at
-# order 1 on a 2 vCPU Xeon; ten, or nine and one more (9! * 45), are refused.
+# weights.  The search builds no such table: it moves the points by at most
+# two generators per class of equal weights, so its cost does not grow with
+# |G|.  The bound fixes which inputs are accepted: nine equal weights
+# (9! * 36 entries) are answered, and ten, or nine and one more (9! * 45),
+# are refused.
 ACTION_BOUND = 15 * 10**6
-_ORBIT_BLOCK = 2**20
 
 # Most work one enumerate_cy_weights call may do, counted in weights.  The
 # sieve's size depends only on the input, so it is priced before anything
@@ -229,17 +234,34 @@ def _over_bound(n_vars: int, bound: int, step: str) -> ValueError:
                       f"WEIGHT_ENUMERATION_BOUND = {WEIGHT_ENUMERATION_BOUND} weights")
 
 
-def _weight_preserving_perms(weights) -> np.ndarray:
-    """The permutations g with weights[g[i]] == weights[i], one row each:
-    every combination of one permutation per class of equal weights."""
+def _generators(weights) -> list[list[int]]:
+    """Generators of the weight-preserving permutations, one row each, as
+    signed permutations of the pair digits k: indices into (k, -k mod box).
+
+    Per class of equal weights, the transposition of its first two members
+    and, for a class of three or more, the cycle through all of them: the
+    two generate the class's symmetric group (Seress, Permutation Group
+    Algorithms, 2003), so the rows generate the whole group.  A
+    weight-preserving g sends e_(i,j) to e_(g i, g j), which is +-e of one
+    pair q of the same stride, so the relabelled matrix has k'_p = k_q
+    (index q) if g i < g j, else -k_q (index len(pairs) + q).
+    """
     n = len(weights)
-    group = np.arange(n)[None, :]
+    perms = []
     for a in sorted(set(weights)):
         cls = [i for i in range(n) if weights[i] == a]
-        perms = np.array(list(permutations(cls)), np.intp)
-        group = np.repeat(group, len(perms), axis=0)
-        group[:, cls] = np.tile(perms, (len(group) // len(perms), 1))
-    return group
+        if len(cls) < 2:
+            continue
+        for cycle in ([cls[:2], cls] if len(cls) > 2 else [cls]):
+            g = list(range(n))
+            for s, t in zip(cycle, cycle[1:] + cycle[:1]):
+                g[s] = t
+            perms.append(g)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    where = {}
+    for q, (i, j) in enumerate(pairs):
+        where[i, j], where[j, i] = q, q + len(pairs)
+    return [[where[g[i], g[j]] for i, j in pairs] for g in perms]
 
 
 def _cy_lattice(weights, order):
@@ -272,15 +294,16 @@ def _cy_lattice(weights, order):
     return pairs, strides, boxes, basis
 
 
-def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Every point of the lattice modulo the box, one row each, in increasing
-    order, and the place value of each digit of a point's row index.
+def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, list[int]]:
+    """Every point of the lattice modulo the box, in increasing order, as one
+    column per pair (point r is column entry r of each), and the place value
+    of each digit of a point's row index.
 
     Row p of the triangular basis has pivot diag_p | box_p: once k_0 ..
     k_{p-1} are fixed, k_p runs over v = (acc_p mod diag_p) + diag_p t for
     t < box_p / diag_p, and adding the multiple of row p that reaches v
     leaves the earlier entries alone.  Each free position (diag_p < box_p)
-    multiplies the rows by box_p / diag_p, t increasing, so the rows come
+    multiplies the points by box_p / diag_p, t increasing, so they come
     out in the lexicographic order of the exponent matrices; where
     diag_p = box_p that multiple is 0.  The row index of a point is then
     its digits t_p = k_p // diag_p read as a mixed-radix number (first pair
@@ -290,52 +313,104 @@ def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, np.ndarray]:
     every box is below _kernels.MODULUS_BOUND, as the product then stays
     below 2^62, and object (Python ints) otherwise.
     """
-    box = np.array(boxes, dtype)
-    points = np.zeros((1, len(boxes)), dtype)
+    box = np.array(boxes, dtype)[:, None, None]
+    columns = np.zeros((len(boxes), 1), dtype)
     for p, row in enumerate(basis):
         diag = row[p]
         if diag == boxes[p]:
             continue
-        c = np.arange(boxes[p] // diag).astype(dtype) - (points[:, p] // diag)[:, None]
-        step = c[:, :, None] * np.array(row, dtype)
-        step += points[:, None, :]
+        c = np.arange(boxes[p] // diag).astype(dtype) - (columns[p] // diag)[:, None]
+        step = np.array(row, dtype)[:, None, None] * c
+        step += columns[:, :, None]
         step %= box
-        points = step.reshape(-1, len(boxes))
+        columns = step.reshape(len(boxes), -1)
     radix = [b // row[p] for p, (b, row) in enumerate(zip(boxes, basis))]
-    places = [prod(radix[p + 1:]) for p in range(len(boxes))]
-    return points, np.array(places, np.int64)
+    return columns, [prod(radix[p + 1:]) for p in range(len(boxes))]
 
 
-def _signed_actions(pairs, perms) -> np.ndarray:
-    """Each permutation (row of perms) as a signed permutation of k: indices
-    into (k, -k mod box).
+def _moves(columns, diag, boxes, places, actions) -> np.ndarray | None:
+    """Row index of each point's image under each action (a row of
+    _generators), one row of the result per action, or None when some image
+    is not the point at its computed index.
 
-    A weight-preserving permutation g sends e_(i,j) to e_(g i, g j), which
-    is +-e of one pair q of the same stride, so the relabelled matrix has
-    k'_p = k_q (index q) if g i < g j, else -k_q (index len(pairs) + q).
+    An image's row index is its digits k_p // diag_p read with the place
+    values; a fixed position (diag_p = box_p) has digit 0 and is left out,
+    and one with diag_p = 1 needs no division.  Two checks come first: each
+    point's own digits read as its row index, and each action takes every
+    pair's digit from a pair of the same box, so an image's digits lie
+    below their radices.  The point at an image's computed index then has
+    the image's digits, and so its entries wherever diag_p = 1 (a box of 1
+    holds only 0); only the positions with diag_p > 1 are compared.  Every
+    step is one column of all the points.
     """
-    i, j = np.array(pairs).T
-    where = np.zeros((perms.shape[1],) * 2, np.intp)
-    where[i, j] = np.arange(len(pairs))
-    where[j, i] = where[i, j] + len(pairs)
-    return where[perms[:, i], perms[:, j]]
+    width, count = columns.shape
+    free = [p for p in range(width) if diag[p] < boxes[p]]
+    compared = [p for p in range(width) if diag[p] > 1]
+    negated = {}
+
+    def signed(a):
+        if a < width:
+            return columns[a]
+        if a not in negated:
+            negated[a] = -columns[a - width] % boxes[a - width]
+        return negated[a]
+
+    def row_index(entries):
+        at = np.zeros(count, columns.dtype)
+        for p in free:
+            at += (entries[p] if diag[p] == 1 else entries[p] // diag[p]) * places[p]
+        return at.astype(np.intp)
+
+    if (not (row_index(columns) == np.arange(count)).all()
+            or any(boxes[a % width] != boxes[p]
+                   for action in actions for p, a in enumerate(action))):
+        return None
+    out = np.empty((len(actions), count), np.intp)
+    for g, action in enumerate(actions):
+        images = [signed(a) for a in action]
+        at = out[g] = row_index(images)
+        if not all((np.take(columns[p], at) == images[p]).all() for p in compared):
+            return None
+    return out
+
+
+def _least_in_orbit(moves) -> np.ndarray:
+    """The least row index in each point's orbit under the group the moves
+    generate, by min-propagation with pointer jumping.
+
+    Each round lowers every point's label to its image's label under each
+    move in turn, then to its label's label.  A label is always an index in
+    the point's orbit and never above it.  Each move permutes the points in
+    cycles, so after a round that changes nothing, when no label is above
+    its image's, the labels are constant along every move's cycles and so
+    on each orbit, at its least member.
+    """
+    label = np.arange(moves.shape[1])
+    while True:
+        before = label
+        for perm in moves:
+            label = np.minimum(label, np.take(label, perm))
+        label = np.take(label, label)
+        if (label == before).all():
+            return label
 
 
 def _search_classes(weights, order: int) -> tuple[list, list]:
     """(matrices, witnesses): one CY exponent matrix per class of the
     sorted weights, in increasing order, and its witness (_certify_classes).
 
-    Enumerates the CY matrices directly as lattice points (see _cy_lattice
-    and _lattice_points), walks them in increasing order and marks the
-    orbit of each unseen one under the weight-preserving permutations, all
-    images in one array step, so the first member met is the least of its
-    orbit and becomes the class representative.  The representatives are
-    certified together (_certify_classes).  An image outside the set, or a
-    representative that does not certify CY, raises InternalDefect.
-    A search over SEARCH_BOUND CY matrices or ACTION_BOUND action entries
-    is refused before enumeration.  The arrays hold int64 while the search
-    modulus M = N lcm(a_j) is below _kernels.MODULUS_BOUND (see there), and
-    Python ints from it on.
+    Enumerates the CY matrices directly as lattice points, in increasing
+    order (see _cy_lattice and _lattice_points).  Each generator of the
+    weight-preserving permutations (_generators) moves every point to its
+    image's row index (_moves), and each point is labelled with the least
+    index in its orbit (_least_in_orbit); the points that are their own
+    label are the class representatives, certified together
+    (_certify_classes).  An image that is not the point at its computed
+    index, or a representative that does not certify CY, raises
+    InternalDefect.  A search over SEARCH_BOUND CY matrices or
+    ACTION_BOUND action entries is refused before enumeration.  The arrays
+    hold int64 while the search modulus M = N lcm(a_j) is below
+    _kernels.MODULUS_BOUND (see there), and Python ints from it on.
     """
     ws = weight_system(weights)
     weights = ws.weights
@@ -359,31 +434,16 @@ def _search_classes(weights, order: int) -> tuple[list, list]:
             f"Calabi-Yau exponent matrices, above SEARCH_BOUND = {SEARCH_BOUND}")
     m = order * lcm(*weights)
     dtype = np.int64 if m < _kernels.MODULUS_BOUND else object
-    points, places = _lattice_points(boxes, basis, dtype)
-    diag = np.array([row[p] for p, row in enumerate(basis)], points.dtype)
-    box = np.array(boxes, points.dtype)
-    group = _weight_preserving_perms(weights)
-    step = max(1, _ORBIT_BLOCK // len(pairs))
-    blocks = [_signed_actions(pairs, group[lo:lo + step])
-              for lo in range(0, len(group), step)]
-    # `marks` writes through to `seen`, whose find() skips marked points in C
-    seen = bytearray(len(points))
-    marks = np.frombuffer(seen, np.bool_)
-    reps = []
-    pos = seen.find(0)
-    while pos >= 0:
-        signed = np.concatenate((points[pos], -points[pos] % box))
-        for source in blocks:
-            images = signed[source]
-            at = ((images // diag) @ places).astype(np.intp)
-            if not (points[at] == images).all():
-                raise InternalDefect(
-                    f"CY matrices of {weights} at order {order} are not "
-                    "closed under weight-preserving permutations")
-            marks[at] = True
-        reps.append(pos)
-        pos = seen.find(0, pos + 1)
-    return _certify_classes(weights, order, m, pairs, strides, points[reps])
+    columns, places = _lattice_points(boxes, basis, dtype)
+    diag = [row[p] for p, row in enumerate(basis)]
+    moves = _moves(columns, diag, boxes, places, _generators(weights))
+    if moves is None:
+        raise InternalDefect(
+            f"CY matrices of {weights} at order {order} are not "
+            "closed under weight-preserving permutations")
+    label = _least_in_orbit(moves)
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    return _certify_classes(weights, order, m, pairs, strides, columns[:, reps].T)
 
 
 def _exponent_matrices(n, order, pairs, strides, ks) -> np.ndarray:

@@ -4,7 +4,8 @@ the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
 Hilbert oracle's rows and ranks are tested against, the scalar lattice
 walk and chart-by-chart census (with its second chart's scalar) that the
-search and the census are tested against, the chart scalars by their
+search and the census are tested against, the least-of-orbit classes by
+brute force, the chart scalars by their
 definition and the image of a matrix by enumeration, a counter of spec
 constructions, a spy on the rank's elimination loop, a one-algebra manifest
 writer, and the scalar CRT merge that the column merge is tested against."""
@@ -237,6 +238,36 @@ def reference_search(weights, order):
             exps[j][i] = -s * kp % order
         out.append(tuple(tuple(r) for r in exps))
     return out
+
+
+def least_of_orbits(weights, order):
+    """_search_classes's exponent matrices by brute force: every CY matrix
+    (the lattice points, decoded), relabelled by every weight-preserving
+    permutation from itertools.permutations, and kept when it is the least
+    of its orbit.  Each relabelling must itself be a CY matrix."""
+    weights = tuple(sorted(weights))
+    n = len(weights)
+    pairs, strides, boxes, basis = _cy_lattice(weights, order)
+    place = [1] * len(boxes)
+    for p in range(len(boxes) - 2, -1, -1):
+        place[p] = place[p + 1] * boxes[p + 1]
+    matrices = set()
+    for index in reference_lattice_points(boxes, basis, place):
+        exps = [[0] * n for _ in range(n)]
+        for (i, j), s, w, b in zip(pairs, strides, place, boxes):
+            exps[i][j] = s * (index // w % b)
+            exps[j][i] = -exps[i][j] % order
+        matrices.add(tuple(map(tuple, exps)))
+    perms = [g for g in permutations(range(n))
+             if all(weights[g[i]] == weights[i] for i in range(n))]
+    least = []
+    for exps in matrices:
+        orbit = [tuple(tuple(exps[g[i]][g[j]] for j in range(n)) for i in range(n))
+                 for g in perms]
+        assert matrices.issuperset(orbit)
+        if exps == min(orbit):
+            least.append([list(row) for row in exps])
+    return sorted(least)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,17 @@ def test_cycint_root_relations():
         CycInt.from_root(RootScalar(6, 1), 3)
 
 
+@pytest.mark.parametrize("coeffs", [(1.5, 0.2), (1, 2.0), ("1", 0), (Fraction(1), 0)])
+def test_cycint_refuses_coefficients_that_are_not_integers(coeffs):
+    with pytest.raises(ValueError, match="CycInt coefficient must be an integer"):
+        CycInt(3, coeffs)
+
+
+def test_cycint_takes_numpy_integers_as_ints():
+    z = CycInt(3, (np.int64(1), np.int32(2)))
+    assert all(type(c) is int for c in z.coeffs) and z == CycInt(3, (1, 2))
+
+
 def test_cycint_mixed_multiplication():
     z = CycInt.from_root(RootScalar(4, 1), 4)
     assert z * 2 + z == z * 3

@@ -4,8 +4,9 @@ import random
 import tracemalloc
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from math import comb, gcd, lcm
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qcy.qalgebra import AlgebraSpec
 from helpers import (
     CRITERION_2_SYSTEMS,
     E4,
+    least_of_orbits,
     record_spec_constructions,
     reference_census,
     reference_search,
@@ -459,22 +461,46 @@ def test_search_holds_large_boxes_as_python_ints(monkeypatch):
     _classes_certify((1, 1, 2, 2), 6, *classes)
 
 
+def _signed_action(g, n):
+    """g's relabelling of the pair digits, as _generators encodes it."""
+    pairs = list(combinations(range(n), 2))
+    return tuple(pairs.index((g[i], g[j])) if g[i] < g[j]
+                 else pairs.index((g[j], g[i])) + len(pairs) for i, j in pairs)
+
+
 @pytest.mark.parametrize("weights", [
     (1,), (1, 1, 2, 2), (1, 1, 1, 1, 2), (1, 2, 3, 6), (1, 1, 1, 3, 3, 3), (2, 1, 2, 1),
 ], ids=str)
-def test_weight_preserving_perms_are_the_filtered_permutations(weights):
+def test_generators_close_to_the_filtered_permutations(weights):
+    """The generators' closure under composition is the group of
+    weight-preserving permutations, as actions on the pair digits, with at
+    most a transposition and a cycle per class of equal weights."""
     n = len(weights)
-    expected = [p for p in permutations(range(n))
-                if all(weights[p[i]] == weights[i] for i in range(n))]
-    assert sorted(map(tuple, search._weight_preserving_perms(weights).tolist())) == expected
+    width = n * (n - 1) // 2
+    gens = search._generators(weights)
+    classes = Counter(weights).values()
+    assert len(gens) == sum(min(2, c - 1) for c in classes)
+    group = {tuple(range(width))}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        signed = a + tuple((x + width) % (2 * width) for x in a)
+        for b in gens:
+            c = tuple(signed[x] for x in b)
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    expected = {_signed_action(g, n) for g in permutations(range(n))
+                if all(weights[g[i]] == weights[i] for i in range(n))}
+    assert group == expected
 
 
 def test_permutation_leaving_the_weights_is_a_defect(monkeypatch):
     """A relabelling that swaps a weight-1 and a weight-2 generator leaves
-    the CY matrices of (1,1,2,2)@6: the orbit marking raises."""
-    real = search._weight_preserving_perms
-    monkeypatch.setattr(search, "_weight_preserving_perms",
-                        lambda weights: np.vstack([real(weights), (0, 2, 1, 3)]))
+    the CY matrices of (1,1,2,2)@6: the orbit labelling raises."""
+    real = search._generators
+    monkeypatch.setattr(search, "_generators",
+                        lambda weights: real(weights) + [_signed_action((0, 2, 1, 3), 4)])
     with pytest.raises(InternalDefect, match="not closed"):
         search_q_params((1, 1, 2, 2), 6)
 
@@ -482,14 +508,55 @@ def test_permutation_leaving_the_weights_is_a_defect(monkeypatch):
 def test_action_without_its_sign_is_a_defect(monkeypatch):
     """Relabelling e_ij to e_ji negates the exponent; dropping the sign
     sends CY matrices of (1,1,2,2)@6 outside the set."""
-    real = search._signed_actions
-
-    def unsigned(pairs, perms):
-        return real(pairs, perms) % len(pairs)
-
-    monkeypatch.setattr(search, "_signed_actions", unsigned)
+    real = search._generators
+    monkeypatch.setattr(search, "_generators",
+                        lambda weights: [[a % 6 for a in g] for g in real(weights)])
     with pytest.raises(InternalDefect, match="not closed"):
         search_q_params((1, 1, 2, 2), 6)
+
+
+def test_move_between_pairs_of_different_boxes_is_a_defect(monkeypatch):
+    """A move reading pair (0,1), box 6, into pair (0,2), box 3, of
+    (1,1,2,2)@6 gives digits past their radix: refused before any image's
+    index is read."""
+    real = search._generators
+    monkeypatch.setattr(search, "_generators",
+                        lambda weights: real(weights) + [[0, 0, 2, 3, 4, 5]])
+    with pytest.raises(InternalDefect, match="not closed"):
+        search_q_params((1, 1, 2, 2), 6)
+
+
+def test_points_out_of_order_are_a_defect(monkeypatch):
+    """Each point's digits must read as its row index.  Point 0 of
+    (1,1,2,2)@6 swapped with a point that agrees with it wherever the
+    diagonal is above 1, where images are compared, makes the orbit
+    labelling raise."""
+    real = search._lattice_points
+
+    def swapped(boxes, basis, dtype):
+        columns, places = real(boxes, basis, dtype)
+        kept = [p for p, row in enumerate(basis) if row[p] > 1]
+        other = next(r for r in range(1, columns.shape[1])
+                     if (columns[kept, r] == columns[kept, 0]).all())
+        columns[:, [0, other]] = columns[:, [other, 0]]
+        return columns, places
+
+    monkeypatch.setattr(search, "_lattice_points", swapped)
+    with pytest.raises(InternalDefect, match="not closed"):
+        search_q_params((1, 1, 2, 2), 6)
+
+
+# (weights, order) of SMALL_CASES whose brute-force orbits stay small
+SMALL_ORBIT_CASES = [
+    (w, order) for w, order in SMALL_CASES
+    if prod(factorial(c) for c in Counter(w).values()) * _candidates(w, order) <= 20000
+]
+
+
+@given(st.sampled_from(SMALL_ORBIT_CASES))
+@settings(max_examples=40, deadline=None)
+def test_search_classes_are_the_least_of_their_orbits(case):
+    assert search._search_classes(*case)[0] == least_of_orbits(*case)
 
 
 # -- batch certification ---------------------------------------------------
