@@ -3,10 +3,14 @@
 Two operations: counting the image of an exponent matrix acting on
 (Z/N)^m, and row reduction of integer matrices modulo a word-sized prime.
 The image is counted by closing the subgroup its columns generate, coset
-by coset, so its cost scales with |image| * n rather than with the domain
-N^m; it shares no code with the Smith form it cross-checks.  The test
-suite checks both kernels against pure-Python oracles, the image against
-an enumeration of the whole domain.
+by coset, so its cost scales with |image| * max(n, m) rather than with the
+domain N^m; it shares no code with the Smith form it cross-checks.  Each
+vector of the subgroup is a row of residues padded with zeros to whole
+64-bit words, so the uint64 view of the rows is their key: membership is
+one scan comparing words, with no code to compute and no sort, and the
+cosets of the last column are counted, never built.  The test suite checks
+both kernels against pure-Python oracles, the image against an
+enumeration of the whole domain.
 
 The rank takes one of two forms.  `modp_rank` takes a matrix and reduces
 it by recursive halving over its longer side, with each block update
@@ -32,7 +36,7 @@ prime (the `hilbert` module docstring says why); the deficient spans of
 two Fermat elements peel nothing.
 
 All modular arithmetic assumes a modulus below 2**31 so that products fit
-in int64; the image's mixed-radix codes need N^n <= 2**62.
+in int64, and a sum of two residues fits in the image's residue type.
 """
 
 from __future__ import annotations
@@ -57,39 +61,53 @@ def image_count(mat, modulus: int) -> int:
 
     The image is the subgroup S of (Z/N)^n generated by the columns.  Start
     from S = {0}; for each column g find t, its order modulo S (the least
-    divisor of N with t.g in S, one sorted-code lookup per divisor), and
-    replace S by the t disjoint cosets S + i.g.  Work and memory scale with
-    |image| * n, never with the domain N^m, in at most m * d(N) numpy steps.
-    Vectors are keyed by mixed-radix codes, so the caller keeps N^n within
-    int64 (N^n <= 2**62).
+    divisor of N with t.g in S), and replace S by the t disjoint cosets
+    S + i.g; |image| is the product of the t's, so the cosets of the last
+    column are never built.  S is held as rows of the narrowest unsigned
+    type that holds a sum of two residues, each padded with zeros to whole
+    64-bit words, so the uint64 view of S gives each row's key at no cost.
+    t.g lies in S when some row equals it in every word: one scan of S per
+    divisor tried, in increasing order, and none for t = N, as N.g = 0 lies
+    in S.  A sum of two residues stays in its lane, so cosets are built by
+    adding words.  Work and memory scale with |image| * max(n, m), never
+    with the domain N^m.
     """
     if not 0 < modulus < MODULUS_BOUND:
         raise ValueError("modulus must fit comfortably in int64 arithmetic")
-    h = _int64_matrix(mat) % modulus
+    h = _int64_matrix(mat)
+    # [] reads as an empty 1-d array: the matrix with no rows
+    if h.ndim != 2 and h.shape != (0,):
+        raise ValueError("expected a 2-d matrix")
     if h.size == 0:
         return 1
-    if h.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    n = h.shape[0]
-    weights = modulus ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    # The narrowest type holding a sum of two residues.
+    n, m = h.shape
     residue = np.min_scalar_type(2 * modulus).type
-    orders = _divisors(modulus)
-    group = np.zeros((1, n), dtype=residue)
-    codes = np.zeros(1, dtype=np.int64)
-    for g in h.T:
+    lanes = 8 // np.dtype(residue).itemsize
+    columns = np.zeros((m, -(-n // lanes) * lanes), dtype=np.int64)
+    columns[:, :n] = h.T % modulus
+    orders = _divisors(modulus)[:-1]
+    group = np.zeros((1, columns.shape[1]), dtype=residue)
+    count = 1
+    for j, g in enumerate(columns):
+        keys = group.view(np.uint64)
         for t in orders:
-            code = int((t * g) % modulus @ weights)
-            at = int(np.searchsorted(codes, code))
-            if at < codes.size and codes[at] == code:
+            key = (t * g % modulus).astype(residue).view(np.uint64)
+            if (keys == key).all(axis=1).any():
                 break
-        if t == 1:
+        else:
+            t = modulus
+        count *= t
+        if t == 1 or j == m - 1:
             continue
-        shifts = (np.arange(t)[:, None] * g % modulus).astype(residue)
-        group = (group[None, :, :] + shifts[:, None, :]).reshape(-1, n)
-        group -= (group >= modulus) * residue(modulus)
-        codes = np.sort(group @ weights)
-    return int(codes.size)
+        shifts = np.arange(t)[:, None] * g
+        shifts %= modulus
+        shifts = shifts.astype(residue).view(np.uint64)
+        group = (keys[None, :, :] + shifts[:, None, :]).reshape(-1, keys.shape[1])
+        group = group.view(residue)
+        # for x < 2N, x - N wraps above x exactly when x < N: the minimum
+        # of the two is x mod N
+        np.minimum(group, group - residue(modulus), out=group)
+    return count
 
 
 def _int64_matrix(mat) -> np.ndarray:

@@ -305,25 +305,28 @@ def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, list[int]]:
     leaves the earlier entries alone.  Each free position (diag_p < box_p)
     multiplies the points by box_p / diag_p, t increasing, so they come
     out in the lexicographic order of the exponent matrices; where
-    diag_p = box_p that multiple is 0.  The row index of a point is then
-    its digits t_p = k_p // diag_p read as a mixed-radix number (first pair
+    diag_p = box_p that multiple is 0.  Each point is repeated once per t,
+    and only the columns where row p is nonzero (never before p) are
+    stepped and reduced, in place.  The row index of a point is then its
+    digits t_p = k_p // diag_p read as a mixed-radix number (first pair
     most significant), which stays below the point count; a fixed
     position's digit is 0.  Each step adds c * row_p with |c| and the
     entries below the box, so the points are exact in `dtype`: int64 when
     every box is below _kernels.MODULUS_BOUND, as the product then stays
     below 2^62, and object (Python ints) otherwise.
     """
-    box = np.array(boxes, dtype)[:, None, None]
     columns = np.zeros((len(boxes), 1), dtype)
     for p, row in enumerate(basis):
         diag = row[p]
         if diag == boxes[p]:
             continue
         c = np.arange(boxes[p] // diag).astype(dtype) - (columns[p] // diag)[:, None]
-        step = np.array(row, dtype)[:, None, None] * c
-        step += columns[:, :, None]
-        step %= box
-        columns = step.reshape(len(boxes), -1)
+        columns = np.repeat(columns, c.shape[1], axis=1)
+        points = columns.reshape(len(boxes), *c.shape)
+        for q in range(p, len(boxes)):
+            if row[q]:
+                points[q] += row[q] * c
+                points[q] %= boxes[q]
     radix = [b // row[p] for p, (b, row) in enumerate(zip(boxes, basis))]
     return columns, [prod(radix[p + 1:]) for p in range(len(boxes))]
 

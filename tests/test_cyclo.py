@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from qcy import _kernels
 from qcy.cyclo import (
+    ENUMERATION_BOUND,
     CycField,
     CycInt,
     RootScalar,
@@ -575,6 +576,33 @@ def test_closure_is_priced_by_the_image_not_the_domain(monkeypatch):
     assert max(sizes) == 11664 and not calls
     assert image_size([list(r) for r in largest.exponents], 18) == 11664
     assert calls == [18]
+
+
+def test_closure_runs_past_n_to_the_n_and_is_priced_by_the_wider_side(monkeypatch):
+    # Packed rows need no code below 2^62: a 23 x 23 matrix mod 7 of image
+    # 7^2, and a 4 x 4 one at N = 3 * 2^29 of image 12 (uint32 residues,
+    # two words a row), both get the closure.  A 1 x 1001 matrix of image
+    # 1000 has |image| * n under ENUMERATION_BOUND but |image| * m, the
+    # closure's scan per column, above it: the Smith form answers alone.
+    calls = []
+    count = _kernels.image_count
+    monkeypatch.setattr(_kernels, "image_count",
+                        lambda mat, modulus: calls.append(modulus) or count(mat, modulus))
+    square = [[0] * 23 for _ in range(23)]
+    square[0][1], square[1][0] = 1, 6
+    big = 3 * 2**29
+    # columns of order 6, of order 2 in the second word only, their sum, 0
+    first, second = [big // 6, 0, 0, 5 * big // 6], [0, 0, big // 2, 0]
+    packed = [[a, b, a + b, 0] for a, b in zip(first, second)]
+    assert 7**23 > 2**62 and big**4 > 2**62 and big < _kernels.MODULUS_BOUND
+    assert image_size(square, 7) == 49
+    assert image_size(packed, big) == 12
+    assert calls == [7, big]
+    wide = [[1] + [0] * 1000]
+    assert 1000 * 1 <= ENUMERATION_BOUND < 1000 * 1001
+    assert image_size(wide, 1000) == 1000 and calls == [7, big]
+    with pytest.raises(ValueError, match="enumeration infeasible"):
+        image_size(wide, 1000, method="enumerate")
 
 
 def test_image_size_known_values():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcy import _kernels, hilbert
+from qcy.cyclo import image_size
 from qcy.qalgebra import fermat
 
 from helpers import SPEC4, image_brute, spy_eliminate
@@ -62,6 +63,47 @@ def test_image_count_backends_agree(modulus, n, m, dependent, data):
     count = _kernels.image_count(mat, modulus)
     assert count == len(image_brute(mat, modulus))
     assert count * kernel_oracle(mat, modulus) == modulus ** m
+
+
+# The moduli each residue type of the closure holds (a sum of two residues
+# must fit): rows of n residues pack into ceil(n / lanes) 64-bit words.
+RESIDUE_MODULI = {np.uint8: (2, 127), np.uint16: (128, 2**15 - 1),
+                  np.uint32: (2**15, 2**31 - 1)}
+
+
+@given(st.sampled_from(sorted(RESIDUE_MODULI, key=str)), st.integers(1, 12),
+       st.integers(1, 17), st.integers(1, 4),
+       st.sampled_from(("none", "first", "last")), st.data())
+@settings(max_examples=300, deadline=None)
+def test_image_count_agrees_with_the_smith_form(residue, small, n, m,
+                                                dependent, data):
+    """Every residue type, rows of one to nine words, and N^n past 2^62.
+
+    N = small * k, and each column is a multiple of N / e for some e
+    dividing `small`, so the image has at most small^m elements.  A column
+    is zero before a drawn row, so many sit in later words only, where a
+    closure comparing only first words would take them for members.
+    """
+    lo, hi = RESIDUE_MODULI[residue]
+    modulus = small * data.draw(st.integers(-(-lo // small), hi // small))
+    assert np.min_scalar_type(2 * modulus).type is residue
+    divisors = [e for e in range(1, small + 1) if small % e == 0]
+    mat = [[0] * m for _ in range(n)]
+    for j in range(m):
+        e = data.draw(st.sampled_from(divisors))
+        for i in range(data.draw(st.integers(0, n - 1)), n):
+            mat[i][j] = (data.draw(st.integers(0, e - 1)) * (modulus // e)
+                         - modulus * data.draw(st.integers(0, 1)))
+    if dependent != "none" and m > 1:
+        # a combination of the other columns: the first column then adds
+        # what the others would, and the last column adds nothing
+        target = 0 if dependent == "first" else m - 1
+        coeffs = [data.draw(st.integers(0, modulus - 1)) for _ in range(m)]
+        for row in mat:
+            row[target] = sum(c * x for j, (c, x) in enumerate(zip(coeffs, row))
+                              if j != target) % modulus
+    assert _kernels.image_count(mat, modulus) == \
+        image_size(mat, modulus, method="snf")
 
 
 PRIMES = (2, 3, 7, 97, 65537, 2_147_483_629, 2 ** 31 - 1)
@@ -483,3 +525,7 @@ def test_image_count_validates_modulus():
 def test_image_count_empty_dimensions():
     assert _kernels.image_count([], 5) == 1
     assert _kernels.image_count([[]], 5) == 1
+    # as modp_rank does, an empty 3-d array is refused, not counted
+    for kernel in (_kernels.image_count, _kernels.modp_rank):
+        with pytest.raises(ValueError, match="expected a 2-d matrix"):
+            kernel([[[]]], 5)
