@@ -46,6 +46,19 @@ def _integer(value, what: str) -> int:
             f"{what} must be an integer, not {type(value).__name__}") from None
 
 
+def _rows(mat) -> tuple[list[list[int]], int, int]:
+    """(rows, n, m): an n x m matrix's rows as lists of ints; ValueError
+    for an entry that is not an integer (_integer) or a ragged matrix."""
+    try:
+        rows = [list(map(index, r)) for r in mat]
+    except TypeError:  # _integer names the entry
+        rows = [[_integer(x, "matrix entry") for x in r] for r in mat]
+    m = len(rows[0]) if rows else 0
+    if any(len(r) != m for r in rows):
+        raise ValueError("ragged matrix")
+    return rows, len(rows), m
+
+
 @dataclass(frozen=True, slots=True)
 class RootScalar:
     """A root of unity zeta_order^exponent, stored in lowest terms.
@@ -303,10 +316,7 @@ def smith_normal_form(mat, modulus: int) -> list[int]:
     N, so at most n (1 + Omega(N)) passes follow the first, Omega(N) the
     number of prime factors of N counted with multiplicity.
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    if any(len(row) != m for row in mat):
-        raise ValueError("ragged matrix")
+    mat, n, _ = _rows(mat)
     # with no columns, one zero row gives the form its width n
     form = hermite_normal_form(list(zip(*mat)) or [[0] * n], modulus)
     while any(form[r][c] for c in range(n) for r in range(c)):
@@ -327,10 +337,11 @@ def hermite_normal_form(rows, modulus: int) -> list[list[int]]:
     column c, which leaves one pivot row; every update is reduced mod N,
     which the later N e_j absorb.  So no entry but a pivot N reaches N.
     """
+    modulus = _integer(modulus, "modulus")
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    work = [[int(x) % modulus for x in r] for r in rows]
-    k = len(work[0]) if work else 0
+    rows, _, k = _rows(rows)
+    work = [[x % modulus for x in r] for r in rows]
     basis: list[list[int]] = []
     for col in range(k):
         pivot = [0] * k
@@ -363,10 +374,12 @@ def lattice_contains(basis: list[list[int]], vec) -> bool:
 
     Row by row: the vector's entry at the row's pivot must be a multiple
     of the pivot, and the row's multiple that clears it is subtracted; the
-    vector is a member when nothing is left.
+    vector is a member when nothing is left.  A zero row is a ValueError.
     """
-    v = [int(x) for x in vec]
-    width = len(basis[0]) if basis else 0
+    basis, _, width = _rows(basis)
+    if not all(map(any, basis)):
+        raise ValueError("basis has a zero row")
+    v = [_integer(x, "vector component") for x in vec]
     if len(v) != width:
         raise ValueError(f"vector of length {len(v)} against basis rows of length {width}")
     for row in basis:
@@ -385,8 +398,7 @@ def kernel_lattice(mat, modulus: int) -> list[list[int]]:
     of its form that pivot on the right-hand block span the vectors (0 | e)
     of span + N Z^(n+m), which are those with mat . e = 0 (mod N).
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
+    mat, n, m = _rows(mat)
     rows = [[r[j] for r in mat] + [int(i == j) for i in range(m)] for j in range(m)]
     return [r[n:] for r in hermite_normal_form(rows, modulus)[n:]]
 
@@ -404,8 +416,7 @@ def image_size(mat, modulus: int, method: str = "auto") -> int:
     Under "auto" both run where feasible and must agree; "enumerate" demands
     the second route.
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
+    mat, n, m = _rows(mat)
     by_snf = prod(modulus // d for d in smith_normal_form(mat, modulus))
     if method == "snf":
         return by_snf

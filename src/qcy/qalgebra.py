@@ -345,8 +345,7 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     if m > CENTER_GENERATOR_BOUND:
         raise ValueError(f"center of a chart of {m} generators is above "
                          f"CENTER_GENERATOR_BOUND = {CENTER_GENERATOR_BOUND}")
-    mat = [list(r) for r in e]
-    basis = kernel_lattice(mat, n)
+    basis = kernel_lattice(e, n)
     if len(basis) != m or any(r[i] < 1 or any(r[:i]) for i, r in enumerate(basis)):
         raise InternalDefect(
             f"kernel basis of {len(basis)} rows is not a {m} x {m} Hermite form")
@@ -354,7 +353,7 @@ def center_lattice(spec: AlgebraSpec) -> CenterLattice:
     if not all(central):
         row = tuple(basis[central.index(False)])
         raise InternalDefect(f"kernel basis row {row} is not central")
-    index, size = prod(r[i] for i, r in enumerate(basis)), image_size(mat, n)
+    index, size = prod(r[i] for i, r in enumerate(basis)), image_size(e, n)
     if index != size:
         raise InternalDefect(f"kernel basis has index {index}, but E has an image of {size}")
     pure = [n // gcd(n, *(row[i] for row in e)) for i in range(m)]

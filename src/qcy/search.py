@@ -5,18 +5,18 @@ total degree.  For a fixed system and root order, search_q_params lists
 one Calabi-Yau exponent matrix per class under weight-preserving generator
 permutations.  The CY condition is linear in the exponents, so the CY
 matrices are the points of a lattice (one Hermite form modulo M,
-Cohen GTM 138 Algorithm 2.4.8), enumerated directly and in increasing order
-as the columns of one array; their count is known before the walk, and a
-search of more than SEARCH_BOUND of them is refused up front.  The group
-needs no table: a transposition and a cycle per class of equal weights
-generate it (Seress, Permutation Group Algorithms, 2003).  A point's row
-index is its free lattice digits read as a mixed-radix number, so each
-generator moves all points at once to the indices of their images, and
-each image is checked to be the point found there.  Min-propagation with
-pointer jumping over those moves labels every point with the least index
-in its orbit; the points that are their own label are the class
-representatives, each the least of its orbit (isomorph-free generation,
-McKay 1998).  The group's order is priced against ACTION_BOUND first.  The
+Cohen GTM 138 Algorithm 2.4.8, priced against HERMITE_BOUND before a row
+of it is built), enumerated directly and in increasing order as the
+columns of one array; their count is known before the walk, and a search
+of more than SEARCH_BOUND of them is refused up front.  The group needs no
+table: a transposition and a cycle per class of equal weights generate it
+(Seress, Permutation Group Algorithms, 2003).  A point's row index is its
+free lattice digits read as a mixed-radix number, so each generator moves
+all points at once to the indices of their images, and each image is
+checked to be the point found there.  Min-propagation with pointer
+jumping over those moves labels every point with the least index in its
+orbit; the points that are their own label are the class representatives,
+each the least of its orbit (isomorph-free generation, McKay 1998).  The
 representatives are then certified together as a second route, from
 their columns and not from the lattice: one array of their exponent
 matrices is checked for certify_weighted's hypotheses, one CRT merge over
@@ -29,13 +29,12 @@ rechecking the hypotheses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
-from math import comb, factorial, gcd, lcm, log, prod
+from math import comb, gcd, lcm, log, prod
 
 import numpy as np
 
 from . import _kernels
-from .cyclo import _integer, hermite_normal_form, merge_columns
+from .cyclo import _integer, kernel_lattice, merge_columns
 from .errors import InternalDefect
 from .points import CensusReport, _census, _is_surface
 from .qalgebra import AlgebraSpec
@@ -51,14 +50,14 @@ from .qalgebra import AlgebraSpec
 # the largest accepted search takes about a second and under 200 MB.
 SEARCH_BOUND = 10**5
 
-# Most entries, |G| n (n - 1) / 2, of a table of the weight-preserving
-# permutations' actions on the pairs, priced from the multiplicities of the
-# weights.  The search builds no such table: it moves the points by at most
-# two generators per class of equal weights, so its cost does not grow with
-# |G|.  The bound fixes which inputs are accepted: nine equal weights
-# (9! * 36 entries) are answered, and ten, or nine and one more (9! * 45),
-# are refused.
-ACTION_BOUND = 15 * 10**6
+# Most row-entry steps, P^2 (n + P) for P = n (n - 1) / 2 pairs, of the
+# Hermite form behind _cy_lattice (P + 1 rows of width n + P + 1, most live
+# through most columns and meet each pivot in one step along their width):
+# the search's one cost before SEARCH_BOUND, priced from n before a row is
+# built.  Doubling weights (1, 1, 2, 4, ...) at order 2 take 0.14, 0.39,
+# 0.74 and 1.35 s at n = 20, 24, 27 and 30 on a 2 vCPU Xeon, unit weights
+# about half: n = 27 is the largest accepted.
+HERMITE_BOUND = 5 * 10**7
 
 # Most work one enumerate_cy_weights call may do, counted in weights.  The
 # sieve's size depends only on the input, so it is priced before anything
@@ -271,11 +270,10 @@ def _cy_lattice(weights, order):
     box_p = N / stride_p.  With c = zeta_M^x, M = N * lcm(a_j), the CY
     condition reads (M/N) * sum_p B_jp stride_p k_p - a_j x = 0 (mod M),
     B the signed incidence matrix (column j gains e_ij for i < j and loses
-    e_ji for i > j).  One Hermite form modulo M of the rows
-    ((M/N) stride_p B_.p | e_p), (-a | 0) for x and (0 | box_p e_p): its
-    rows that pivot on the right-hand block are the upper-triangular basis
-    of the k with some x meeting the condition, plus the box lattice
-    (+) box_p Z.  Returns (pairs, strides, boxes, basis).
+    e_ji for i > j).  Its solutions (k, x) are the kernel modulo M of
+    ((M/N) stride_p B_.p | -a), whose basis rows but the last (the x pivot),
+    less x, are the triangular basis of the k.  It holds each box_p e_p, as
+    box_p (M/N) stride_p = M.  Returns (pairs, strides, boxes, basis).
     """
     n = len(weights)
     d = sum(weights)
@@ -285,12 +283,10 @@ def _cy_lattice(weights, order):
                for i, j in pairs]
     boxes = [order // s for s in strides]
     m = order * lcm(*weights)
-    unit = [[int(p == q) for q in range(len(pairs))] for p in range(len(pairs))]
-    rows = [[(m // order) * s * ((j == col) - (i == col)) for col in range(n)] + e
-            for (i, j), s, e in zip(pairs, strides, unit)]
-    rows.append([-a for a in weights] + [0] * len(pairs))
-    rows += [[0] * n + [b * x for x in e] for b, e in zip(boxes, unit)]
-    basis = [r[n:] for r in hermite_normal_form(rows, m)[n:]]
+    mat = [[(m // order) * s * ((j == col) - (i == col))
+            for (i, j), s in zip(pairs, strides)] + [-a]
+           for col, a in enumerate(weights)]
+    basis = [r[:-1] for r in kernel_lattice(mat, m)[:-1]]
     return pairs, strides, boxes, basis
 
 
@@ -400,18 +396,11 @@ def _least_in_orbit(moves) -> np.ndarray:
 
 def _search_classes(weights, order: int) -> tuple[list, list]:
     """(matrices, witnesses): one CY exponent matrix per class of the
-    sorted weights, in increasing order, and its witness (_certify_classes).
-
-    Enumerates the CY matrices directly as lattice points, in increasing
-    order (see _cy_lattice and _lattice_points).  Each generator of the
-    weight-preserving permutations (_generators) moves every point to its
-    image's row index (_moves), and each point is labelled with the least
-    index in its orbit (_least_in_orbit); the points that are their own
-    label are the class representatives, certified together
-    (_certify_classes).  An image that is not the point at its computed
+    sorted weights, in increasing order, and its witness, by the steps the
+    module docstring names.  An image that is not the point at its computed
     index, or a representative that does not certify CY, raises
-    InternalDefect.  A search over SEARCH_BOUND CY matrices or
-    ACTION_BOUND action entries is refused before enumeration.  The arrays
+    InternalDefect; a Hermite form priced over HERMITE_BOUND, or more than
+    SEARCH_BOUND CY matrices, is refused before it is built.  The arrays
     hold int64 while the search modulus M = N lcm(a_j) is below
     _kernels.MODULUS_BOUND (see there), and Python ints from it on.
     """
@@ -424,11 +413,11 @@ def _search_classes(weights, order: int) -> tuple[list, list]:
     if n < 2:
         # k[x]/(x^h) has empty Proj: certify_weighted refuses every spec.
         return [], []
-    actions = prod(map(factorial, Counter(weights).values())) * comb(n, 2)
-    if actions > ACTION_BOUND:
+    p = comb(n, 2)
+    if (cost := p * p * (n + p)) > HERMITE_BOUND:
         raise ValueError(
-            f"the weight-preserving permutations of {weights} act on the "
-            f"pairs by {actions} entries, above ACTION_BOUND = {ACTION_BOUND}")
+            f"the Calabi-Yau lattice of weights {weights} needs a Hermite form "
+            f"of {cost} row-entry steps, above HERMITE_BOUND = {HERMITE_BOUND}")
     pairs, strides, boxes, basis = _cy_lattice(weights, order)
     size = prod(box // basis[p][p] for p, box in enumerate(boxes))
     if size > SEARCH_BOUND:

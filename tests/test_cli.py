@@ -418,26 +418,38 @@ def test_search_q_above_the_bound_exits_2(tmp_path):
     assert "Traceback" not in err
 
 
-def test_search_q_above_the_action_bound_exits_2(tmp_path):
-    """Ten unit weights: 10! permutations acting on 45 pairs, refused before
-    any is built."""
-    man = tmp_path / "ten.man"
-    man.write_text("schema 1\norder 1\nweights" + " 1" * 10 + "\n")
-    code, out, err = within(1, lambda: run_cli(["search-q", "--input", str(man)]))
-    assert code == 2
-    assert out == ""
-    assert f"ACTION_BOUND = {search.ACTION_BOUND}" in err
-    assert "163296000" in err
-    assert "Traceback" not in err
+def test_search_q_answers_ten_and_twelve_equal_weights(tmp_path):
+    """Ten and twelve unit weights at order 1: the generator moves answer
+    them however large the group (10! and 12! permutations)."""
+    for n in (10, 12):
+        man = tmp_path / f"units{n}.man"
+        man.write_text("schema 1\norder 1\nweights" + " 1" * n + "\n")
+        code, out, err = within(5, lambda: run_cli(["search-q", "--input", str(man)]))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["count"] == 1
 
 
 def test_search_q_answers_nine_equal_weights(tmp_path):
-    """Nine unit weights, 9! * 36 action entries, are still answered."""
+    """Nine unit weights at order 1 are answered."""
     man = tmp_path / "nine.man"
     man.write_text("schema 1\norder 1\nweights" + " 1" * 9 + "\n")
     code, out, err = within(20, lambda: run_cli(["search-q", "--input", str(man)]))
     assert (code, err) == (0, "")
     assert json.loads(out)["result"]["count"] == 1
+
+
+def test_search_q_above_the_hermite_bound_exits_2(tmp_path):
+    """Forty doubling weights (1, 1, 2, ..., 2^38) at order 2: the Hermite
+    form of their 780 pairs is priced past HERMITE_BOUND, refused up front."""
+    man = tmp_path / "doubling.man"
+    man.write_text("schema 1\norder 2\nweights 1"
+                   + "".join(f" {2**k}" for k in range(39)) + "\n")
+    code, out, err = within(1, lambda: run_cli(["search-q", "--input", str(man)]))
+    assert code == 2
+    assert out == ""
+    assert f"HERMITE_BOUND = {search.HERMITE_BOUND}" in err
+    assert "498888000" in err
+    assert "Traceback" not in err
 
 
 def test_point_scheme_above_the_bound_exits_2(tmp_path):

@@ -504,6 +504,49 @@ def test_lattice_contains_names_a_length_mismatch():
         lattice_contains([[1, 0], [0, 1]], [1])
 
 
+def test_lattice_contains_names_a_zero_basis_row():
+    with pytest.raises(ValueError, match="basis has a zero row"):
+        lattice_contains([[0, 0]], [0, 0])
+
+
+# per public lattice function, calls with a float or string entry, vector
+# component or modulus; int() would have truncated or parsed each
+NOT_INTEGERS = {
+    hermite_normal_form: [([[0.5, 1.7]], 5), ([[1, 2]], 5.5), ([["1", 2]], 5)],
+    smith_normal_form: [([[1, 2.0]], 5), ([[1, 2]], "5")],
+    kernel_lattice: [([[1, 0.5]], 5), ([[1, 2]], 5.0)],
+    lattice_contains: [([[2, 0], [0, 2]], [2.9, 0]), ([[2, 0.0], [0, 2]], [2, 0]),
+                       ([[1]], ["1"])],
+    # past MODULUS_BOUND only the Smith form runs
+    image_size: [([[0.5, 1.0], [1.9, 0.2]], 2**31 + 11),
+                 ([[0.5, 1.0], [1.9, 0.2]], 7), ([[1, 2], [3, 4]], 7.0)],
+}
+
+
+@pytest.mark.parametrize("fn", NOT_INTEGERS, ids=lambda fn: fn.__name__)
+def test_lattice_functions_refuse_values_that_are_not_integers(fn):
+    for args in NOT_INTEGERS[fn]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            fn(*args)
+
+
+def test_lattice_functions_take_bools_and_numpy_integers():
+    mat, ints = [[np.int64(2), True], [np.int32(0), False]], [[2, 1], [0, 0]]
+    form = hermite_normal_form(mat, np.int64(6))
+    assert form == hermite_normal_form(ints, 6)
+    assert all(type(x) is int for row in form for x in row)
+    assert smith_normal_form(mat, np.int64(6)) == smith_normal_form(ints, 6)
+    assert kernel_lattice(mat, np.int64(6)) == kernel_lattice(ints, 6)
+    assert image_size(mat, np.int64(6)) == image_size(ints, 6) == 6
+    assert lattice_contains(form, [np.int64(2), True])
+
+
+@pytest.mark.parametrize("fn", NOT_INTEGERS, ids=lambda fn: fn.__name__)
+def test_lattice_functions_name_a_ragged_matrix(fn):
+    with pytest.raises(ValueError, match="ragged matrix"):
+        fn([[1, 2], [3]], [0, 0] if fn is lattice_contains else 5)
+
+
 # -- kernels and image sizes ------------------------------------------------
 
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcy import _kernels, search
+from qcy import _kernels, cyclo, search
 from qcy.cycert import Verdict, certify_weighted, verify_certificate
+from qcy.cyclo import lattice_contains
 from qcy.errors import InternalDefect
 from qcy.points import INFINITE
 from qcy.search import (
+    HERMITE_BOUND,
     REFERENCE_SURFACE_WEIGHTS,
     SEARCH_BOUND,
     WEIGHT_ENUMERATION_BOUND,
@@ -571,6 +573,17 @@ SEARCH_CASES = sorted({
 })
 
 
+@pytest.mark.parametrize("weights, order", SEARCH_CASES, ids=str)
+def test_the_lattice_holds_its_boxes(weights, order):
+    """box_p times pair row p is (M B_.p | box_p e_p), so box_p e_p lies in
+    the CY lattice with no row of its own, and each pivot divides its box,
+    as _lattice_points relies on."""
+    _, _, boxes, basis = search._cy_lattice(weights, order)
+    for p, box in enumerate(boxes):
+        assert lattice_contains(basis, [box * (q == p) for q in range(len(boxes))])
+        assert box % basis[p][p] == 0
+
+
 def _classes_certify(weights, order, matrices, witnesses):
     """Each class's spec certifies CY with the batch witness, as stored."""
     weights = tuple(sorted(weights))
@@ -646,6 +659,26 @@ def test_forged_exponent_matrix_is_a_defect(monkeypatch, edits, kind):
     _forge(monkeypatch, edits)
     with pytest.raises(InternalDefect, match=kind):
         search_q_params((1, 1, 2, 2), 6)
+
+
+def test_search_prices_the_hermite_form_before_building_it(monkeypatch):
+    """Forty doubling weights (1, 1, 2, ..., 2^38) at order 2, whose form
+    would take seconds, are refused with no Hermite form run."""
+    calls = []
+    monkeypatch.setattr(cyclo, "hermite_normal_form", lambda *a: calls.append(a))
+    weights = (1,) + tuple(2**k for k in range(39))
+    with pytest.raises(ValueError, match=f"HERMITE_BOUND = {HERMITE_BOUND}"):
+        within(1, lambda: search_q_params(weights, 2))
+    assert calls == []
+
+
+def test_hermite_bound_answers_27_equal_weights_and_refuses_28():
+    """Unit weights at order 1: 27 (351 pairs, priced 351^2 * 378) are
+    answered, 28 (378^2 * 406) refused; the group of 27! is never listed."""
+    assert 351**2 * 378 <= HERMITE_BOUND < 378**2 * 406
+    assert len(within(10, lambda: search_q_params((1,) * 27, 1))) == 1
+    with pytest.raises(ValueError, match="HERMITE_BOUND"):
+        search_q_params((1,) * 28, 1)
 
 
 def test_search_above_the_bound_is_refused_before_enumeration():
