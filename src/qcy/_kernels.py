@@ -44,10 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 # Every modulus and prime the kernels take lies below this bound, so that a
-# product of two residues fits in int64.  The parameter search holds its
-# lattice walk and its column merge (cyclo.merge_columns) in int64 arrays
-# on the same condition for its modulus M = N lcm(a_j): the walk's boxes
-# divide N <= M, so its products stay below 2^62 as well.
+# product of two residues fits in int64.
 MODULUS_BOUND = 2**31
 
 

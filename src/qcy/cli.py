@@ -23,7 +23,9 @@ types reports hold (dicts with str keys, lists, tuples, str, int, bool,
 None).  Its text is byte for byte what json writes with indent=2 and
 sorted keys; json itself drops to its pure-Python encoder whenever indent
 is set, and the writer takes about half that time.  Any other value, a
-float or a numpy scalar say, raises TypeError.
+float or a numpy scalar say, raises TypeError.  Both formats write every
+int exactly in decimal (_decimal), also past the interpreter's limit on
+int-to-str conversion (4,300 digits by default), which the process keeps.
 """
 
 from __future__ import annotations
@@ -316,16 +318,45 @@ def cmd_center(man, args) -> dict:
 
 # -- rendering --------------------------------------------------------------
 
+# Bits of the largest int that _decimal converts in one piece: at most 603
+# digits, below 640, the least limit on int-to-str conversion that
+# sys.set_int_max_str_digits accepts.
+_DECIMAL_PIECE_BITS = 2000
+
+
+def _decimal(value: int) -> str:
+    """int.__repr__(value), also past the interpreter's limit on
+    int-to-str conversion: a larger value is split by a power of ten
+    near the middle of its digits, recursively, and the pieces joined."""
+    if value.bit_length() <= _DECIMAL_PIECE_BITS:
+        return int.__repr__(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    # k is about half the digits, 0.30103 per bit
+    k = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _compact(value) -> str:
+    """value as json.dumps writes it on one line, each int by _decimal."""
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_compact, value)) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _decimal(value)
+    return json.dumps(value, sort_keys=True)
+
 
 def _human_value(value) -> str:
     if isinstance(value, dict) and value.get("kind") == "infinite":
         return "infinite"
     if isinstance(value, dict) and value.get("kind") == "finite":
-        return str(value["value"])
+        return _decimal(value["value"])
     if isinstance(value, list) and len(value) == 2 and all(
             isinstance(x, int) for x in value):
-        return f"({value[0]}, {value[1]})"
-    return json.dumps(value, sort_keys=True)
+        return "({}, {})".format(*(x if isinstance(x, bool) else _decimal(x)
+                                   for x in value))
+    return _compact(value)
 
 
 def _human_lines(obj, indent: int, out: list[str]):
@@ -370,7 +401,7 @@ def _json_lines(value, pad: str, out: list[str]) -> None:
     elif value is None or value is True or value is False:
         out.append(_JSON_ATOMS[value])
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(_decimal(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -492,6 +523,7 @@ def main(argv=None) -> int:
         doc = {"command": args.command, "input": source, "result": command(man, args)}
         if args.command == "certify":
             doc["criterion"] = _criterion(man)
+        text = render(doc, args.format)
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -502,7 +534,7 @@ def main(argv=None) -> int:
     except InternalDefect as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return 4
-    sys.stdout.write(render(doc, args.format))
+    sys.stdout.write(text)
     return 0
 
 

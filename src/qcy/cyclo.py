@@ -266,14 +266,13 @@ def merge_columns(weights, m: int, targets):
 
     `targets` holds one t_j per column (0 <= t_j < m): Python ints for one
     system, or equal-length arrays for many systems of the same weights.
-    Each value the merge forms stays below m^2, so int64 arrays serve while
-    m < _kernels.MODULUS_BOUND; past it they must hold Python ints
-    (dtype=object), since numpy integer arrays wrap silently.  Every
-    modulus, period and inverse depends on the weights and m alone, so
-    only the residues are arrays; `%`, `//` and `*` serve ints and arrays
-    alike.  Returns (x, first): first is the first column whose congruence
-    conflicts with the earlier ones, len(weights) when none does, and x
-    is then a solution, 0 <= x < m (meaningless where first is smaller).
+    Each value the merge forms stays below m^2, which an array's dtype must
+    hold, as numpy integer arrays wrap silently.  Every modulus, period and
+    inverse depends on the weights and m alone, so only the residues are
+    arrays; `%`, `//` and `*` serve ints and arrays alike.  Returns
+    (x, first): first is the first column whose congruence conflicts with
+    the earlier ones, len(weights) when none does, and x is then a
+    solution, 0 <= x < m (meaningless where first is smaller).
     """
     n = len(weights)
     residue, period, first = 0, 1, n

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
 from dataclasses import dataclass
 
 from .cycert import CRITERIA
@@ -59,11 +60,25 @@ def _tokenize(line: str):
             for m in re.finditer(r"\S+", line.partition("#")[0])]
 
 
+def _quoted(token: str) -> str:
+    """The token quoted, cut to a prefix when long."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def _int_token(token: str, lineno: int, col: int) -> int:
     try:
         return int(token, 10)
     except ValueError:
-        raise ManifestError(f"expected an integer, got {token!r}", lineno, col)
+        # int() takes every token of decimal digits but one longer than the
+        # interpreter's limit on int conversion (4,300 digits by default)
+        if re.fullmatch(r"[+-]?\d+", token):
+            raise ManifestError(
+                f"integer of {len(token.lstrip('+-'))} digits is past the "
+                f"{sys.get_int_max_str_digits()}-digit limit on int conversion, "
+                f"got {_quoted(token)}", lineno, col)
+        raise ManifestError(f"expected an integer, got {_quoted(token)}", lineno, col)
 
 
 def loads(text: str) -> Manifest:

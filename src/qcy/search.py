@@ -3,20 +3,54 @@
 Weight systems are sorted tuples with gcd 1 whose entries all divide the
 total degree.  For a fixed system and root order, search_q_params lists
 one Calabi-Yau exponent matrix per class under weight-preserving generator
-permutations.  The CY condition is linear in the exponents, so the CY
-matrices are the points of a lattice (one Hermite form modulo M,
-Cohen GTM 138 Algorithm 2.4.8, priced against HERMITE_BOUND before a row
-of it is built), enumerated directly and in increasing order as the
-columns of one array; their count is known before the walk, and a search
-of more than SEARCH_BOUND of them is refused up front.  The group needs no
-table: a transposition and a cycle per class of equal weights generate it
-(Seress, Permutation Group Algorithms, 2003).  A point's row index is its
-free lattice digits read as a mixed-radix number, so each generator moves
-all points at once to the indices of their images, and each image is
-checked to be the point found there.  Min-propagation with pointer
-jumping over those moves labels every point with the least index in its
-orbit; the points that are their own label are the class representatives,
-each the least of its orbit (isomorph-free generation, McKay 1998).  The
+permutations.
+
+The search first passes to its effective order.  With h_i = d / a_i, each
+q_ij satisfies q_ij^{h_i} = q_ij^{h_j} = 1, so it lies in mu_B for
+B = B_ij = gcd(N, h_i, h_j); the CY set depends on N only through
+N'' = lcm over pairs i < j of B_ij, a divisor of N.  At N'' every pair has
+the same box B_ij and the same lattice points, and a matrix at N is N / N''
+times one at N''.  Dividing the weights by g = gcd(a) keeps every h_i, and
+for a' = a / g, with gcd(a') = 1, sum_j u_j a'_j = 1 makes
+c' = prod_j col_j^{u_j} the only root with c'^{a'_j} = col_j (col_j the
+product of column j's q_ij), one in mu_{N''}.  So the lattice, the walk,
+the moves and the certification below all run on a' at order N'' and
+modulo N'' itself, and a search is refused if N'' > SEARCH_BOUND before a
+row of it is built, as it holds at least N'' matrices (below).  The
+classes then leave at N: each matrix times N / N'', and each witness the
+least-angle g-th root of c' = zeta_m^x, which is zeta_{g m}^x, as
+certify_weighted picks it.
+
+Why |CY| >= N''.  Take the CY group, the lattice digits k (k_p mod B_p) of
+the CY matrices at N''.  Suppose it does not map onto mu_{B_p} for some
+pair p = (i, j).  By duality some w in Z^n has sum_l a'_l w_l = 0
+(mod N''), w_l = w_m (mod B_lm) for every pair other than p, and
+w_i != w_j (mod B_p).  Take a prime q with v_q(w_i - w_j) < f = v_q(B_p).
+A third index l with v_q(h_l) >= f would put q^f in B_il and B_lj, so
+w_i = w_l = w_j (mod q^f); hence every other h_l has v_q(h_l) < f, and
+v_q(N'') = f.  Expand the sum
+around w_j: d' w_j (d' = sum a') and each a'_l (w_l - w_j), l != i, j,
+vanish mod q^f, as v_q(a'_l) + v_q(h_l) = v_q(d') >= f and
+v_q(w_l - w_j) >= v_q(B_lj) = v_q(h_l).  What is left is
+a'_i (w_i - w_j) = 0, so q | a'_i; likewise q | a'_j.  Every other a'_l
+has v_q(a'_l) > v_q(d') - f >= v_q(a'_i) >= 1, so q divides every
+weight, against gcd(a') = 1.  Hence the CY group has an element of order
+B_p at each pair, and so exponent N'' and at least N'' elements.
+
+The CY condition is linear in the exponents, so the CY matrices are the
+points of a lattice (one Hermite form modulo N'', Cohen GTM 138 Algorithm
+2.4.8, priced against HERMITE_BOUND before a row of it is built),
+enumerated directly and in increasing order as the columns of one int64
+array; their count is known before the walk, and a search of more than
+SEARCH_BOUND of them is refused up front.  The group needs no table: a
+transposition and a cycle per class of equal weights generate it (Seress,
+Permutation Group Algorithms, 2003).  A point's row index is its free
+lattice digits read as a mixed-radix number, so each generator moves all
+points at once to the indices of their images, and each image is checked
+to be the point found there.  Min-propagation with pointer jumping over
+those moves labels every point with the least index in its orbit; the
+points that are their own label are the class representatives, each the
+least of its orbit (isomorph-free generation, McKay 1998).  The
 representatives are then certified together as a second route, from
 their columns and not from the lattice: one array of their exponent
 matrices is checked for certify_weighted's hypotheses, one CRT merge over
@@ -33,7 +67,6 @@ from math import comb, gcd, lcm, log, prod
 
 import numpy as np
 
-from . import _kernels
 from .cyclo import _integer, kernel_lattice, merge_columns
 from .errors import InternalDefect
 from .points import CensusReport, _census, _is_surface
@@ -47,7 +80,9 @@ from .qalgebra import AlgebraSpec
 # 0.005-0.007 ms per class, and 0.8 KB kept per class (1.9 KB at the peak,
 # the walk's, the moves' and the certification's arrays included, by
 # tracemalloc); search_q_params's spec per class adds about 0.01 ms.  So
-# the largest accepted search takes about a second and under 200 MB.
+# the largest accepted search takes about a second and under 200 MB.  The
+# effective order N'' is at most the count, so every array entry, a
+# residue modulo N'' or a product of two, fits in int64.
 SEARCH_BOUND = 10**5
 
 # Most row-entry steps, P^2 (n + P) for P = n (n - 1) / 2 pairs, of the
@@ -264,16 +299,18 @@ def _generators(weights) -> list[list[int]]:
 
 
 def _cy_lattice(weights, order):
-    """The Calabi-Yau exponent matrices as a lattice modulo a box.
+    """The Calabi-Yau exponent matrices of weights with gcd 1 at order N, as
+    a lattice modulo a box.
 
     Entry e_p of pair p = (i, j), i < j, is stride_p * k_p with k_p mod
-    box_p = N / stride_p.  With c = zeta_M^x, M = N * lcm(a_j), the CY
-    condition reads (M/N) * sum_p B_jp stride_p k_p - a_j x = 0 (mod M),
-    B the signed incidence matrix (column j gains e_ij for i < j and loses
-    e_ji for i > j).  Its solutions (k, x) are the kernel modulo M of
-    ((M/N) stride_p B_.p | -a), whose basis rows but the last (the x pivot),
-    less x, are the triangular basis of the k.  It holds each box_p e_p, as
-    box_p (M/N) stride_p = M.  Returns (pairs, strides, boxes, basis).
+    box_p = N / stride_p.  With c = zeta_N^x (gcd(a) = 1 puts c in mu_N;
+    see the module docstring), the CY condition reads
+    sum_p B_jp stride_p k_p - a_j x = 0 (mod N), B the signed incidence
+    matrix (column j gains e_ij for i < j and loses e_ji for i > j).  Its
+    solutions (k, x) are the kernel modulo N of (stride_p B_.p | -a), whose
+    basis rows but the last (the x pivot), less x, are the triangular basis
+    of the k.  It holds each box_p e_p, as box_p stride_p = N.  Returns
+    (pairs, strides, boxes, basis).
     """
     n = len(weights)
     d = sum(weights)
@@ -282,18 +319,17 @@ def _cy_lattice(weights, order):
     strides = [lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
                for i, j in pairs]
     boxes = [order // s for s in strides]
-    m = order * lcm(*weights)
-    mat = [[(m // order) * s * ((j == col) - (i == col))
+    mat = [[s * ((j == col) - (i == col))
             for (i, j), s in zip(pairs, strides)] + [-a]
            for col, a in enumerate(weights)]
-    basis = [r[:-1] for r in kernel_lattice(mat, m)[:-1]]
+    basis = [r[:-1] for r in kernel_lattice(mat, order)[:-1]]
     return pairs, strides, boxes, basis
 
 
-def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, list[int]]:
+def _lattice_points(boxes, basis) -> tuple[np.ndarray, list[int]]:
     """Every point of the lattice modulo the box, in increasing order, as one
-    column per pair (point r is column entry r of each), and the place value
-    of each digit of a point's row index.
+    int64 column per pair (point r is column entry r of each), and the place
+    value of each digit of a point's row index.
 
     Row p of the triangular basis has pivot diag_p | box_p: once k_0 ..
     k_{p-1} are fixed, k_p runs over v = (acc_p mod diag_p) + diag_p t for
@@ -307,16 +343,14 @@ def _lattice_points(boxes, basis, dtype) -> tuple[np.ndarray, list[int]]:
     digits t_p = k_p // diag_p read as a mixed-radix number (first pair
     most significant), which stays below the point count; a fixed
     position's digit is 0.  Each step adds c * row_p with |c| and the
-    entries below the box, so the points are exact in `dtype`: int64 when
-    every box is below _kernels.MODULUS_BOUND, as the product then stays
-    below 2^62, and object (Python ints) otherwise.
+    entries below the box, which divides the effective order.
     """
-    columns = np.zeros((len(boxes), 1), dtype)
+    columns = np.zeros((len(boxes), 1), np.int64)
     for p, row in enumerate(basis):
         diag = row[p]
         if diag == boxes[p]:
             continue
-        c = np.arange(boxes[p] // diag).astype(dtype) - (columns[p] // diag)[:, None]
+        c = np.arange(boxes[p] // diag, dtype=np.int64) - (columns[p] // diag)[:, None]
         columns = np.repeat(columns, c.shape[1], axis=1)
         points = columns.reshape(len(boxes), *c.shape)
         for q in range(p, len(boxes)):
@@ -397,18 +431,21 @@ def _least_in_orbit(moves) -> np.ndarray:
 def _search_classes(weights, order: int) -> tuple[list, list]:
     """(matrices, witnesses): one CY exponent matrix per class of the
     sorted weights, in increasing order, and its witness, by the steps the
-    module docstring names.  An image that is not the point at its computed
-    index, or a representative that does not certify CY, raises
-    InternalDefect; a Hermite form priced over HERMITE_BOUND, or more than
-    SEARCH_BOUND CY matrices, is refused before it is built.  The arrays
-    hold int64 while the search modulus M = N lcm(a_j) is below
-    _kernels.MODULUS_BOUND (see there), and Python ints from it on.
+    module docstring names, at the effective order N'' on the weights over
+    their gcd.  An image that is not the point at its computed index, or a
+    representative that does not certify CY, raises InternalDefect; a
+    Hermite form priced over HERMITE_BOUND, an effective order above
+    SEARCH_BOUND, or more than SEARCH_BOUND CY matrices, is refused before
+    the lattice or its points are built.
     """
     ws = weight_system(weights)
     weights = ws.weights
     if not all(ws.divides):
         raise ValueError(
             f"every weight must divide the total degree, got {weights}")
+    order = _integer(order, "order")
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
     n = len(weights)
     if n < 2:
         # k[x]/(x^h) has empty Proj: certify_weighted refuses every spec.
@@ -418,29 +455,44 @@ def _search_classes(weights, order: int) -> tuple[list, list]:
         raise ValueError(
             f"the Calabi-Yau lattice of weights {weights} needs a Hermite form "
             f"of {cost} row-entry steps, above HERMITE_BOUND = {HERMITE_BOUND}")
-    pairs, strides, boxes, basis = _cy_lattice(weights, order)
+    # B_ij = gcd(N, h_i, h_j) from each gcd(N, h_i)
+    part = [gcd(order, ws.total_degree // a) for a in weights]
+    reduced = lcm(*(gcd(part[i], part[j]) for i in range(n) for j in range(i + 1, n)))
+    if reduced > SEARCH_BOUND:
+        raise ValueError(
+            f"search of weights {weights} has effective order {reduced}, so at "
+            f"least as many Calabi-Yau exponent matrices, above "
+            f"SEARCH_BOUND = {SEARCH_BOUND}")
+    g = gcd(*weights)
+    weights = tuple(a // g for a in weights)
+    pairs, strides, boxes, basis = _cy_lattice(weights, reduced)
     size = prod(box // basis[p][p] for p, box in enumerate(boxes))
     if size > SEARCH_BOUND:
         raise ValueError(
-            f"search of weights {weights} at order {order} has {size} "
-            f"Calabi-Yau exponent matrices, above SEARCH_BOUND = {SEARCH_BOUND}")
-    m = order * lcm(*weights)
-    dtype = np.int64 if m < _kernels.MODULUS_BOUND else object
-    columns, places = _lattice_points(boxes, basis, dtype)
+            f"search of weights {ws.weights} at effective order {reduced} has "
+            f"{size} Calabi-Yau exponent matrices, above SEARCH_BOUND = {SEARCH_BOUND}")
+    columns, places = _lattice_points(boxes, basis)
     diag = [row[p] for p, row in enumerate(basis)]
     moves = _moves(columns, diag, boxes, places, _generators(weights))
     if moves is None:
         raise InternalDefect(
-            f"CY matrices of {weights} at order {order} are not "
+            f"CY matrices of {weights} at order {reduced} are not "
             "closed under weight-preserving permutations")
     label = _least_in_orbit(moves)
     reps = np.flatnonzero(label == np.arange(len(label)))
-    return _certify_classes(weights, order, m, pairs, strides, columns[:, reps].T)
+    matrices, witnesses = _certify_classes(
+        weights, reduced, pairs, strides, columns[:, reps].T)
+    if (scale := order // reduced) > 1:
+        matrices = [[[e * scale for e in row] for row in mat] for mat in matrices]
+    if g > 1:
+        # zeta_m^x, reduced, has least-angle g-th root zeta_(g m)^x
+        witnesses = [[g * m // (c := gcd(g, x)), x // c] for m, x in witnesses]
+    return matrices, witnesses
 
 
 def _exponent_matrices(n, order, pairs, strides, ks) -> np.ndarray:
-    """The exponent matrices of rows of lattice digits as one (R, n, n)
-    array of ks's dtype: e_ij = stride_p k_p and e_ji = -e_ij mod N for
+    """The exponent matrices of rows of lattice digits as one int64
+    (R, n, n) array: e_ij = stride_p k_p and e_ji = -e_ij mod N for
     pair p = (i, j), i < j, and a zero diagonal."""
     i, j = np.array(pairs).T
     upper = ks * np.array(strides, ks.dtype)
@@ -455,11 +507,11 @@ def _violated_hypothesis(exps, order, weights):
     matrix of exps fails, and the first such matrix; None when all hold.
 
     The hypothesis q_ij^{h_i} = q_ij^{h_j} = 1 is read from h = d / a as
-    validate_spec reads it, not from the strides that built exps.  Its
-    values stay below n M, M = N lcm(a_j), so exps's dtype holds them.
+    validate_spec reads it, not from the strides that built exps, and
+    modulo N, so each product stays below N^2.
     """
     n = exps.shape[1]
-    h = np.array([sum(weights) // a for a in weights], exps.dtype)
+    h = np.array([sum(weights) // a % order for a in weights], exps.dtype)
     idx = np.arange(n)
     for kind, residues in (
             ("diagonal", exps[:, idx, idx] % order),
@@ -472,23 +524,20 @@ def _violated_hypothesis(exps, order, weights):
     return None
 
 
-def _certify_classes(weights, order, m, pairs, strides, ks) -> tuple[list, list]:
+def _certify_classes(weights, order, pairs, strides, ks) -> tuple[list, list]:
     """The exponent matrix and certify_weighted's witness for each row of
-    lattice digits, all rows in one array pass.
+    lattice digits, all rows in one array pass, for weights with gcd 1.
 
     The exponent matrices (_exponent_matrices) are checked against
     certify_weighted's hypotheses: unit diagonal, antisymmetry, and
     q_ij^{h_i} = q_ij^{h_j} = 1 (_violated_hypothesis).  Their column
     systems c^{a_j} = prod_i q_ij are solved by one merge over all rows
-    (merge_columns): the search modulus m = N lcm(a_j)
-    and everything but the residues depend on the weights alone.  The
-    arrays keep ks's dtype, which must be int64 only while
-    m < _kernels.MODULUS_BOUND (object past it; see _search_classes).
-    Returns (matrices, witnesses) as nested lists of Python ints; witness
-    [m / g, x / g], g = gcd(x, m), is the reduced pair of c = zeta_m^x that
-    certify_weighted stores.  A row failing a hypothesis or its column
-    system raises InternalDefect: the lattice is the CY set, and this
-    derives CY from the columns alone.
+    (merge_columns) modulo N itself, as gcd(a) = 1 puts c in mu_N; only
+    the residues depend on the rows.  Returns (matrices, witnesses) as
+    nested lists of Python ints; witness [N / g, x / g], g = gcd(x, N), is
+    the reduced pair of c = zeta_N^x that certify_weighted stores.  A row
+    failing a hypothesis or its column system raises InternalDefect: the
+    lattice is the CY set, and this derives CY from the columns alone.
     """
     n = len(weights)
     exps = _exponent_matrices(n, order, pairs, strides, ks)
@@ -497,16 +546,15 @@ def _certify_classes(weights, order, m, pairs, strides, ks) -> tuple[list, list]
         kind, r = violated
         raise InternalDefect(
             f"search class {r} of {weights} at order {order} violates {kind}")
-    columns = exps.sum(axis=1) % order * (m // order)
-    x, first = merge_columns(weights, m, list(columns.T))
+    x, first = merge_columns(weights, order, list(exps.sum(axis=1).T % order))
     bad = np.flatnonzero(first < n)
     if bad.size:
         r = bad[0]
         raise InternalDefect(
             f"search class {r} of {weights} at order {order} certifies "
             f"not_CY: columns 0..{first[r]} are jointly unsolvable")
-    g = np.gcd(x, m)
-    return exps.tolist(), np.column_stack((m // g, x // g)).tolist()
+    g = np.gcd(x, order)
+    return exps.tolist(), np.column_stack((order // g, x // g)).tolist()
 
 
 def search_q_params(weights, order: int) -> list[AlgebraSpec]:

@@ -2,10 +2,10 @@
 restriction to a subset of generators), a time guard,
 the recursive monomial walk that the array enumerator is tested against,
 the multiply-built span rows and their exact rank over Q(zeta_N), which the
-Hilbert oracle's rows and ranks are tested against, the scalar lattice
-walk and chart-by-chart census (with its second chart's scalar) that the
-search and the census are tested against, the least-of-orbit classes by
-brute force, the chart scalars by their
+Hilbert oracle's rows and ranks are tested against, the unreduced CY
+lattice, its scalar walk and the chart-by-chart census (with its second
+chart's scalar) that the search and the census are tested against, the
+least-of-orbit classes by brute force, the chart scalars by their
 definition and the image of a matrix by enumeration, a counter of spec
 constructions, a spy on the rank's elimination loop, a one-algebra manifest
 writer, and the scalar CRT merge that the column merge is tested against."""
@@ -18,10 +18,9 @@ from math import gcd, lcm
 from operator import mul
 
 from qcy import _kernels
-from qcy.cyclo import CycField, RootScalar
+from qcy.cyclo import CycField, RootScalar, kernel_lattice
 from qcy.points import INFINITE, CensusChart, CensusReport, ChartItem, two_var_fermat_count
 from qcy.qalgebra import AlgebraSpec, SkewPoly, chart_parameters, multiply
-from qcy.search import _cy_lattice
 
 # The running example: weight (1,1,2,2) at cube roots of unity, with
 # q_03 = q_12 = zeta^2 and the transposed entries zeta.
@@ -174,6 +173,32 @@ def exact_dims(spec, quotient, max_degree):
     return dims
 
 
+def reference_lattice(weights, order):
+    """The CY exponent matrices as a lattice modulo a box, at the given
+    order N and modulo M = N lcm(a_j), with no reduction of N or the weights.
+
+    Entry e_p of pair p = (i, j), i < j, is stride_p * k_p with k_p mod
+    box_p = N / stride_p.  With c = zeta_M^x the CY condition reads
+    (M/N) * sum_p B_jp stride_p k_p - a_j x = 0 (mod M), B the signed
+    incidence matrix; the kernel's basis rows but the last (the x pivot),
+    less x, are the triangular basis of the k.  Returns (pairs, strides,
+    boxes, basis).
+    """
+    n = len(weights)
+    d = sum(weights)
+    h = [d // a for a in weights]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    strides = [lcm(order // gcd(order, h[i]), order // gcd(order, h[j]))
+               for i, j in pairs]
+    boxes = [order // s for s in strides]
+    m = order * lcm(*weights)
+    mat = [[(m // order) * s * ((j == col) - (i == col))
+            for (i, j), s in zip(pairs, strides)] + [-a]
+           for col, a in enumerate(weights)]
+    basis = [r[:-1] for r in kernel_lattice(mat, m)[:-1]]
+    return pairs, strides, boxes, basis
+
+
 def reference_lattice_points(boxes, basis, place):
     """Every point of the lattice modulo the box, in increasing order.
 
@@ -208,7 +233,7 @@ def reference_search(weights, order):
     bisection into the sorted point codes.  No certificates."""
     weights = tuple(sorted(weights))
     n = len(weights)
-    pairs, strides, boxes, basis = _cy_lattice(weights, order)
+    pairs, strides, boxes, basis = reference_lattice(weights, order)
     place = [1] * len(boxes)
     for p in range(len(boxes) - 2, -1, -1):
         place[p] = place[p + 1] * boxes[p + 1]
@@ -247,7 +272,7 @@ def least_of_orbits(weights, order):
     of its orbit.  Each relabelling must itself be a CY matrix."""
     weights = tuple(sorted(weights))
     n = len(weights)
-    pairs, strides, boxes, basis = _cy_lattice(weights, order)
+    pairs, strides, boxes, basis = reference_lattice(weights, order)
     place = [1] * len(boxes)
     for p in range(len(boxes) - 2, -1, -1):
         place[p] = place[p + 1] * boxes[p + 1]

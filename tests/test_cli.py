@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -452,6 +454,76 @@ def test_search_q_above_the_hermite_bound_exits_2(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("weights, order, code", [
+    ((1, 1) + tuple(2**k for k in range(1, 11)), 10**2000, 2),
+    ((1,) * 20, 10**4000, 2),
+    ((1,) * 27, 10**4000, 0),
+], ids=["doubling12-10^2000", "units20-10^4000", "units27-10^4000"])
+def test_search_q_at_a_huge_order_runs_at_its_effective_order(tmp_path, weights,
+                                                              order, code):
+    """Twelve doubling weights (effective order 2048) and twenty unit
+    weights (20) are refused against SEARCH_BOUND, and twenty-seven unit
+    weights (1) have one class, the zero matrix: each within a second,
+    however many digits N has."""
+    argv = ["search-q", "--input", _weights_manifest(tmp_path, weights),
+            "--order", str(order)]
+    got, out, err = within(1, lambda: run_cli(argv))
+    assert got == code
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and f"SEARCH_BOUND = {search.SEARCH_BOUND}" in err
+    else:
+        assert err == ""
+        result = json.loads(out)["result"]
+        assert result["count"] == 1
+        assert result["specs"][0]["exponents"] == [[0] * 27] * 27
+        assert result["specs"][0]["witness"] == [1, 0]
+
+
+def _exact_decimal(value):
+    """str(value) with the interpreter's int-to-str limit lifted for the
+    one conversion, as a reference the CLI does not share."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [
+    0, 7, -7, 10**603, 2**2000, 2**2001, 10**5000, 10**5000 + 1, -(10**5000),
+    7**20000, -(3**30001) + 10**100, 12345 * 10**4400,
+], ids=lambda v: f"{v.bit_length()}bits")
+def test_decimal_writes_ints_past_the_digit_limit(value):
+    assert cli._decimal(value) == _exact_decimal(value)
+
+
+def test_pi_degree_past_the_digit_limit_renders_exactly(tmp_path):
+    """Six unit-weight generators with random antisymmetric exponents at
+    N = 10^1050: the image size has more than 4,300 digits, and both
+    formats print it exactly, with exit 0."""
+    order = 10**1050
+    rng = random.Random(16)
+    exps = [[0] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i + 1, 6):
+            exps[i][j] = rng.randrange(order)
+            exps[j][i] = -exps[i][j] % order
+    spec = AlgebraSpec((1,) * 6, order, exps)
+    expected = _exact_decimal(points.pi_degree(spec) ** 2)
+    assert len(expected) > 4300
+    man = tmp_path / "six.man"
+    man.write_text(manifest_text(spec))
+    argv = ["pi-degree", "--input", str(man)]
+    code, out, err = within(5, lambda: run_cli(argv))
+    assert (code, err) == (0, "")
+    assert f'"image_size": {expected},\n' in out
+    code, out, err = within(5, lambda: run_cli(argv + ["--format", "human"]))
+    assert (code, err) == (0, "")
+    assert f"image_size: {expected}\n" in out
+
+
 def test_point_scheme_above_the_bound_exits_2(tmp_path):
     """Twenty-four generators at order 1: every one of the 2^24 supports is
     admissible, and the walk is refused before it starts."""
@@ -724,8 +796,9 @@ def test_search_q_builds_no_spec(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("weights, order", [
     *((w, k * sum(w)) for w in CRITERION_2_SYSTEMS for k in (1, 2, 3)),
-    # past M = N lcm(a_j) = _kernels.MODULUS_BOUND the search holds Python
-    # ints in object arrays; what reaches the report writer must be ints
+    # orders around 2^31 and 2^32: the search runs at its effective order
+    # and scales its matrices back as Python ints, which the report writer
+    # must get
     ((1, 1), 2**31 - 2),
     ((1, 1), 2**31),
     ((1, 1), 2**32),

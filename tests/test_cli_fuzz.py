@@ -14,7 +14,6 @@ from qcy.cyclo import RootScalar
 from qcy.hilbert import DEGREE_BOUND
 from qcy.points import INFINITE
 from qcy.qalgebra import AlgebraSpec
-from qcy.search import _cy_lattice
 
 from helpers import (
     CRITERION_2_SYSTEMS,
@@ -22,6 +21,7 @@ from helpers import (
     manifest_text,
     reference_census,
     reference_chart,
+    reference_lattice,
     reference_second_chart_scalar,
     reference_solve_root_system,
     within,
@@ -128,7 +128,7 @@ def surfaces(draw, orders=lambda d: st.integers(1, 12 * d)):
     pair: a spec the census must answer, Calabi-Yau or not."""
     weights = draw(st.sampled_from(CRITERION_2_SYSTEMS))
     order = draw(orders(sum(weights)))
-    pairs, strides, boxes, _ = _cy_lattice(weights, order)
+    pairs, strides, boxes, _ = reference_lattice(weights, order)
     exps = [[0] * 4 for _ in range(4)]
     for (i, j), stride, box in zip(pairs, strides, boxes):
         exps[i][j] = stride * draw(st.integers(0, box - 1))

@@ -1,6 +1,7 @@
 """Manifest parsing: positions, digests, and block structure."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,21 @@ EXACT_ERRORS = [
 def test_each_error_is_pinned_exactly(text, message, line, column):
     err = _error(text)
     assert (str(err), err.line, err.column) == (message, line, column)
+
+def test_integer_past_the_digit_limit_is_named_and_quoted_short():
+    """An order of one digit more than the interpreter converts is an
+    integer: the message names the limit and quotes a prefix of the token,
+    as it does for any long token."""
+    limit = sys.get_int_max_str_digits()
+    err = _error("schema 1\norder 1" + "0" * limit + "\n")
+    assert (str(err), err.line, err.column) == (
+        f"line 2, column 7: integer of {limit + 1} digits is past the "
+        f"{limit}-digit limit on int conversion, got '10000000000000000000'... "
+        f"({limit + 1} characters)", 2, 7)
+    err = _error("schema 1\norder 1x" + "0" * limit + "\n")
+    assert str(err) == ("line 2, column 7: expected an integer, got "
+                        f"'1x000000000000000000'... ({limit + 2} characters)")
+
 
 # tabs, the comment mark, and characters str.isspace accepts beyond ASCII
 # (\x1c, \u3000, \xa0, \x85) or refuses (\u200b), among token characters

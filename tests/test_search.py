@@ -38,6 +38,7 @@ from helpers import (
     least_of_orbits,
     record_spec_constructions,
     reference_census,
+    reference_lattice,
     reference_search,
     within,
 )
@@ -438,15 +439,15 @@ def test_search_matches_the_reference_walk(weights, order, classes):
     assert classes is None or len(found) == classes
 
 
-def test_search_holds_large_boxes_as_python_ints(monkeypatch):
-    """With the search modulus M = N lcm(a_j) at _kernels.MODULUS_BOUND the
-    walk and the merge both leave int64, and the classes stay equal."""
+def test_search_walks_and_merges_in_int64(monkeypatch):
+    """The walk and the merge of (1,1,2,2)@6 hold int64 arrays, whatever
+    the kernels' MODULUS_BOUND, and the classes stay equal."""
     expected = search._search_classes((1, 1, 2, 2), 6)
     real_points, real_merge = search._lattice_points, search.merge_columns
     dtypes = []
 
-    def points(boxes, basis, dtype):
-        out = real_points(boxes, basis, dtype)
+    def points(boxes, basis):
+        out = real_points(boxes, basis)
         dtypes.append(("walk", out[0].dtype))
         return out
 
@@ -456,9 +457,9 @@ def test_search_holds_large_boxes_as_python_ints(monkeypatch):
 
     monkeypatch.setattr(search, "_lattice_points", points)
     monkeypatch.setattr(search, "merge_columns", merge)
-    monkeypatch.setattr(_kernels, "MODULUS_BOUND", 12)  # M = 6 * 2
+    monkeypatch.setattr(_kernels, "MODULUS_BOUND", 12)  # N lcm(a_j) = 12
     classes = search._search_classes((1, 1, 2, 2), 6)
-    assert dtypes == [("walk", object), ("merge", object)]
+    assert dtypes == [("walk", np.int64), ("merge", np.int64)]
     assert classes == expected
     _classes_certify((1, 1, 2, 2), 6, *classes)
 
@@ -535,8 +536,8 @@ def test_points_out_of_order_are_a_defect(monkeypatch):
     labelling raise."""
     real = search._lattice_points
 
-    def swapped(boxes, basis, dtype):
-        columns, places = real(boxes, basis, dtype)
+    def swapped(boxes, basis):
+        columns, places = real(boxes, basis)
         kept = [p for p, row in enumerate(basis) if row[p] > 1]
         other = next(r for r in range(1, columns.shape[1])
                      if (columns[kept, r] == columns[kept, 0]).all())
@@ -575,7 +576,7 @@ SEARCH_CASES = sorted({
 
 @pytest.mark.parametrize("weights, order", SEARCH_CASES, ids=str)
 def test_the_lattice_holds_its_boxes(weights, order):
-    """box_p times pair row p is (M B_.p | box_p e_p), so box_p e_p lies in
+    """box_p times pair row p is (N B_.p | box_p e_p), so box_p e_p lies in
     the CY lattice with no row of its own, and each pivot divides its box,
     as _lattice_points relies on."""
     _, _, boxes, basis = search._cy_lattice(weights, order)
@@ -607,27 +608,28 @@ def test_batch_certificates_equal_certify_weighted_on_small_systems(case):
     _classes_certify(*case, *search._search_classes(*case))
 
 
-@pytest.mark.parametrize("weights, order, dtype", [
-    ((1, 1), 2**31 - 2, np.int64),  # M = 2^31 - 2, just below the bound
-    ((1, 1), 2**31, object),  # M at the bound
-    ((1, 1), 2**32, object),
-    ((1, 1, 2), 2**30 - 2, np.int64),  # M = 2^31 - 4
-    ((1, 1, 2), 2**30, object),  # M = 2^31
+@pytest.mark.parametrize("weights, order, reduced", [
+    ((1, 1), 2**31 - 2, 2),  # M = N lcm(a_j) = 2^31 - 2
+    ((1, 1), 2**31, 2),
+    ((1, 1), 2**32, 2),
+    ((1, 1, 2), 2**30 - 2, 2),
+    ((1, 1, 2), 2**30, 4),  # M = 2^31
 ], ids=str)
-def test_batch_certification_across_the_int64_bound(monkeypatch, weights, order, dtype):
-    """The column merge runs on int64 below the kernels' MODULUS_BOUND and
-    on Python ints from it on, with certify_weighted's witnesses either way."""
-    assert _kernels.MODULUS_BOUND == 2**31
+def test_batch_certification_runs_at_the_effective_order(monkeypatch, weights,
+                                                         order, reduced):
+    """Around 2^31, where M = N lcm(a_j) leaves int32, the column merge runs
+    on int64 modulo the effective order N'', with certify_weighted's
+    witnesses at N."""
     real = search.merge_columns
     ran = []
 
     def spy(weights, m, targets):
-        ran.append(targets[0].dtype)
+        ran.append((targets[0].dtype, m))
         return real(weights, m, targets)
 
     monkeypatch.setattr(search, "merge_columns", spy)
     matrices, witnesses = search._search_classes(weights, order)
-    assert ran == [np.dtype(dtype)]
+    assert ran == [(np.dtype(np.int64), reduced)]
     assert len(matrices) > 1
     _classes_certify(weights, order, matrices, witnesses)
 
@@ -686,6 +688,99 @@ def test_search_above_the_bound_is_refused_before_enumeration():
         within(5, lambda: search_q_params((1,) * 6, 6))
     assert f"SEARCH_BOUND = {SEARCH_BOUND}" in str(exc.value)
     assert "362797056" in str(exc.value)
+
+
+# -- the effective order ---------------------------------------------------
+
+
+def _effective_order(weights, order):
+    """N'' = lcm over pairs i < j of gcd(N, h_i, h_j), by its definition."""
+    d = sum(weights)
+    return lcm(*(gcd(order, d // a, d // b) for a, b in combinations(weights, 2)))
+
+
+# admissible systems of three to six weights, and multiples of some
+BOUND_SYSTEMS = [ws.weights for n, bound in ((3, 20), (4, 20), (5, 8), (6, 4))
+                 for ws in enumerate_cy_weights(n, bound).systems]
+BOUND_SYSTEMS += [tuple(k * a for a in w) for w in BOUND_SYSTEMS[::5] for k in (2, 6)]
+
+
+@st.composite
+def systems_at_orders(draw):
+    """A system of BOUND_SYSTEMS at an order up to 10^4 or at a multiple or
+    divisor of lcm(h), where the effective order is largest."""
+    weights = draw(st.sampled_from(BOUND_SYSTEMS))
+    top = lcm(*(sum(weights) // a for a in weights))
+    order = draw(st.one_of(
+        st.integers(1, 10**4),
+        st.integers(1, 3).map(lambda k: k * top),
+        st.integers(1, 6).map(lambda k: max(1, top // k))))
+    return weights, order
+
+
+@given(systems_at_orders())
+@settings(max_examples=200, deadline=None)
+def test_cy_count_is_at_least_the_effective_order(case):
+    """|CY| >= N'', the bound the early refusal rests on (the module
+    docstring proves it), counted on the unreduced lattice at N."""
+    weights, order = case
+    _, _, boxes, basis = reference_lattice(weights, order)
+    count = prod(box // row[p] for p, (box, row) in enumerate(zip(boxes, basis)))
+    assert count >= _effective_order(weights, order)
+
+
+def _reference_classes(weights, order):
+    """The unreduced scalar walk's matrices and certify_weighted's witnesses."""
+    matrices = [[list(row) for row in mat] for mat in reference_search(weights, order)]
+    witnesses = [list(certify_weighted(AlgebraSpec(weights, order, mat)).witness[0].pair())
+                 for mat in matrices]
+    return matrices, witnesses
+
+
+@pytest.mark.parametrize("weights, order, reduced", [
+    ((2, 2), 8, 2),  # scale 4, g = 2
+    ((1, 1, 2, 2), 12, 6),  # scale 2
+    ((2, 2, 4, 4), 6, 6),  # g = 2
+    ((2, 2, 4, 4), 24, 6),  # scale 4, g = 2
+    ((3, 3, 6, 6), 10**30, 2),  # scale 5 10^29, g = 3
+    ((1, 1, 1, 3), 60, 6),
+], ids=str)
+def test_search_maps_its_classes_back_to_the_order(weights, order, reduced):
+    """Matrices found at N'' are scaled by N / N'', and each witness is the
+    least-angle g-th root, g = gcd(a), of the one found for a / g: both as
+    the unreduced walk and certify_weighted give them at N."""
+    assert _effective_order(weights, order) == reduced
+    found = search._search_classes(weights, order)
+    assert found == _reference_classes(weights, order)
+    assert any(m != 1 for m, _ in found[1])
+
+
+# (weights, order) with entries up to 6, at small orders and past them,
+# with between 16 and 3000 candidates: non-primitive weights included
+REDUCTION_CASES = [
+    (w, order)
+    for n in range(2, 6) for w in combinations_with_replacement(range(1, 7), n)
+    if all(sum(w) % a == 0 for a in w)
+    for order in (*range(1, 13), 24, 36, 60, 2**31, 10**30)
+    if 16 <= _candidates(w, order) <= 3000
+]
+
+
+@given(st.sampled_from(REDUCTION_CASES))
+@settings(max_examples=40, deadline=None)
+def test_search_equals_the_unreduced_reference(case):
+    assert search._search_classes(*case) == _reference_classes(*case)
+
+
+def test_search_refuses_a_large_effective_order_before_any_row(monkeypatch):
+    """The six-weight Sylvester system at N = d has N'' = d = 3263442, so at
+    least as many CY matrices: refused with no Hermite form run."""
+    calls = []
+    monkeypatch.setattr(cyclo, "hermite_normal_form", lambda *a: calls.append(a))
+    weights = (1, 1806, 75894, 466206, 1087814, 1631721)
+    with pytest.raises(ValueError, match="effective order 3263442.*SEARCH_BOUND"):
+        within(1, lambda: search_q_params(weights, sum(weights)))
+    assert calls == []
 
 
 # -- census sweep -----------------------------------------------------------
